@@ -3,7 +3,7 @@
 Submodules:
 
 * ``numcore``   - tape autodiff, MAC counting, seeded RNG, eigensolver
-* ``videoio``   - raw clip container, synthetic clips, frame sampling
+* ``videoio``   - raw clip container, synthetic clips
 * ``gopcodec``  - group-of-pictures codec (motion + exact residuals)
 * ``spectral``  - graph-Laplacian patch saliency
 * ``selector``  - differentiable patch selection

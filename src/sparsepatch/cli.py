@@ -12,6 +12,7 @@ overrides --seed for any command that accepts one.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -46,6 +47,7 @@ from .psformer import (
 )
 from .selector import (
     init_selector_params,
+    progressive_residual,
     score_gate,
     select_patches,
     shallow_3dcnn,
@@ -234,7 +236,10 @@ def cmd_encode(args) -> int:
     return 0
 
 
-def cmd_select(args) -> int:
+def _load_gop_model(args):
+    """Shared set-up of ``select`` and ``forward``: read the GOP, cross-check
+    ``--clip``, size the model to the GOP grid, resolve the seed and load
+    or initialise the parameters. Returns (gop, model, seed, params)."""
     gop = read_gop(args.gop)
     if args.clip:
         raw = read_rawvid(args.clip)
@@ -245,7 +250,11 @@ def cmd_select(args) -> int:
         grid_h=gop.i_frame.grid_h, grid_w=gop.i_frame.grid_w,
         max_frames=max(gop.frames, 1))
     seed = _resolve_seed(args)
-    params = _load_or_init_params(args, model, seed)
+    return gop, model, seed, _load_or_init_params(args, model, seed)
+
+
+def cmd_select(args) -> int:
+    gop, _, seed, params = _load_gop_model(args)
     counter = nc.MacCounter()
     with nc.mac_counting(counter):
         selection = select_patches(gop, params, mode=args.mode, seed=seed)
@@ -259,17 +268,7 @@ def cmd_select(args) -> int:
 
 
 def cmd_forward(args) -> int:
-    gop = read_gop(args.gop)
-    if args.clip:
-        raw = read_rawvid(args.clip)
-        if not np.array_equal(decode_gop(gop).pixels, raw.pixels):
-            raise ValidationError("gop does not decode to the given clip")
-    model = PsformerConfig(
-        dim=args.dim, layers=args.layers, heads=args.heads,
-        grid_h=gop.i_frame.grid_h, grid_w=gop.i_frame.grid_w,
-        max_frames=max(gop.frames, 1))
-    seed = _resolve_seed(args)
-    params = _load_or_init_params(args, model, seed)
+    gop, model, seed, params = _load_gop_model(args)
     counter = nc.MacCounter()
     with nc.mac_counting(counter):
         if args.dense:
@@ -310,22 +309,8 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config)
     seed = _resolve_seed(args, cfg)
     spec = _spec_from_config(cfg, seed)
-    config = TrainConfig(
-        stage1_epochs=cfg["stage1_epochs"],
-        stage2_epochs=cfg["stage2_epochs"],
-        learning_rate=cfg["learning_rate"],
-        decay_every=cfg["decay_every"],
-        decay_factor=cfg["decay_factor"],
-        weight_decay=cfg["weight_decay"],
-        triplet_margin=cfg["triplet_margin"],
-        noise_samples=cfg["noise_samples"],
-        batch_identities=cfg["batch_identities"],
-        batch_clips=cfg["batch_clips"],
-        error_weight=cfg["error_weight"],
-        threshold=cfg["threshold"],
-        heldout_clips=cfg["heldout_clips"],
-        seed=seed,
-    )
+    fields = {f.name for f in dataclasses.fields(TrainConfig)} - {"seed"}
+    config = TrainConfig(seed=seed, **{k: cfg[k] for k in fields})
     model = _model_from_config(cfg)
     result = two_stage_train(spec, config, model=model,
                              eval_every=cfg["eval_every"])
@@ -419,13 +404,10 @@ def _gradcheck_selector(seed: int) -> list[tuple[str, float]]:
         noise = nc.rng_stream(seed, "gradcheck-jitter", name)
         tensor.data += noise.standard_normal(tensor.data.shape) * 0.03
     reference = select_patches(gop, params, mode="infer", seed=0)
-    base = gop.i_frame.patches
     frozen = []
     for t in range(1, gop.frames):
         sal = reference.saliency[t - 1].values.reshape(-1, 1)
-        recon = base[gop.motion[t - 1]] + gop.residual[t - 1]
-        pool_idx, _ = reference.pool.query(recon)
-        prog = recon - reference.pool._buf[pool_idx]
+        prog, _ = progressive_residual(gop.frame_patches(t), reference.pool)
         frozen.append((Tensor(sal),
                        Tensor(gop.residual[t - 1] / 255.0),
                        Tensor(prog / 255.0)))

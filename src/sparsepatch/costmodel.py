@@ -22,6 +22,7 @@ import numpy as np
 from .errors import ValidationError
 from .gopcodec import PATCH_DIM
 from .numcore import MacCounter
+from .psformer import CLOSED_AUX, OPEN_AUX, warp_hidden
 from .selector import CNN_CHANNELS, MLP_WIDTHS, SEMANTIC_DIM
 
 __all__ = [
@@ -68,7 +69,7 @@ class Geometry:
 
     @property
     def warp_hidden(self) -> int:
-        return max(32, self.dim // 6)
+        return warp_hidden(self.dim)
 
     def to_dict(self) -> dict:
         return {"height": self.height, "width": self.width,
@@ -146,6 +147,25 @@ def _selection_macs(geom: Geometry) -> tuple[float, float]:
     return cnn, mlp
 
 
+def _routing_free_macs(geom: Geometry, kept: list[float],
+                       include_selection: bool) -> dict[str, float]:
+    """Stages whose cost does not depend on routing: embedding, I-frame
+    MSA, the global-warp and routing context MLPs, the post-stack
+    reinstatement of every skipped patch, and optionally selection."""
+    n, d, l, t = geom.patch_count, geom.dim, geom.layers, geom.frames
+    breakdown = {k: 0.0 for k in STAGES}
+    breakdown["embedding"] = n * PATCH_DIM * d + sum(kept) * PATCH_DIM * d
+    breakdown["i_frame_msa"] = l * msa_macs(n, 0, d)
+    breakdown["global_warp"] = l * (t - 1) * _context_mlp_macs(geom)
+    breakdown["routing"] = l * (t - 1) * _context_mlp_macs(geom)
+    if t > 1:
+        skipped = sum(n - k for k in kept)
+        breakdown["patchwise_warp"] = _kv_macs(geom) + skipped * _warp_row_macs(geom)
+    if include_selection:
+        breakdown["selection_cnn"], breakdown["selector_mlp"] = _selection_macs(geom)
+    return breakdown
+
+
 def _report(breakdown_macs: dict[str, float], inputs: dict,
             counted: float | None = None,
             uncounted: dict | None = None) -> CostReport:
@@ -204,24 +224,14 @@ def estimate_ours(geom: Geometry, kept_fraction, gate_open_rate,
                                             "kept_fraction")]
     opens = _per_frame_rates(gate_open_rate, l, "gate_open_rate")
     w_row = _warp_row_macs(geom)
-    breakdown = {k: 0.0 for k in STAGES}
-    breakdown["embedding"] = n * PATCH_DIM * d + sum(kept) * PATCH_DIM * d
-    breakdown["i_frame_msa"] = l * msa_macs(n, 0, d)
+    breakdown = _routing_free_macs(geom, kept, include_selection)
     for g in opens:
         for k in kept:
-            breakdown["p_frame_msa"] += (1 - g) * msa_macs(k, 1, d) \
-                + g * msa_macs(k, 9, d)
+            breakdown["p_frame_msa"] += (1 - g) * msa_macs(k, CLOSED_AUX, d) \
+                + g * msa_macs(k, OPEN_AUX, d)
             breakdown["patchwise_warp"] += g * (n - k) * w_row
-    breakdown["global_warp"] = l * (t - 1) * _context_mlp_macs(geom)
-    breakdown["routing"] = l * (t - 1) * _context_mlp_macs(geom)
     kv_layers = sum(1.0 - (1.0 - g) ** (t - 1) for g in opens)
-    if t > 1:
-        breakdown["patchwise_warp"] += (kv_layers + 1) * _kv_macs(geom)
-        breakdown["patchwise_warp"] += sum(n - k for k in kept) * w_row
-    if include_selection:
-        cnn, mlp = _selection_macs(geom)
-        breakdown["selection_cnn"] = cnn
-        breakdown["selector_mlp"] = mlp
+    breakdown["patchwise_warp"] += kv_layers * _kv_macs(geom)
     scalar_f = float(kept_fraction) if np.isscalar(kept_fraction) else \
         float(np.mean([k / n for k in kept])) if kept else 0.0
     scalar_g = float(gate_open_rate) if np.isscalar(gate_open_rate) else \
@@ -251,11 +261,7 @@ def exact_cost(geom: Geometry, kept_counts: list[int],
             raise ValidationError(f"open entry ({layer}, {frame}) out of range")
         open_set.add((layer, frame))
     w_row = _warp_row_macs(geom)
-    breakdown = {k: 0.0 for k in STAGES}
-    breakdown["embedding"] = n * PATCH_DIM * d + sum(kept_counts) * PATCH_DIM * d
-    breakdown["i_frame_msa"] = l * msa_macs(n, 0, d)
-    breakdown["global_warp"] = l * (t - 1) * _context_mlp_macs(geom)
-    breakdown["routing"] = l * (t - 1) * _context_mlp_macs(geom)
+    breakdown = _routing_free_macs(geom, kept_counts, include_selection)
     for layer in range(l):
         layer_opens = [f for f in range(1, t) if (layer, f) in open_set]
         if layer_opens:
@@ -264,16 +270,9 @@ def exact_cost(geom: Geometry, kept_counts: list[int],
             k = kept_counts[frame - 1]
             if (layer, frame) in open_set:
                 breakdown["patchwise_warp"] += (n - k) * w_row
-                breakdown["p_frame_msa"] += msa_macs(k, 9, d)
+                breakdown["p_frame_msa"] += msa_macs(k, OPEN_AUX, d)
             else:
-                breakdown["p_frame_msa"] += msa_macs(k, 1, d)
-    if t > 1:
-        breakdown["patchwise_warp"] += _kv_macs(geom)
-        breakdown["patchwise_warp"] += sum(n - k for k in kept_counts) * w_row
-    if include_selection:
-        cnn, mlp = _selection_macs(geom)
-        breakdown["selection_cnn"] = cnn
-        breakdown["selector_mlp"] = mlp
+                breakdown["p_frame_msa"] += msa_macs(k, CLOSED_AUX, d)
     mean_f = float(np.mean([k / n for k in kept_counts])) if kept_counts else 0.0
     rate = len(open_set) / (l * (t - 1)) if t > 1 else 0.0
     return _report(breakdown, {"kept_fraction": mean_f,

@@ -27,22 +27,6 @@ _MAGIC = b"GOPV1\x00"
 PATCH_DIM = PATCH * PATCH * 3  # 768
 
 
-def flatten_index(row: int, col: int, grid_w: int) -> int:
-    if grid_w < 1:
-        raise ValidationError("grid_w must be >= 1")
-    if col < 0 or col >= grid_w or row < 0:
-        raise ValidationError(f"patch coordinate ({row}, {col}) outside grid width {grid_w}")
-    return grid_w * row + col
-
-
-def unflatten_index(v: int, grid_w: int) -> tuple[int, int]:
-    if grid_w < 1:
-        raise ValidationError("grid_w must be >= 1")
-    if v < 0:
-        raise ValidationError(f"patch index {v} is negative")
-    return v // grid_w, v % grid_w
-
-
 @dataclass
 class PatchGrid:
     """One frame as an (N, 768) int16 matrix plus its grid shape."""
@@ -158,6 +142,14 @@ class GopClip:
     def frames(self) -> int:
         return self.motion.shape[0] + 1
 
+    def frame_patches(self, t: int) -> np.ndarray:
+        """Frame ``t`` as (N, 768) int16 patches: the I-frame at t = 0,
+        ``i_frame[motion] + residual`` after that."""
+        base = self.i_frame.patches
+        if t == 0:
+            return base
+        return base[self.motion[t - 1]] + self.residual[t - 1]
+
 
 def encode_gop(clip: RawClip) -> GopClip:
     """Motion-compensate every P-frame against the I-frame, keeping exact
@@ -178,13 +170,9 @@ def encode_gop(clip: RawClip) -> GopClip:
 
 
 def decode_gop(gop: GopClip) -> RawClip:
-    frames = [unpatchify(gop.i_frame)]
-    base = gop.i_frame.patches
-    for t in range(gop.motion.shape[0]):
-        patches = base[gop.motion[t]] + gop.residual[t]
-        frames.append(unpatchify(PatchGrid(patches=patches.astype(np.int16),
-                                           grid_h=gop.i_frame.grid_h,
-                                           grid_w=gop.i_frame.grid_w)))
+    gh, gw = gop.i_frame.grid_h, gop.i_frame.grid_w
+    frames = [unpatchify(PatchGrid(patches=gop.frame_patches(t), grid_h=gh, grid_w=gw))
+              for t in range(gop.frames)]
     return RawClip(pixels=np.stack(frames, axis=0))
 
 
@@ -234,11 +222,20 @@ def read_gop(path) -> GopClip:
     residual = residual.reshape(frames - 1, n, PATCH_DIM).astype(np.int16)
     if residual.size and (np.abs(residual).max() > 255):
         raise ParseError("residual outside [-255, 255]", offset=pos)
+    residual_pos = pos
     pos += 2 * count_r
     if pos != len(data):
         raise ParseError("trailing bytes after residual section", offset=pos)
 
     grid = PatchGrid(patches=i_patches,
                      grid_h=height // PATCH, grid_w=width // PATCH)
-    return GopClip(i_frame=grid, motion=motion, residual=residual,
-                   height=height, width=width)
+    gop = GopClip(i_frame=grid, motion=motion, residual=residual,
+                  height=height, width=width)
+    # a residual inside [-255, 255] can still push a pixel off the byte
+    # range; refuse here so every accepted file decodes and serves
+    for t in range(1, frames):
+        patches = gop.frame_patches(t)
+        if patches.min() < 0 or patches.max() > 255:
+            raise ParseError(f"P-frame {t} reconstructs outside [0, 255]",
+                             offset=residual_pos + 2 * (t - 1) * n * PATCH_DIM)
+    return gop

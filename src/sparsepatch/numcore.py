@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 from scipy.special import erf
@@ -61,26 +61,6 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-    # arithmetic sugar; the module-level functions are the real API
-    def __add__(self, other):
-        return add(self, as_tensor(other))
-
-    def __sub__(self, other):
-        return sub(self, as_tensor(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, as_tensor(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, as_tensor(other))
 
 
 def as_tensor(value, requires_grad: bool = False) -> Tensor:
@@ -225,6 +205,13 @@ def mac_counting(counter: MacCounter):
 
 def active_counter() -> MacCounter | None:
     return _COUNTER_STACK[-1] if _COUNTER_STACK else None
+
+
+def stage(label: str):
+    """Charge MACs inside the block to ``label`` on the active counter;
+    does nothing when no counter is active."""
+    counter = active_counter()
+    return counter.stage(label) if counter is not None else nullcontext()
 
 
 # ---------------------------------------------------------------------------
@@ -705,11 +692,6 @@ def rng_stream(seed: int, *tags) -> np.random.Generator:
         else:
             entropy.append(int(tag) & 0xFFFFFFFF)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
-
-
-def seeded_gaussian(seed: int, shape: tuple[int, int], *tags) -> Tensor:
-    rng = rng_stream(seed, "gaussian", *tags)
-    return Tensor(rng.standard_normal(shape))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ at 2*d^2 MACs instead of a full token's 12*d^2.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +37,16 @@ from .selector import SelectionResult
 
 _LOCAL_ROWS = 2
 _LOCAL_COLS = 4
+# key/value-only aux tokens a P-frame attends over: the coarse context
+# token on the closed path; the refined context token plus the pooled
+# summaries on the open path
+CLOSED_AUX = 1
+OPEN_AUX = 1 + _LOCAL_ROWS * _LOCAL_COLS
+
+
+def warp_hidden(dim: int) -> int:
+    """Hidden width of the warp and context MLPs at model width ``dim``."""
+    return max(32, dim // 6)
 
 
 @dataclass(frozen=True)
@@ -66,7 +75,7 @@ class PsformerConfig:
 
     @property
     def warp_hidden(self) -> int:
-        return max(32, self.dim // 6)
+        return warp_hidden(self.dim)
 
     @property
     def patch_count(self) -> int:
@@ -204,18 +213,12 @@ class PsformerResult:
     feature: Tensor
     context_pairs: list  # per layer: (first-frame mean in, previous mean)
     routing: list[RoutingEntry] = field(default_factory=list)
-    skipped_frames: list[tuple[int, int]] = field(default_factory=list)
 
     @property
     def open_rate(self) -> float:
         if not self.routing:
             return 0.0
         return sum(1.0 for r in self.routing if r.open_path) / len(self.routing)
-
-
-def _stage(name: str):
-    counter = nc.active_counter()
-    return counter.stage(name) if counter else nullcontext()
 
 
 def psformer_forward(gop: GopClip, selection: SelectionResult,
@@ -241,9 +244,8 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
     if selection.frames != t_total:
         raise ValidationError("selection and gop frame counts disagree")
 
-    base = gop.i_frame.patches.astype(np.int32)
     all_idx = np.arange(n)
-    with _stage("embedding"):
+    with nc.stage("embedding"):
         x_i = _embed_patches(gop.i_frame.patches, params, all_idx, 0)
     c0 = nc.colmean(x_i)
 
@@ -257,9 +259,8 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
         keep[sel] = True
         unselected.append(np.nonzero(~keep)[0])
         if sel.size:
-            recon = base[gop.motion[t - 1][sel]] + gop.residual[t - 1][sel]
-            with _stage("embedding"):
-                tok = _embed_patches(recon, params, sel, t)
+            with nc.stage("embedding"):
+                tok = _embed_patches(gop.frame_patches(t)[sel], params, sel, t)
             gate = nc.gather_rows(selection.gates[t - 1], sel)
             tok = nc.mul(tok, gate)  # straight-through path into the selector
             x_p.append(tok)
@@ -269,7 +270,6 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
             cp_prev.append(c0)
 
     routing: list[RoutingEntry] = []
-    skipped: list[tuple[int, int]] = []
     context_pairs = []
     ci_prev = c0
     for layer in range(config.layers):
@@ -278,10 +278,10 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
         kv_cache = None
         for t in range(1, t_total):
             i = t - 1
-            with _stage("global_warp"):
+            with nc.stage("global_warp"):
                 e = _ev(nc.concat_cols([ci_cur, ci_prev]), params)
                 cp_coarse = _gw(nc.concat_cols([e, cp_prev[i]]), params)
-            with _stage("routing"):
+            with nc.stage("routing"):
                 e_hat = _ev(nc.concat_cols([cp_coarse, cp_prev[i]]), params)
                 ci_hat = _gw(nc.concat_cols([e_hat, ci_prev]), params)
                 cost = nc.cosine_distance(ci_hat, ci_cur).item()
@@ -289,13 +289,11 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
             routing.append(RoutingEntry(layer, t, cost, open_path))
             if not open_path:
                 if x_p[i] is not None:
-                    with _stage("p_frame_msa"):
+                    with nc.stage("p_frame_msa"):
                         x_p[i] = msa_block(x_p[i], cp_coarse, params, layer, config)
-                else:
-                    skipped.append((layer, t))
                 cp_prev[i] = cp_coarse
             else:
-                with _stage("patchwise_warp"):
+                with nc.stage("patchwise_warp"):
                     if kv_cache is None:
                         kv_cache = (_linear(x_i, params, "warp.k"),
                                     _linear(x_i, params, "warp.v"))
@@ -303,29 +301,25 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
                         gop, x_i, unselected[i], t, params, config, kv_cache)
                 if x_p[i] is not None:
                     total = nc.add(nc.colsum(x_p[i]), nc.colsum(p_tilde))
-                    grid_tokens = _assemble_grid(
-                        x_p[i], p_tilde, selection.selected[i], unselected[i], n)
                 else:
                     total = nc.colsum(p_tilde)
-                    grid_tokens = _assemble_grid(
-                        None, p_tilde, selection.selected[i], unselected[i], n)
+                grid_tokens = _assemble_grid(
+                    x_p[i], p_tilde, selection.selected[i], unselected[i], n)
                 c_refined = nc.scale(total, 1.0 / n)
                 local = _local_pool(grid_tokens, gh, gw)
                 if x_p[i] is not None:
                     aux = nc.concat_rows([c_refined, local])
-                    with _stage("p_frame_msa"):
+                    with nc.stage("p_frame_msa"):
                         x_p[i] = msa_block(x_p[i], aux, params, layer, config)
-                else:
-                    skipped.append((layer, t))
                 cp_prev[i] = c_refined
-        with _stage("i_frame_msa"):
+        with nc.stage("i_frame_msa"):
             x_i = msa_block(x_i, None, params, layer, config)
         ci_prev = ci_cur
 
     # reinstate every skipped patch once from the final first-frame tokens
     parts = [nc.colsum(x_i)]
     if t_total > 1:
-        with _stage("patchwise_warp"):
+        with nc.stage("patchwise_warp"):
             kv_final = (_linear(x_i, params, "warp.k"),
                         _linear(x_i, params, "warp.v"))
             for t in range(1, t_total):
@@ -341,7 +335,7 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
         total = nc.add(total, p)
     feature = nc.scale(total, 1.0 / (n * t_total))
     return PsformerResult(feature=feature, context_pairs=context_pairs,
-                          routing=routing, skipped_frames=skipped)
+                          routing=routing)
 
 
 def _refine_unselected(gop: GopClip, x_i: Tensor, unsel: np.ndarray, t: int,
@@ -397,13 +391,9 @@ def dense_forward(gop: GopClip, params: ParamSet,
         raise ValidationError(
             f"clip has {t_total} frames, config allows {config.max_frames}")
     all_idx = np.arange(n)
-    base = gop.i_frame.patches.astype(np.int32)
-    frames = []
-    with _stage("embedding"):
-        frames.append(_embed_patches(gop.i_frame.patches, params, all_idx, 0))
-        for t in range(1, t_total):
-            recon = base[gop.motion[t - 1]] + gop.residual[t - 1]
-            frames.append(_embed_patches(recon, params, all_idx, t))
+    with nc.stage("embedding"):
+        frames = [_embed_patches(gop.frame_patches(t), params, all_idx, t)
+                  for t in range(t_total)]
     context_pairs = []
     ci_prev = nc.colmean(frames[0])
     for layer in range(config.layers):
@@ -411,7 +401,7 @@ def dense_forward(gop: GopClip, params: ParamSet,
         context_pairs.append((ci_cur, ci_prev))
         for t in range(t_total):
             stage = "i_frame_msa" if t == 0 else "p_frame_msa"
-            with _stage(stage):
+            with nc.stage(stage):
                 mean_tok = nc.colmean(frames[t])
                 frames[t] = msa_block(frames[t], mean_tok, params, layer, config)
         ci_prev = ci_cur

@@ -16,7 +16,6 @@ frames can skip content that was already kept.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,8 +167,7 @@ def shallow_3dcnn(clip: RawClip, params: ParamSet) -> SemanticsFeatures:
     if h % 16 or w % 16:
         raise ValidationError("clip dimensions must be multiples of 16")
     x = Tensor(clip.pixels.reshape(t * h * w, 3) / 255.0 - 0.5)
-    counter = nc.active_counter()
-    with counter.stage("selection_cnn") if counter else nullcontext():
+    with nc.stage("selection_cnn"):
         for i, nbr in enumerate(_conv_indices(t, h, w)):
             cols = nc.neighborhood_rows(x, nbr)
             x = nc.relu(nc.linear(cols, params[f"sel.conv{i}.w"],
@@ -199,27 +197,25 @@ class PatchPool:
 
     Entry order is the tie-break order: I-frame patches first (by patch
     index), then selections appended frame by frame in ascending patch
-    index. ``entries`` records (frame, patch_index) provenance.
+    index.
     """
 
     def __init__(self, capacity: int, dim: int = PATCH_DIM):
         self._buf = np.empty((capacity, dim), dtype=np.int16)
         self._size = 0
-        self.entries: list[tuple[int, int]] = []
 
     @classmethod
     def from_iframe(cls, gop: GopClip) -> "PatchPool":
         n = gop.i_frame.count
         pool = cls(capacity=n * gop.frames)
-        pool.append(gop.i_frame.patches, frame=0,
-                    indices=np.arange(n, dtype=np.int64))
+        pool.append(gop.i_frame.patches, indices=np.arange(n, dtype=np.int64))
         return pool
 
     @property
     def size(self) -> int:
         return self._size
 
-    def append(self, patches: np.ndarray, frame: int, indices) -> None:
+    def append(self, patches: np.ndarray, indices) -> None:
         indices = np.asarray(indices, dtype=np.int64)
         if patches.shape != (indices.size, self._buf.shape[1]):
             raise ValidationError(f"pool append shape mismatch {patches.shape}")
@@ -229,21 +225,28 @@ class PatchPool:
         if end > self._buf.shape[0]:
             raise ValidationError("pool capacity exceeded")
         self._buf[self._size:end] = patches
-        self.entries.extend((frame, int(i)) for i in indices)
         self._size = end
 
-    def query(self, patches: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def residual(self, patches: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Signed (M, dim) differences to each row's L1-nearest entry
+        (earliest on ties), and those entries' indices."""
         if self._size == 0:
             raise ValidationError("pool is empty")
-        return sad_nearest(patches, self._buf[: self._size])
+        idx, _ = sad_nearest(patches, self._buf[: self._size])
+        return patches - self._buf[idx], idx
 
 
-def progressive_residual(patch: np.ndarray, pool: PatchPool) -> tuple[np.ndarray, int]:
-    """Signed difference to the pool's L1-nearest patch (earliest on ties)."""
-    patch = np.asarray(patch, dtype=np.int16).reshape(1, -1)
-    idx, _ = pool.query(patch)
-    k = int(idx[0])
-    return (patch[0] - pool._buf[k]).astype(np.int16), k
+def progressive_residual(patches: np.ndarray, pool: PatchPool):
+    """Signed difference to the pool's L1-nearest patch (earliest on ties).
+
+    One (dim,) row gives ``(residual, index)``; an (M, dim) batch gives
+    ``(residuals, indices)`` with one nearest-neighbour search.
+    """
+    patches = np.asarray(patches, dtype=np.int16)
+    if patches.ndim == 1:
+        res, idx = pool.residual(patches.reshape(1, -1))
+        return res[0], int(idx[0])
+    return pool.residual(patches)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +262,6 @@ class GateDecision:
     shifted: Tensor        # (N, 1) score + noise in train mode, alias otherwise
     hard: np.ndarray       # (N,) uint8 keep decisions
     gate: Tensor           # (N, 1) multiplier carrying straight-through grads
-    soft: np.ndarray       # (N,) saturating-sigmoid confidence values
 
 
 def score_gate(features: Tensor, params: ParamSet, mode: str,
@@ -284,8 +286,7 @@ def score_gate(features: Tensor, params: ParamSet, mode: str,
         shifted = score
         gate = Tensor((score.data > 0.0).astype(np.float64))
     hard = (shifted.data[:, 0] > 0.0).astype(np.uint8)
-    soft = nc.soft_gate_value(shifted.data[:, 0])
-    return GateDecision(score=score, shifted=shifted, hard=hard, gate=gate, soft=soft)
+    return GateDecision(score=score, shifted=shifted, hard=hard, gate=gate)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +312,6 @@ class SelectionResult:
     gates: list[Tensor]
     scores: list[np.ndarray]
     shifted_scores: list[np.ndarray]
-    soft_values: list[np.ndarray]
     saliency: list[SaliencyVector]
     pool: PatchPool
     semantics: SemanticsFeatures
@@ -364,24 +364,21 @@ def select_patches(gop: GopClip, params: ParamSet, mode: str = "infer",
     gates: list[Tensor] = []
     scores: list[np.ndarray] = []
     shifted_scores: list[np.ndarray] = []
-    soft_values: list[np.ndarray] = []
     saliencies: list[SaliencyVector] = []
-    base = gop.i_frame.patches
 
     for t in range(1, gop.frames):
         f_map = semantics.f_maps[t]
         # the Gram product inside the saliency graph is a real matmul even
         # though it runs outside the tape; charge it so counted == analytic
         if counter is not None:
-            with counter.stage("selection_cnn"):
+            with nc.stage("selection_cnn"):
                 counter.add(n * n * SEMANTIC_DIM)
             counter.note_uncounted("eig_decompositions", 1)
         sal = prominent_eigvec(f_map.data)
         s_feat = patch_semantics(f_map, sal)
 
-        recon = base[gop.motion[t - 1]] + gop.residual[t - 1]
-        prog_idx, _ = pool.query(recon)
-        prog = recon - pool._buf[prog_idx]
+        recon = gop.frame_patches(t)
+        prog, _ = progressive_residual(recon, pool)
 
         feats = nc.concat_cols([
             Tensor(gop.residual[t - 1] / 255.0),
@@ -391,20 +388,19 @@ def select_patches(gop: GopClip, params: ParamSet, mode: str = "infer",
         noise = None
         if mode == "train":
             noise = nc.rng_stream(seed, "gate-noise", t).standard_normal((n, 1))
-        with counter.stage("selector_mlp") if counter else nullcontext():
+        with nc.stage("selector_mlp"):
             gate = score_gate(feats, params, mode, noise)
 
         keep = np.nonzero(gate.hard)[0]
-        pool.append(recon[keep].astype(np.int16), frame=t, indices=keep)
+        pool.append(recon[keep], indices=keep)
         selected.append(keep.astype(np.int64))
         gates.append(gate.gate)
         scores.append(gate.score.data[:, 0].copy())
         shifted_scores.append(gate.shifted.data[:, 0].copy())
-        soft_values.append(gate.soft.copy())
         saliencies.append(sal)
 
     return SelectionResult(
         frames=gop.frames, grid_h=semantics.grid_h, grid_w=semantics.grid_w,
         mode=mode, selected=selected, gates=gates, scores=scores,
-        shifted_scores=shifted_scores, soft_values=soft_values,
-        saliency=saliencies, pool=pool, semantics=semantics)
+        shifted_scores=shifted_scores, saliency=saliencies, pool=pool,
+        semantics=semantics)

@@ -1,4 +1,4 @@
-"""Raw video clips: container format, synthetic generator, frame sampling.
+"""Raw video clips: container format and synthetic generator.
 
 Clips are (T, H, W, 3) uint8 with H and W multiples of 16, so every frame
 tiles exactly into 16x16 patches. The on-disk format is deliberately dumb:
@@ -274,30 +274,3 @@ def synth_clip(spec: SynthSpec, identity: int, clip_seed: int) -> RawClip:
         masks[t, top_row, left_col + head_col_off:left_col + head_col_off + head_w] = 1
         masks[t, top_row + 1:top_row + 1 + torso_h, left_col:left_col + torso_w] = 1
     return RawClip(pixels=pixels, identity=identity, masks=masks)
-
-
-# ---------------------------------------------------------------------------
-# restricted random sampling
-# ---------------------------------------------------------------------------
-
-
-def rrs_sample(t_total: int, t: int, seed: int) -> list[int]:
-    """Pick ``t`` ascending frame indices: one uniform draw per chunk.
-
-    The timeline splits into ``t`` chunks of floor(t_total / t) frames, the
-    last chunk absorbing the remainder. When the clip is shorter than ``t``
-    every frame is taken and the final index repeats as padding.
-    """
-    if t_total < 1 or t < 1:
-        raise ValidationError("t_total and t must both be >= 1")
-    if t_total <= t:
-        idx = list(range(t_total))
-        return idx + [t_total - 1] * (t - t_total)
-    rng = rng_stream(seed, "rrs", t_total, t)
-    base = t_total // t
-    picks = []
-    for chunk in range(t):
-        lo = chunk * base
-        hi = t_total if chunk == t - 1 else lo + base
-        picks.append(int(rng.integers(lo, hi)))
-    return picks

@@ -162,7 +162,7 @@ def test_c06_duplicate_patches_have_zero_progressive_residual():
         n = int(rng.integers(1, 65))
         patches = rng.integers(0, 256, size=(n, 768)).astype(np.int16)
         pool = PatchPool(capacity=n)
-        pool.append(patches, frame=0, indices=np.arange(n))
+        pool.append(patches, indices=np.arange(n))
         dup = patches[int(rng.integers(0, n))]
         res, _ = progressive_residual(dup, pool)
         worst = max(worst, int(np.abs(res).max()))

@@ -9,6 +9,7 @@ import pytest
 
 from sparsepatch.cli import CONFIG_SCHEMA, main, parse_config_text
 from sparsepatch.errors import UsageError
+from sparsepatch.gopcodec import read_gop, write_gop
 from sparsepatch.psformer import PsformerConfig, init_psformer_params
 from sparsepatch.selector import init_selector_params
 
@@ -125,6 +126,21 @@ def test_exit_3_on_corrupt_container(tmp_path, capsys):
     code = run_cli("encode", "--in", str(bad), "--out", str(tmp_path / "x.gop1"))
     assert code == 3
     assert "magic" in capsys.readouterr().err
+
+
+def test_exit_3_on_gop_reconstructing_outside_byte_range(pipeline, capsys):
+    # each residual is inside [-255, 255], but I-frame + residual is not
+    tmp_path, _, _, gop_path = pipeline
+    gop = read_gop(gop_path)
+    assert gop.i_frame.patches[gop.motion[0, 0], 0] > 0
+    gop.residual[0, 0, 0] = 255
+    bad = tmp_path / "overflow.gop1"
+    write_gop(gop, bad)
+    for command in (["select"], ["forward"], ["forward", "--dense"]):
+        code = run_cli(*command, "--gop", str(bad), *MODEL_FLAGS,
+                       "--out", str(tmp_path / "x.json"))
+        assert code == 3
+        assert "outside [0, 255]" in capsys.readouterr().err
 
 
 def test_exit_4_on_nonfinite_params(pipeline, capsys):

@@ -10,11 +10,9 @@ from sparsepatch.gopcodec import (
     PatchGrid,
     decode_gop,
     encode_gop,
-    flatten_index,
     patchify,
     read_gop,
     sad_nearest,
-    unflatten_index,
     unpatchify,
     write_gop,
 )
@@ -24,23 +22,6 @@ from sparsepatch.videoio import RawClip, SynthSpec, synth_clip
 def _noise_clip(t=3, h=32, w=48, seed=0):
     rng = np.random.Generator(np.random.PCG64(seed))
     return RawClip(pixels=rng.integers(0, 256, size=(t, h, w, 3), dtype=np.uint8))
-
-
-def test_flatten_index_known():
-    assert flatten_index(0, 0, 4) == 0
-    assert flatten_index(1, 2, 4) == 6
-    assert unflatten_index(6, 4) == (1, 2)
-    with pytest.raises(ValidationError):
-        flatten_index(0, 4, 4)
-    with pytest.raises(ValidationError):
-        unflatten_index(-1, 4)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 30), st.integers(1, 40))
-def test_flatten_roundtrip(v, grid_w):
-    row, col = unflatten_index(v, grid_w)
-    assert flatten_index(row, col, grid_w) == v
 
 
 def test_patchify_layout():

@@ -248,14 +248,6 @@ def test_sym_eig_reconstructs(n, seed):
     assert np.allclose(v @ np.diag(w) @ v.T, s, atol=1e-8 * max(1.0, np.abs(s).max()))
 
 
-def test_seeded_gaussian_determinism():
-    a = nc.seeded_gaussian(123, (3, 4))
-    b = nc.seeded_gaussian(123, (3, 4))
-    c = nc.seeded_gaussian(124, (3, 4))
-    assert np.array_equal(a.data, b.data)
-    assert not np.array_equal(a.data, c.data)
-
-
 def test_rng_stream_tags_are_independent():
     a = nc.rng_stream(9, "alpha").standard_normal(4)
     b = nc.rng_stream(9, "alpha").standard_normal(4)

@@ -108,7 +108,7 @@ def test_progressive_residual_exact_zero_on_duplicates():
     rng = np.random.Generator(np.random.PCG64(2))
     rows = rng.integers(0, 256, size=(4, 6)).astype(np.int16)
     rows[3] = rows[1]  # duplicate entry later in the pool
-    pool.append(rows, frame=0, indices=np.arange(4))
+    pool.append(rows, indices=np.arange(4))
     res, idx = progressive_residual(rows[1], pool)
     assert idx == 1  # earliest duplicate wins
     assert not res.any()
@@ -119,12 +119,11 @@ def test_progressive_residual_exact_zero_on_duplicates():
 
 def test_pool_append_rules():
     pool = PatchPool(capacity=4, dim=3)
-    pool.append(np.zeros((2, 3), dtype=np.int16), frame=0, indices=[0, 1])
+    pool.append(np.zeros((2, 3), dtype=np.int16), indices=[0, 1])
     with pytest.raises(ValidationError, match="ascending"):
-        pool.append(np.zeros((2, 3), dtype=np.int16), frame=1, indices=[3, 2])
+        pool.append(np.zeros((2, 3), dtype=np.int16), indices=[3, 2])
     with pytest.raises(ValidationError, match="capacity"):
-        pool.append(np.zeros((3, 3), dtype=np.int16), frame=1, indices=[0, 1, 2])
-    assert pool.entries == [(0, 0), (0, 1)]
+        pool.append(np.zeros((3, 3), dtype=np.int16), indices=[0, 1, 2])
 
 
 def _gate_params(seed=0):
@@ -147,7 +146,6 @@ def test_score_gate_train_vs_infer():
     assert np.allclose(trained.shifted.data, trained.score.data + noise)
     assert np.array_equal(trained.hard, (trained.shifted.data[:, 0] > 0).astype(np.uint8))
     assert np.array_equal(trained.gate.data[:, 0], trained.hard.astype(np.float64))
-    assert np.allclose(trained.soft, nc.soft_gate_value(trained.shifted.data[:, 0]))
 
     inferred = score_gate(feats, params, "infer")
     assert np.array_equal(inferred.hard, (inferred.score.data[:, 0] > 0).astype(np.uint8))

@@ -8,7 +8,6 @@ from sparsepatch.videoio import (
     RawClip,
     SynthSpec,
     read_rawvid,
-    rrs_sample,
     synth_clip,
     write_rawvid,
 )
@@ -182,33 +181,3 @@ def test_synth_validation():
         SynthSpec(identity_count=1, clips_per_identity=1, background="plasma")
     with pytest.raises(ValidationError):
         synth_clip(_spec(), identity=99, clip_seed=0)
-
-
-def test_rrs_pads_short_clips():
-    assert rrs_sample(5, 8, seed=0) == [0, 1, 2, 3, 4, 4, 4, 4]
-    assert rrs_sample(1, 4, seed=0) == [0, 0, 0, 0]
-    assert rrs_sample(8, 8, seed=3) == list(range(8))
-
-
-def test_rrs_one_per_chunk():
-    picks = rrs_sample(16, 8, seed=42)
-    assert len(picks) == 8
-    for chunk, p in enumerate(picks):
-        assert p in (2 * chunk, 2 * chunk + 1)
-
-
-def test_rrs_remainder_goes_to_last_chunk():
-    picks = rrs_sample(19, 4, seed=7)
-    # chunks: [0,4) [4,8) [8,12) [12,19)
-    assert 0 <= picks[0] < 4
-    assert 4 <= picks[1] < 8
-    assert 8 <= picks[2] < 12
-    assert 12 <= picks[3] < 19
-    assert picks == rrs_sample(19, 4, seed=7)
-
-
-def test_rrs_validation():
-    with pytest.raises(ValidationError):
-        rrs_sample(0, 4, seed=0)
-    with pytest.raises(ValidationError):
-        rrs_sample(4, 0, seed=0)
