@@ -28,7 +28,6 @@ from .costmodel import (
     bisect_kept_fraction,
     estimate_ours,
     estimate_vit,
-    exact_cost,
 )
 from .errors import (
     NumericalError,
@@ -61,12 +60,13 @@ from .training import (
     rank1,
     two_stage_train,
 )
-from .videoio import RawClip, SynthSpec, read_rawvid, synth_clip, write_rawvid
+from .videoio import SynthSpec, read_rawvid, synth_clip, write_rawvid
 
 GRADCHECK_TOL = 1e-4
 
 # every recognized config key with its type and default; unknown keys are
-# rejected so typos fail loudly instead of silently using a default
+# rejected so typos fail loudly instead of silently using a default. The
+# trainer's keys come from TrainConfig, which owns their defaults.
 CONFIG_SCHEMA: dict[str, tuple[type, object]] = {
     "identities": (int, 10),
     "clips_per_identity": (int, 8),
@@ -78,21 +78,9 @@ CONFIG_SCHEMA: dict[str, tuple[type, object]] = {
     "dim": (int, 64),
     "layers": (int, 4),
     "heads": (int, 4),
-    "threshold": (float, 0.5),
-    "stage1_epochs": (int, 20),
-    "stage2_epochs": (int, 20),
-    "learning_rate": (float, 5e-4),
-    "weight_decay": (float, 5e-4),
-    "decay_every": (int, 40),
-    "decay_factor": (float, 0.1),
-    "triplet_margin": (float, 0.3),
-    "noise_samples": (int, 4),
-    "batch_identities": (int, 4),
-    "batch_clips": (int, 2),
-    "error_weight": (float, 1.0),
-    "heldout_clips": (int, 2),
     "eval_every": (int, 1),
-    "seed": (int, 0),
+    **{f.name: (type(f.default), f.default)
+       for f in dataclasses.fields(TrainConfig)},
 }
 
 

@@ -147,22 +147,39 @@ def _selection_macs(geom: Geometry) -> tuple[float, float]:
     return cnn, mlp
 
 
-def _routing_free_macs(geom: Geometry, kept: list[float],
-                       include_selection: bool) -> dict[str, float]:
-    """Stages whose cost does not depend on routing: embedding, I-frame
-    MSA, the global-warp and routing context MLPs, the post-stack
-    reinstatement of every skipped patch, and optionally selection."""
+def _pipeline_macs(geom: Geometry, kept: list[float],
+                   open_weights: list[list[float]],
+                   include_selection: bool) -> dict[str, float]:
+    """MACs per stage of the selective pipeline.
+
+    ``kept[t-1]`` is P-frame t's kept patch count and
+    ``open_weights[layer][t-1]`` the weight of its open route at that
+    layer: 0 or 1 for a concrete run, the open rate for an estimate.
+    Embedding, I-frame MSA, the global-warp and routing context MLPs, the
+    post-stack reinstatement of every skipped patch and the selection
+    network do not depend on routing. A layer's warp key/value
+    projections are built once if any of its frames opens, so they are
+    charged 1 - prod(1 - w).
+    """
     n, d, l, t = geom.patch_count, geom.dim, geom.layers, geom.frames
+    w_row = _warp_row_macs(geom)
     breakdown = {k: 0.0 for k in STAGES}
     breakdown["embedding"] = n * PATCH_DIM * d + sum(kept) * PATCH_DIM * d
     breakdown["i_frame_msa"] = l * msa_macs(n, 0, d)
     breakdown["global_warp"] = l * (t - 1) * _context_mlp_macs(geom)
     breakdown["routing"] = l * (t - 1) * _context_mlp_macs(geom)
     if t > 1:
-        skipped = sum(n - k for k in kept)
-        breakdown["patchwise_warp"] = _kv_macs(geom) + skipped * _warp_row_macs(geom)
+        breakdown["patchwise_warp"] = _kv_macs(geom) + sum(n - k for k in kept) * w_row
     if include_selection:
         breakdown["selection_cnn"], breakdown["selector_mlp"] = _selection_macs(geom)
+    for weights in open_weights:
+        all_closed = 1.0
+        for w, k in zip(weights, kept):
+            breakdown["p_frame_msa"] += (1 - w) * msa_macs(k, CLOSED_AUX, d) \
+                + w * msa_macs(k, OPEN_AUX, d)
+            breakdown["patchwise_warp"] += w * (n - k) * w_row
+            all_closed *= 1 - w
+        breakdown["patchwise_warp"] += (1 - all_closed) * _kv_macs(geom)
     return breakdown
 
 
@@ -196,48 +213,25 @@ def estimate_vit(geom: Geometry) -> CostReport:
                                "geometry": geom.to_dict()})
 
 
-def _per_frame_rates(value, count: int, name: str) -> list[float]:
-    if np.isscalar(value):
-        rates = [float(value)] * count
-    else:
-        rates = [float(v) for v in value]
-        if len(rates) != count:
-            raise ValidationError(f"{name} needs {count} values, got {len(rates)}")
-    for r in rates:
-        if not 0.0 <= r <= 1.0:
-            raise ValidationError(f"{name} {r} outside [0, 1]")
-    return rates
-
-
-def estimate_ours(geom: Geometry, kept_fraction, gate_open_rate,
+def estimate_ours(geom: Geometry, kept_fraction: float, gate_open_rate: float,
                   include_selection: bool = True) -> CostReport:
-    """Selective pipeline cost at uniform (or per-frame/per-layer) rates.
+    """Selective pipeline cost at a uniform kept fraction and open rate.
 
-    ``kept_fraction`` applies per P-frame, ``gate_open_rate`` per layer.
-    Key/value projections for the warp refinement are charged once per
-    layer that opens at least one frame, so at rate g the expected number
-    of charged layers is L * (1 - (1-g)^(T-1)), plus one unconditional
-    build for the post-stack reinstatement pass.
+    ``kept_fraction`` applies to every P-frame and ``gate_open_rate`` to
+    every (layer, frame). Key/value projections for the warp refinement
+    are charged once per layer that opens at least one frame, so at rate
+    g the expected number of charged layers is L * (1 - (1-g)^(T-1)),
+    plus one unconditional build for the post-stack reinstatement pass.
     """
-    n, d, l, t = geom.patch_count, geom.dim, geom.layers, geom.frames
-    kept = [f * n for f in _per_frame_rates(kept_fraction, max(t - 1, 0),
-                                            "kept_fraction")]
-    opens = _per_frame_rates(gate_open_rate, l, "gate_open_rate")
-    w_row = _warp_row_macs(geom)
-    breakdown = _routing_free_macs(geom, kept, include_selection)
-    for g in opens:
-        for k in kept:
-            breakdown["p_frame_msa"] += (1 - g) * msa_macs(k, CLOSED_AUX, d) \
-                + g * msa_macs(k, OPEN_AUX, d)
-            breakdown["patchwise_warp"] += g * (n - k) * w_row
-    kv_layers = sum(1.0 - (1.0 - g) ** (t - 1) for g in opens)
-    breakdown["patchwise_warp"] += kv_layers * _kv_macs(geom)
-    scalar_f = float(kept_fraction) if np.isscalar(kept_fraction) else \
-        float(np.mean([k / n for k in kept])) if kept else 0.0
-    scalar_g = float(gate_open_rate) if np.isscalar(gate_open_rate) else \
-        float(np.mean(opens))
-    return _report(breakdown, {"kept_fraction": scalar_f,
-                               "gate_open_rate": scalar_g,
+    for name, rate in (("kept_fraction", kept_fraction),
+                       ("gate_open_rate", gate_open_rate)):
+        if not 0.0 <= rate <= 1.0:
+            raise ValidationError(f"{name} {rate} outside [0, 1]")
+    kept = [kept_fraction * geom.patch_count] * max(geom.frames - 1, 0)
+    weights = [[gate_open_rate] * len(kept)] * geom.layers
+    breakdown = _pipeline_macs(geom, kept, weights, include_selection)
+    return _report(breakdown, {"kept_fraction": float(kept_fraction),
+                               "gate_open_rate": float(gate_open_rate),
                                "geometry": geom.to_dict()})
 
 
@@ -249,7 +243,7 @@ def exact_cost(geom: Geometry, kept_counts: list[int],
     ``open_pattern`` holds (layer, frame) pairs with frame >= 1; this is
     the exact accounting the runtime counter should reproduce MAC for MAC.
     """
-    n, d, l, t = geom.patch_count, geom.dim, geom.layers, geom.frames
+    n, l, t = geom.patch_count, geom.layers, geom.frames
     if len(kept_counts) != max(t - 1, 0):
         raise ValidationError(f"need {t - 1} kept counts, got {len(kept_counts)}")
     for k in kept_counts:
@@ -260,19 +254,9 @@ def exact_cost(geom: Geometry, kept_counts: list[int],
         if not (0 <= layer < l and 1 <= frame < t):
             raise ValidationError(f"open entry ({layer}, {frame}) out of range")
         open_set.add((layer, frame))
-    w_row = _warp_row_macs(geom)
-    breakdown = _routing_free_macs(geom, kept_counts, include_selection)
-    for layer in range(l):
-        layer_opens = [f for f in range(1, t) if (layer, f) in open_set]
-        if layer_opens:
-            breakdown["patchwise_warp"] += _kv_macs(geom)
-        for frame in range(1, t):
-            k = kept_counts[frame - 1]
-            if (layer, frame) in open_set:
-                breakdown["patchwise_warp"] += (n - k) * w_row
-                breakdown["p_frame_msa"] += msa_macs(k, OPEN_AUX, d)
-            else:
-                breakdown["p_frame_msa"] += msa_macs(k, CLOSED_AUX, d)
+    open_weights = [[int((layer, frame) in open_set) for frame in range(1, t)]
+                    for layer in range(l)]
+    breakdown = _pipeline_macs(geom, kept_counts, open_weights, include_selection)
     mean_f = float(np.mean([k / n for k in kept_counts])) if kept_counts else 0.0
     rate = len(open_set) / (l * (t - 1)) if t > 1 else 0.0
     return _report(breakdown, {"kept_fraction": mean_f,

@@ -64,8 +64,10 @@ class PsformerConfig:
         if self.dim % self.heads:
             raise ValidationError(
                 f"dim {self.dim} not divisible by heads {self.heads}")
-        if self.grid_h < 1 or self.grid_w < 1:
-            raise ValidationError("grid must be at least 1x1")
+        if self.grid_h < _LOCAL_ROWS or self.grid_w < _LOCAL_COLS:
+            raise ValidationError(
+                f"grid {self.grid_h}x{self.grid_w} too small for "
+                f"{_LOCAL_ROWS}x{_LOCAL_COLS} pooling")
         if self.max_frames < 1:
             raise ValidationError("max_frames must be positive")
 
@@ -183,21 +185,14 @@ def _embed_patches(patches: np.ndarray, params: ParamSet,
     return nc.add(tok, fr)
 
 
-def _local_pool(grid_tokens: Tensor, gh: int, gw: int) -> Tensor:
-    """2x4 average pooling of the full patch grid into 8 summary tokens."""
-    if gh < _LOCAL_ROWS or gw < _LOCAL_COLS:
-        raise ValidationError(
-            f"grid {gh}x{gw} too small for {_LOCAL_ROWS}x{_LOCAL_COLS} pooling")
+def _pool_cells(gh: int, gw: int) -> list[np.ndarray]:
+    """Grid positions of each 2x4 pooling cell, row-major over the cells."""
     row_edges = np.linspace(0, gh, _LOCAL_ROWS + 1).astype(int)
     col_edges = np.linspace(0, gw, _LOCAL_COLS + 1).astype(int)
-    pooled = []
     index = np.arange(gh * gw).reshape(gh, gw)
-    for r in range(_LOCAL_ROWS):
-        for c in range(_LOCAL_COLS):
-            cells = index[row_edges[r]:row_edges[r + 1],
-                          col_edges[c]:col_edges[c + 1]].reshape(-1)
-            pooled.append(nc.colmean(nc.gather_rows(grid_tokens, cells)))
-    return nc.concat_rows(pooled)
+    return [index[row_edges[r]:row_edges[r + 1],
+                  col_edges[c]:col_edges[c + 1]].reshape(-1)
+            for r in range(_LOCAL_ROWS) for c in range(_LOCAL_COLS)]
 
 
 @dataclass
@@ -228,7 +223,9 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
 
     ``threshold`` is the routing bar: a P-frame at a layer takes the open
     (patchwise-warp) path exactly when its context-prediction cosine
-    distance strictly exceeds it.
+    distance strictly exceeds it. A P-frame with no kept patch carries
+    zero token rows: it skips the attention block, and its context
+    starts from the first frame's.
     """
     gh, gw = selection.grid_h, selection.grid_w
     n = gh * gw
@@ -248,16 +245,20 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
     with nc.stage("embedding"):
         x_i = _embed_patches(gop.i_frame.patches, params, all_idx, 0)
     c0 = nc.colmean(x_i)
+    cells = _pool_cells(gh, gw)
 
-    # per-frame state for P frames (index 0 is frame 1)
-    x_p: list[Tensor | None] = []
-    unselected: list[np.ndarray] = []
-    cp_prev: list[Tensor] = []
+    # per-P-frame state (index 0 is frame 1): kept tokens, the context
+    # carried to the next layer, the warp inputs of the skipped patches
+    # (motion sources, scaled residuals) and, per pooling cell, its rows
+    # in the stacked [kept; warped] tokens
+    x_p, cp_prev, warp_in, cell_rows = [], [], [], []
     for t in range(1, t_total):
         sel = selection.selected[t - 1]
-        keep = np.zeros(n, dtype=bool)
-        keep[sel] = True
-        unselected.append(np.nonzero(~keep)[0])
+        unsel = np.setdiff1d(all_idx, sel)
+        warp_in.append((gop.motion[t - 1][unsel],
+                        Tensor(gop.residual[t - 1][unsel].astype(np.float64) / 255.0)))
+        row_of = np.argsort(np.concatenate([sel, unsel]))  # grid position -> row
+        cell_rows.append([row_of[cell] for cell in cells])
         if sel.size:
             with nc.stage("embedding"):
                 tok = _embed_patches(gop.frame_patches(t)[sel], params, sel, t)
@@ -266,7 +267,7 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
             x_p.append(tok)
             cp_prev.append(nc.colmean(tok))
         else:
-            x_p.append(None)
+            x_p.append(Tensor(np.zeros((0, config.dim))))
             cp_prev.append(c0)
 
     routing: list[RoutingEntry] = []
@@ -275,7 +276,7 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
     for layer in range(config.layers):
         ci_cur = nc.colmean(x_i)
         context_pairs.append((ci_cur, ci_prev))
-        kv_cache = None
+        kv = None
         for t in range(1, t_total):
             i = t - 1
             with nc.stage("global_warp"):
@@ -287,70 +288,60 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
                 cost = nc.cosine_distance(ci_hat, ci_cur).item()
             open_path = cost > threshold
             routing.append(RoutingEntry(layer, t, cost, open_path))
-            if not open_path:
-                if x_p[i] is not None:
-                    with nc.stage("p_frame_msa"):
-                        x_p[i] = msa_block(x_p[i], cp_coarse, params, layer, config)
-                cp_prev[i] = cp_coarse
-            else:
+            if open_path:
                 with nc.stage("patchwise_warp"):
-                    if kv_cache is None:
-                        kv_cache = (_linear(x_i, params, "warp.k"),
-                                    _linear(x_i, params, "warp.v"))
-                    p_tilde = _refine_unselected(
-                        gop, x_i, unselected[i], t, params, config, kv_cache)
-                if x_p[i] is not None:
-                    total = nc.add(nc.colsum(x_p[i]), nc.colsum(p_tilde))
-                else:
-                    total = nc.colsum(p_tilde)
-                grid_tokens = _assemble_grid(
-                    x_p[i], p_tilde, selection.selected[i], unselected[i], n)
-                c_refined = nc.scale(total, 1.0 / n)
-                local = _local_pool(grid_tokens, gh, gw)
-                if x_p[i] is not None:
-                    aux = nc.concat_rows([c_refined, local])
-                    with nc.stage("p_frame_msa"):
-                        x_p[i] = msa_block(x_p[i], aux, params, layer, config)
-                cp_prev[i] = c_refined
+                    if kv is None:
+                        kv = _warp_kv(x_i, params)
+                    p_tilde = _refine_unselected(x_i, *warp_in[i], params, config, kv)
+                context = nc.scale(nc.add(nc.colsum(x_p[i]), nc.colsum(p_tilde)), 1.0 / n)
+                stacked = nc.concat_rows([x_p[i], p_tilde])
+                aux = nc.concat_rows([context] + [
+                    nc.colmean(nc.gather_rows(stacked, rows)) for rows in cell_rows[i]])
+            else:
+                context = aux = cp_coarse
+            # a zero-row frame has nothing to attend; its aux key/value
+            # projection would count MACs the cost model does not price
+            if x_p[i].shape[0]:
+                with nc.stage("p_frame_msa"):
+                    x_p[i] = msa_block(x_p[i], aux, params, layer, config)
+            cp_prev[i] = context
         with nc.stage("i_frame_msa"):
             x_i = msa_block(x_i, None, params, layer, config)
         ci_prev = ci_cur
 
     # reinstate every skipped patch once from the final first-frame tokens
-    parts = [nc.colsum(x_i)]
+    total = nc.colsum(x_i)
     if t_total > 1:
         with nc.stage("patchwise_warp"):
-            kv_final = (_linear(x_i, params, "warp.k"),
-                        _linear(x_i, params, "warp.v"))
-            for t in range(1, t_total):
-                i = t - 1
-                if x_p[i] is not None:
-                    parts.append(nc.colsum(x_p[i]))
-                if unselected[i].size:
-                    p_tilde = _refine_unselected(
-                        gop, x_i, unselected[i], t, params, config, kv_final)
-                    parts.append(nc.colsum(p_tilde))
-    total = parts[0]
-    for p in parts[1:]:
-        total = nc.add(total, p)
+            kv = _warp_kv(x_i, params)
+            for i in range(t_total - 1):
+                total = nc.add(total, nc.colsum(x_p[i]))
+                # with every patch kept, a zero-row refinement would still
+                # hand the warp parameters zero gradients
+                if warp_in[i][0].size:
+                    p_tilde = _refine_unselected(x_i, *warp_in[i], params, config, kv)
+                    total = nc.add(total, nc.colsum(p_tilde))
     feature = nc.scale(total, 1.0 / (n * t_total))
     return PsformerResult(feature=feature, context_pairs=context_pairs,
                           routing=routing)
 
 
-def _refine_unselected(gop: GopClip, x_i: Tensor, unsel: np.ndarray, t: int,
+def _warp_kv(x_i: Tensor, params: ParamSet) -> tuple[Tensor, Tensor]:
+    """Key/value projections of the first-frame tokens for the refinement."""
+    return _linear(x_i, params, "warp.k"), _linear(x_i, params, "warp.v")
+
+
+def _refine_unselected(x_i: Tensor, motion: np.ndarray, residual: Tensor,
                        params: ParamSet, config: PsformerConfig,
                        kv: tuple[Tensor, Tensor]) -> Tensor:
     """Warp skipped patches from their motion sources, refine by attention.
 
     The coarse estimate feeds on the motion-source token and the coded
     residual; the refinement is one-head attention against the current
-    first-frame tokens with cached key/value projections.
+    first-frame tokens with their key/value projections ``kv``.
     """
-    motion = gop.motion[t - 1][unsel]
-    residual = gop.residual[t - 1][unsel].astype(np.float64) / 255.0
     src = nc.gather_rows(x_i, motion)
-    inp = nc.concat_cols([src, Tensor(residual)])
+    inp = nc.concat_cols([src, residual])
     hidden = nc.relu(_linear(inp, params, "warp.pw.l1"))
     hidden = nc.relu(_linear(hidden, params, "warp.pw.l2"))
     p_hat = _linear(hidden, params, "warp.pw.l3")
@@ -358,20 +349,6 @@ def _refine_unselected(gop: GopClip, x_i: Tensor, unsel: np.ndarray, t: int,
     k, v = kv
     scores = nc.scale(nc.matmul(q, nc.transpose(k)), 1.0 / np.sqrt(config.head_dim))
     return nc.matmul(nc.softmax_rows(scores), v)
-
-
-def _assemble_grid(selected_tokens: Tensor | None, p_tilde: Tensor,
-                   sel_idx: np.ndarray, unsel_idx: np.ndarray, n: int) -> Tensor:
-    """Token matrix over all grid positions from the two row sources."""
-    perm = np.empty(n, dtype=np.int64)
-    if selected_tokens is not None:
-        stacked = nc.concat_rows([selected_tokens, p_tilde])
-        perm[sel_idx] = np.arange(sel_idx.size)
-        perm[unsel_idx] = sel_idx.size + np.arange(unsel_idx.size)
-    else:
-        stacked = p_tilde
-        perm[unsel_idx] = np.arange(unsel_idx.size)
-    return nc.gather_rows(stacked, perm)
 
 
 def dense_forward(gop: GopClip, params: ParamSet,

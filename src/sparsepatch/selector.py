@@ -314,7 +314,6 @@ class SelectionResult:
     shifted_scores: list[np.ndarray]
     saliency: list[SaliencyVector]
     pool: PatchPool
-    semantics: SemanticsFeatures
 
     @property
     def patch_count(self) -> int:
@@ -402,5 +401,4 @@ def select_patches(gop: GopClip, params: ParamSet, mode: str = "infer",
     return SelectionResult(
         frames=gop.frames, grid_h=semantics.grid_h, grid_w=semantics.grid_w,
         mode=mode, selected=selected, gates=gates, scores=scores,
-        shifted_scores=shifted_scores, saliency=saliencies, pool=pool,
-        semantics=semantics)
+        shifted_scores=shifted_scores, saliency=saliencies, pool=pool)

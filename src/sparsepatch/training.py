@@ -310,18 +310,13 @@ def _eval_rank1(records: list[ClipRecord], params: ParamSet,
 
 
 def two_stage_train(spec: SynthSpec, config: TrainConfig,
-                    model: PsformerConfig | None = None,
+                    model: PsformerConfig,
                     eval_every: int = 1) -> TrainResult:
     """Dense warm-up then sparse fine-tuning over a synthetic dataset.
 
     Returns the trained parameters plus a per-epoch convergence log with
     rank-1 scores on a training subsample and on the held-out clips.
     """
-    if model is None:
-        model = PsformerConfig(dim=64, layers=4, heads=4,
-                               grid_h=spec.height // 16,
-                               grid_w=spec.width // 16,
-                               max_frames=spec.frames)
     records = make_dataset(spec)
     if config.heldout_clips >= spec.clips_per_identity:
         raise ValidationError("heldout_clips must leave clips to train on")

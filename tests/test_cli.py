@@ -9,9 +9,10 @@ import pytest
 
 from sparsepatch.cli import CONFIG_SCHEMA, main, parse_config_text
 from sparsepatch.errors import UsageError
-from sparsepatch.gopcodec import read_gop, write_gop
+from sparsepatch.gopcodec import encode_gop, read_gop, write_gop
 from sparsepatch.psformer import PsformerConfig, init_psformer_params
 from sparsepatch.selector import init_selector_params
+from sparsepatch.videoio import SynthSpec, synth_clip
 
 SMALL_CFG = """
 identities = 2
@@ -180,6 +181,21 @@ def test_exit_5_on_checkpoint_shape_mismatch(pipeline, capsys):
                    "--out", str(tmp_path / "x.json"))
     assert code == 5
     capsys.readouterr()
+
+
+def test_exit_5_on_grid_too_small_for_pooling(tmp_path, capsys):
+    spec = SynthSpec(identity_count=2, clips_per_identity=1, height=32,
+                     width=48, frames=2, background="textured",
+                     motion_amplitude=2.0, seed=3)
+    gop = tmp_path / "small.gop1"
+    write_gop(encode_gop(synth_clip(spec, identity=0, clip_seed=0)), gop)
+    out = tmp_path / "x.json"
+    for command in ("select", "forward"):
+        code = run_cli(command, "--gop", str(gop), *MODEL_FLAGS,
+                       "--out", str(out))
+        assert code == 5
+        assert "grid 2x3 too small for 2x4 pooling" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_exit_2_on_bad_sweep_range(tmp_path, capsys):

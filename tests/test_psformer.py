@@ -231,18 +231,11 @@ def test_forward_deterministic():
 
 
 def test_small_grid_rejects_open_path_pooling():
-    spec = SynthSpec(identity_count=2, clips_per_identity=1, height=32,
-                     width=48, frames=2, background="textured",
-                     motion_amplitude=2.0, seed=3)
-    clip = synth_clip(spec, identity=0, clip_seed=0)
-    gop = encode_gop(clip)
-    sel = select_patches(gop, init_selector_params(seed=2), mode="infer", seed=0)
-    cfg = _toy_config(grid_h=2, grid_w=3)
-    params = init_psformer_params(cfg, seed=0)
-    # closed routing never pools, so it works on the small grid
-    psformer_forward(gop, sel, params, cfg, threshold=3.0)
-    with pytest.raises(ValidationError):
-        psformer_forward(gop, sel, params, cfg, threshold=-1.0)
+    # the open path pools every P-frame into 2x4 cells, so a smaller grid
+    # is refused before any compute, whatever the routing
+    for gh, gw in ((2, 3), (1, 4)):
+        with pytest.raises(ValidationError, match="too small for 2x4 pooling"):
+            _toy_config(grid_h=gh, grid_w=gw)
 
 
 @pytest.mark.parametrize("threshold", [3.0, -1.0])

@@ -267,8 +267,10 @@ def test_two_stage_train_rejects_bad_split():
                      width=64, frames=2, seed=0)
     config = TrainConfig(stage1_epochs=1, stage2_epochs=0,
                          batch_identities=2, batch_clips=2, heldout_clips=2)
+    model = PsformerConfig(dim=16, layers=1, heads=2, grid_h=2, grid_w=4,
+                           max_frames=2)
     with pytest.raises(ValidationError):
-        two_stage_train(spec, config)
+        two_stage_train(spec, config, model=model)
 
 
 def test_log_to_csv_header_and_rows():
