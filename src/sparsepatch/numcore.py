@@ -13,9 +13,13 @@ Design notes:
 * Creation order is a valid topological order, so Tape.backward just
   walks its entries in reverse. Gradients accumulate on ``Tensor.grad``;
   leaf parameters keep theirs until zeroed.
-* ``matmul`` is the only op that counts multiply-accumulates. All
-  elementwise work, reductions, softmax, normalization and gathers count
-  zero, and the analytic cost model relies on that convention.
+* ``matmul`` and ``multihead_attention`` (its two products per head)
+  are the only ops that count multiply-accumulates. All elementwise
+  work, reductions, softmax, normalization and gathers count zero, and
+  the analytic cost model relies on that convention.
+* Backward state that the forward result does not need (an activation's
+  derivative, attention probabilities) is built only while a tape
+  records the op.
 """
 
 from __future__ import annotations
@@ -117,6 +121,11 @@ def tape():
         _TAPE_STACK.pop()
 
 
+def _taping(parents: tuple) -> bool:
+    """Whether an op on ``parents`` will be recorded, so it needs backward state."""
+    return bool(_TAPE_STACK) and any(p.requires_grad for p in parents)
+
+
 def _record(out_data: np.ndarray, parents: tuple, backward) -> Tensor:
     """Finalize an op: finite-check the result and register it if taping."""
     # A finite sum implies all entries are finite; the slow path only runs
@@ -124,7 +133,7 @@ def _record(out_data: np.ndarray, parents: tuple, backward) -> Tensor:
     total = float(out_data.sum())
     if not math.isfinite(total) and not np.isfinite(out_data).all():
         raise NumericalError("operation produced non-finite values")
-    needs = bool(_TAPE_STACK) and any(p.requires_grad for p in parents)
+    needs = _taping(parents)
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.requires_grad = needs
@@ -313,9 +322,9 @@ def gelu(x: Tensor) -> Tensor:
     """Exact Gaussian-error-linear unit, y = x * Phi(x)."""
     _require_2d(x)
     cdf = 0.5 * (1.0 + erf(x.data / math.sqrt(2.0)))
-    pdf = np.exp(-0.5 * x.data * x.data) / math.sqrt(2.0 * math.pi)
 
     def backward(g):
+        pdf = np.exp(-0.5 * x.data * x.data) / math.sqrt(2.0 * math.pi)
         return (g * (cdf + x.data * pdf),)
 
     return _record(x.data * cdf, (x,), backward)
@@ -396,6 +405,68 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _record(y, (x,), backward)
 
 
+def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """(m, heads * w) -> (heads, m, w) view, one matrix per head."""
+    return x.reshape(x.shape[0], heads, x.shape[1] // heads).transpose(1, 0, 2)
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """(heads, m, w) -> (m, heads * w), the heads side by side."""
+    return x.transpose(1, 0, 2).reshape(x.shape[1], x.shape[0] * x.shape[2])
+
+
+def multihead_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
+                        segments) -> Tensor:
+    """Softmax attention computed separately per segment, all heads at once.
+
+    ``segments`` lists ``(rows, keys)`` pairs of integer row indices:
+    query rows of ``q``, and the rows of ``k`` and ``v`` those queries
+    attend to. A query row belongs to at most one segment (rows in none
+    come out zero); the keys of one segment are distinct, while segments
+    may share keys. The columns of ``q`` and ``k`` split into ``heads``
+    slices of width dk, those of ``v`` into slices of width dv; scores
+    are scaled by 1/sqrt(dk). A segment of m queries and r keys counts
+    heads * m * r * (dk + dv) MACs, the two products of every head.
+    """
+    _require_2d(q, k, v)
+    if q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]:
+        raise ShapeError(f"attention mismatch: q {q.shape}, k {k.shape}, v {v.shape}")
+    if heads < 1 or q.shape[1] % heads or v.shape[1] % heads:
+        raise ShapeError(f"{heads} heads do not split widths {q.shape[1]} and {v.shape[1]}")
+    dk, dv = q.shape[1] // heads, v.shape[1] // heads
+    c = 1.0 / math.sqrt(dk)
+    counter = active_counter()
+    keep = _taping((q, k, v))
+    out = np.zeros((q.shape[0], heads * dv))
+    saved = []
+    for rows, keys in segments:
+        qs = _split_heads(q.data[rows], heads)
+        ks = _split_heads(k.data[keys], heads)
+        vs = _split_heads(v.data[keys], heads)
+        if counter is not None:
+            counter.add(heads * qs.shape[1] * ks.shape[1] * (dk + dv))
+        p = np.matmul(qs, ks.transpose(0, 2, 1)) * c
+        p -= p.max(axis=2, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=2, keepdims=True)
+        out[rows] = _merge_heads(np.matmul(p, vs))
+        if keep:
+            saved.append((rows, keys, qs, ks, vs, p))
+
+    def backward(g):
+        gq, gk, gv = np.zeros_like(q.data), np.zeros_like(k.data), np.zeros_like(v.data)
+        for rows, keys, qs, ks, vs, p in saved:
+            go = _split_heads(g[rows], heads)
+            gv[keys] += _merge_heads(np.matmul(p.transpose(0, 2, 1), go))
+            gp = np.matmul(go, vs.transpose(0, 2, 1))
+            gs = (gp - (gp * p).sum(axis=2, keepdims=True)) * p * c
+            gq[rows] += _merge_heads(np.matmul(gs, ks))
+            gk[keys] += _merge_heads(np.matmul(gs.transpose(0, 2, 1), qs))
+        return gq, gk, gv
+
+    return _record(out, (q, k, v), backward)
+
+
 # ---------------------------------------------------------------------------
 # reductions
 # ---------------------------------------------------------------------------
@@ -427,6 +498,28 @@ def colsum(x: Tensor) -> Tensor:
 
 def colmean(x: Tensor) -> Tensor:
     return scale(colsum(x), 1.0 / x.shape[0])
+
+
+def segment_mean(x: Tensor, sizes) -> Tensor:
+    """Column means of consecutive row runs, one output row per run.
+
+    ``sizes`` gives the run lengths in order; each is at least 1 and
+    together they cover every row of ``x``.
+    """
+    _require_2d(x)
+    sizes = np.asarray(sizes, dtype=np.intp).ravel()
+    if not sizes.size or sizes.min() < 1 or sizes.sum() != x.shape[0]:
+        raise ShapeError(f"segment sizes {sizes.tolist()} do not split {x.shape[0]} rows")
+    ends = np.cumsum(sizes)
+    inv = 1.0 / sizes[:, None]
+    # a sum per run matches colmean bit for bit, and beats add.reduceat,
+    # which walks axis 0 of a row-major array slowly
+    sums = np.stack([x.data[e - m:e].sum(axis=0) for m, e in zip(sizes, ends)])
+
+    def backward(g):
+        return (np.repeat(g * inv, sizes, axis=0),)
+
+    return _record(sums * inv, (x,), backward)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -625,10 +718,10 @@ def soft_gate_value(x: np.ndarray) -> np.ndarray:
 
 def hard_gate(x: Tensor) -> Tensor:
     _require_2d(x)
-    inside = np.abs(x.data) < _GATE_BAND
-    s = _stable_sigmoid(x.data)
 
     def backward(g):
+        inside = np.abs(x.data) < _GATE_BAND
+        s = _stable_sigmoid(x.data)
         return (g * np.where(inside, 1.2 * s * (1.0 - s), 0.0),)
 
     return _record((x.data > 0.0).astype(np.float64), (x,), backward)
@@ -636,10 +729,9 @@ def hard_gate(x: Tensor) -> Tensor:
 
 def clip01(x: Tensor) -> Tensor:
     _require_2d(x)
-    inside = (x.data > 0.0) & (x.data < 1.0)
 
     def backward(g):
-        return (g * inside,)
+        return (g * ((x.data > 0.0) & (x.data < 1.0)),)
 
     return _record(np.clip(x.data, 0.0, 1.0), (x,), backward)
 
@@ -658,7 +750,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
 
 
 def cosine_distance(a: Tensor, b: Tensor) -> Tensor:
-    """1 - cos(a, b) for (1, d) rows; a zero vector yields exactly 1.
+    """1 - cos(a, b) row by row, as an (m, 1) column; ``b`` may be a
+    single (1, d) row shared by every row of ``a``. A zero vector yields
+    exactly 1.
 
     The tiny constant inside each sqrt keeps the expression differentiable
     everywhere and, for an all-zero input, drives the cosine itself to

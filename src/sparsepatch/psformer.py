@@ -21,6 +21,13 @@ Auxiliary tokens (context and pooled summaries) join attention as
 keys/values only: queries, projections, and the feed-forward run on the
 frame's own tokens, which is what keeps the cost of an extra aux token
 at 2*d^2 MACs instead of a full token's 12*d^2.
+
+Each layer runs all of its P-frames as one stacked pass: the routing
+and warp MLPs, the refinement, the projections and the feed-forward
+each take the rows of every P-frame at once, while attention and
+pooling stay within each frame (``numcore.multihead_attention`` and
+``numcore.segment_mean`` over per-frame row segments). The MAC count
+is the same as frame by frame.
 """
 
 from __future__ import annotations
@@ -139,15 +146,26 @@ def _gw(x: Tensor, params: ParamSet) -> Tensor:
 
 
 def msa_block(main: Tensor, aux: Tensor | None, params: ParamSet,
-              layer: int, config: PsformerConfig) -> Tensor:
-    """One pre-norm attention + feed-forward block.
+              layer: int, config: PsformerConfig,
+              frames: list[tuple[int, int]] | None = None) -> Tensor:
+    """One pre-norm attention + feed-forward block over stacked frames.
 
-    ``main`` rows are the frame's own tokens: they query, attend, and
+    ``main`` rows are the frames' own tokens: they query, attend, and
     pass through the FFN, with residual connections. ``aux`` rows only
-    extend the key/value set.
+    extend the key/value set. ``frames`` lists each frame's (main rows,
+    aux rows) in stacking order, both stacks in that order; by default
+    every row belongs to one frame. Normalization, projections and the
+    FFN run once over all rows; a frame's tokens attend only to its own
+    main and aux rows.
     """
     if main.shape[1] != config.dim:
         raise ShapeError(f"token width {main.shape[1]} != dim {config.dim}")
+    n_aux = 0 if aux is None else aux.shape[0]
+    if frames is None:
+        frames = [(main.shape[0], n_aux)]
+    if sum(m for m, _ in frames) != main.shape[0] or sum(a for _, a in frames) != n_aux:
+        raise ShapeError(f"frames {frames} do not split {main.shape[0]} main "
+                         f"and {n_aux} aux rows")
     p = f"layer{layer}"
     normed = nc.layer_norm(main, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
     if aux is not None:
@@ -159,15 +177,12 @@ def msa_block(main: Tensor, aux: Tensor | None, params: ParamSet,
     kv = _linear(kv_src, params, f"{p}.attn.kv")
     k = nc.slice_cols(kv, 0, config.dim)
     v = nc.slice_cols(kv, config.dim, 2 * config.dim)
-    dk = config.head_dim
-    heads = []
-    for hh in range(config.heads):
-        qh = nc.slice_cols(q, hh * dk, (hh + 1) * dk)
-        kh = nc.slice_cols(k, hh * dk, (hh + 1) * dk)
-        vh = nc.slice_cols(v, hh * dk, (hh + 1) * dk)
-        scores = nc.scale(nc.matmul(qh, nc.transpose(kh)), 1.0 / np.sqrt(dk))
-        heads.append(nc.matmul(nc.softmax_rows(scores), vh))
-    attn = nc.concat_cols(heads) if len(heads) > 1 else heads[0]
+    segments = []
+    m0, a0 = 0, main.shape[0]
+    for m, a in frames:
+        segments.append((np.arange(m0, m0 + m), np.r_[m0:m0 + m, a0:a0 + a]))
+        m0, a0 = m0 + m, a0 + a
+    attn = nc.multihead_attention(q, k, v, config.heads, segments)
     main = nc.add(main, _linear(attn, params, f"{p}.attn.out"))
     normed2 = nc.layer_norm(main, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
     ffn = _linear(nc.gelu(_linear(normed2, params, f"{p}.ffn.l1")), params, f"{p}.ffn.l2")
@@ -175,13 +190,16 @@ def msa_block(main: Tensor, aux: Tensor | None, params: ParamSet,
 
 
 def _embed_patches(patches: np.ndarray, params: ParamSet,
-                   pos_idx: np.ndarray, frame_idx: int) -> Tensor:
-    """Linear patch embedding plus positional and frame terms."""
+                   pos_idx: np.ndarray, frame_idx) -> Tensor:
+    """Linear patch embedding plus positional and frame terms.
+
+    ``frame_idx`` is one frame index for every row, or one per row.
+    """
     x = Tensor(patches.astype(np.float64) / 255.0 - 0.5)
     tok = _linear(x, params, "embed")
     pos = nc.gather_rows(params["pos"], pos_idx)
     tok = nc.add(tok, pos)
-    fr = nc.gather_rows(params["frame"], np.array([frame_idx]))
+    fr = nc.gather_rows(params["frame"], frame_idx)
     return nc.add(tok, fr)
 
 
@@ -226,6 +244,10 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
     distance strictly exceeds it. A P-frame with no kept patch carries
     zero token rows: it skips the attention block, and its context
     starts from the first frame's.
+
+    Every layer runs its P-frames as one stacked pass: routing, warp,
+    refinement, pooling and the attention block each take the rows of
+    all P-frames at once, while attention and pooling stay per frame.
     """
     gh, gw = selection.grid_h, selection.grid_w
     n = gh * gw
@@ -245,30 +267,44 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
     with nc.stage("embedding"):
         x_i = _embed_patches(gop.i_frame.patches, params, all_idx, 0)
     c0 = nc.colmean(x_i)
-    cells = _pool_cells(gh, gw)
 
-    # per-P-frame state (index 0 is frame 1): kept tokens, the context
-    # carried to the next layer, the warp inputs of the skipped patches
-    # (motion sources, scaled residuals) and, per pooling cell, its rows
-    # in the stacked [kept; warped] tokens
-    x_p, cp_prev, warp_in, cell_rows = [], [], [], []
-    for t in range(1, t_total):
-        sel = selection.selected[t - 1]
-        unsel = np.setdiff1d(all_idx, sel)
-        warp_in.append((gop.motion[t - 1][unsel],
-                        Tensor(gop.residual[t - 1][unsel].astype(np.float64) / 255.0)))
-        row_of = np.argsort(np.concatenate([sel, unsel]))  # grid position -> row
-        cell_rows.append([row_of[cell] for cell in cells])
-        if sel.size:
-            with nc.stage("embedding"):
-                tok = _embed_patches(gop.frame_patches(t)[sel], params, sel, t)
-            gate = nc.gather_rows(selection.gates[t - 1], sel)
-            tok = nc.mul(tok, gate)  # straight-through path into the selector
-            x_p.append(tok)
-            cp_prev.append(nc.colmean(tok))
-        else:
-            x_p.append(Tensor(np.zeros((0, config.dim))))
-            cp_prev.append(c0)
+    # P-frame f (frame f + 1) owns rows offsets[f]:offsets[f + 1] of the
+    # stacked kept tokens x_p; `full` lists the P-frames with kept rows
+    p_count = t_total - 1
+    kept = selection.selected
+    unsel = [np.setdiff1d(all_idx, sel) for sel in kept]
+    sizes = np.array([sel.size for sel in kept], dtype=np.intp)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    full = np.flatnonzero(sizes)
+    # warp inputs of the skipped patches: motion sources, scaled residuals
+    motion = [gop.motion[f][unsel[f]] for f in range(p_count)]
+    residual = [gop.residual[f][unsel[f]].astype(np.float64) / 255.0
+                for f in range(p_count)]
+    # per P-frame, the local row of every grid position in cell order,
+    # rows counted over its stacked [kept; skipped] tokens
+    cells = _pool_cells(gh, gw)
+    cell_sizes = [cell.size for cell in cells]
+    cell_order = np.concatenate(cells)
+    local_rows = [np.argsort(np.concatenate([kept[f], unsel[f]]))[cell_order]
+                  for f in range(p_count)]
+    first = np.zeros(p_count, dtype=np.intp)  # every P-frame reads row 0
+
+    # the context each P-frame carries: the mean of its kept tokens, or
+    # the first frame's (row 0 of the parts) when it has none
+    x_p = Tensor(np.zeros((0, config.dim)))
+    parts = [c0]
+    if full.size:
+        with nc.stage("embedding"):
+            x_p = _embed_patches(
+                np.concatenate([gop.frame_patches(f + 1)[kept[f]] for f in full]),
+                params, np.concatenate(kept), np.repeat(np.arange(1, t_total), sizes))
+        gates = nc.gather_rows(nc.concat_rows([selection.gates[f] for f in full]),
+                               np.concatenate([j * n + kept[f] for j, f in enumerate(full)]))
+        x_p = nc.mul(x_p, gates)  # straight-through path into the selector
+        parts.append(nc.segment_mean(x_p, sizes[full]))
+    slot = np.zeros(p_count, dtype=np.intp)
+    slot[full] = 1 + np.arange(full.size)
+    cp_prev = nc.gather_rows(nc.concat_rows(parts), slot)
 
     routing: list[RoutingEntry] = []
     context_pairs = []
@@ -276,51 +312,70 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
     for layer in range(config.layers):
         ci_cur = nc.colmean(x_i)
         context_pairs.append((ci_cur, ci_prev))
-        kv = None
-        for t in range(1, t_total):
-            i = t - 1
+        if p_count:
             with nc.stage("global_warp"):
-                e = _ev(nc.concat_cols([ci_cur, ci_prev]), params)
-                cp_coarse = _gw(nc.concat_cols([e, cp_prev[i]]), params)
+                e = _ev(nc.gather_rows(nc.concat_cols([ci_cur, ci_prev]), first), params)
+                cp_coarse = _gw(nc.concat_cols([e, cp_prev]), params)
             with nc.stage("routing"):
-                e_hat = _ev(nc.concat_cols([cp_coarse, cp_prev[i]]), params)
-                ci_hat = _gw(nc.concat_cols([e_hat, ci_prev]), params)
-                cost = nc.cosine_distance(ci_hat, ci_cur).item()
-            open_path = cost > threshold
-            routing.append(RoutingEntry(layer, t, cost, open_path))
-            if open_path:
+                e_hat = _ev(nc.concat_cols([cp_coarse, cp_prev]), params)
+                ci_hat = _gw(nc.concat_cols([e_hat, nc.gather_rows(ci_prev, first)]), params)
+                costs = nc.cosine_distance(ci_hat, ci_cur).data[:, 0]
+            is_open = costs > threshold
+            routing.extend(RoutingEntry(layer, f + 1, float(costs[f]), bool(is_open[f]))
+                           for f in range(p_count))
+            opened = np.flatnonzero(is_open)
+
+            # rows of [cp_coarse; open aux] each P-frame carries on as its
+            # context, and attends over if it has kept rows: its coarse
+            # context when closed; when open, its own context then its
+            # pooled summaries, the means of its [kept; warped] tokens over
+            # the whole grid and over each pooling cell
+            parts = [cp_coarse]
+            carry = np.arange(p_count)
+            aux_rows = [[f] for f in range(p_count)]
+            if opened.size:
                 with nc.stage("patchwise_warp"):
-                    if kv is None:
-                        kv = _warp_kv(x_i, params)
-                    p_tilde = _refine_unselected(x_i, *warp_in[i], params, config, kv)
-                context = nc.scale(nc.add(nc.colsum(x_p[i]), nc.colsum(p_tilde)), 1.0 / n)
-                stacked = nc.concat_rows([x_p[i], p_tilde])
-                aux = nc.concat_rows([context] + [
-                    nc.colmean(nc.gather_rows(stacked, rows)) for rows in cell_rows[i]])
-            else:
-                context = aux = cp_coarse
+                    p_tilde = _refine_unselected(
+                        x_i, np.concatenate([motion[f] for f in opened]),
+                        Tensor(np.concatenate([residual[f] for f in opened])),
+                        params, _warp_kv(x_i, params))
+                warped_at = x_p.shape[0] + np.cumsum([0] + [motion[f].size for f in opened])
+                grid_rows = []
+                for j, f in enumerate(opened):
+                    local = local_rows[f]
+                    rows = np.where(local < sizes[f], offsets[f] + local,
+                                    warped_at[j] + local - sizes[f])
+                    grid_rows += [rows, rows]
+                    carry[f] = p_count + OPEN_AUX * j
+                    aux_rows[f] = list(range(carry[f], carry[f] + OPEN_AUX))
+                grid = nc.gather_rows(nc.concat_rows([x_p, p_tilde]), np.concatenate(grid_rows))
+                parts.append(nc.segment_mean(grid, ([n] + cell_sizes) * opened.size))
+            sources = nc.concat_rows(parts)
             # a zero-row frame has nothing to attend; its aux key/value
             # projection would count MACs the cost model does not price
-            if x_p[i].shape[0]:
+            if full.size:
+                aux = nc.gather_rows(sources, np.concatenate([aux_rows[f] for f in full]))
                 with nc.stage("p_frame_msa"):
-                    x_p[i] = msa_block(x_p[i], aux, params, layer, config)
-            cp_prev[i] = context
+                    x_p = msa_block(x_p, aux, params, layer, config,
+                                    frames=[(sizes[f], len(aux_rows[f])) for f in full])
+            cp_prev = nc.gather_rows(sources, carry)
         with nc.stage("i_frame_msa"):
             x_i = msa_block(x_i, None, params, layer, config)
         ci_prev = ci_cur
 
     # reinstate every skipped patch once from the final first-frame tokens
     total = nc.colsum(x_i)
-    if t_total > 1:
+    if p_count:
+        total = nc.add(total, nc.colsum(x_p))
         with nc.stage("patchwise_warp"):
             kv = _warp_kv(x_i, params)
-            for i in range(t_total - 1):
-                total = nc.add(total, nc.colsum(x_p[i]))
-                # with every patch kept, a zero-row refinement would still
-                # hand the warp parameters zero gradients
-                if warp_in[i][0].size:
-                    p_tilde = _refine_unselected(x_i, *warp_in[i], params, config, kv)
-                    total = nc.add(total, nc.colsum(p_tilde))
+            # with every patch kept, a zero-row refinement would still
+            # hand the warp parameters zero gradients
+            if sizes.sum() < p_count * n:
+                p_tilde = _refine_unselected(
+                    x_i, np.concatenate(motion), Tensor(np.concatenate(residual)),
+                    params, kv)
+                total = nc.add(total, nc.colsum(p_tilde))
     feature = nc.scale(total, 1.0 / (n * t_total))
     return PsformerResult(feature=feature, context_pairs=context_pairs,
                           routing=routing)
@@ -332,12 +387,12 @@ def _warp_kv(x_i: Tensor, params: ParamSet) -> tuple[Tensor, Tensor]:
 
 
 def _refine_unselected(x_i: Tensor, motion: np.ndarray, residual: Tensor,
-                       params: ParamSet, config: PsformerConfig,
-                       kv: tuple[Tensor, Tensor]) -> Tensor:
+                       params: ParamSet, kv: tuple[Tensor, Tensor]) -> Tensor:
     """Warp skipped patches from their motion sources, refine by attention.
 
-    The coarse estimate feeds on the motion-source token and the coded
-    residual; the refinement is one-head attention against the current
+    The rows may stack the skipped patches of several frames. The coarse
+    estimate feeds on the motion-source token and the coded residual; the
+    refinement is one-head attention of every row against the current
     first-frame tokens with their key/value projections ``kv``.
     """
     src = nc.gather_rows(x_i, motion)
@@ -347,8 +402,8 @@ def _refine_unselected(x_i: Tensor, motion: np.ndarray, residual: Tensor,
     p_hat = _linear(hidden, params, "warp.pw.l3")
     q = _linear(p_hat, params, "warp.q")
     k, v = kv
-    scores = nc.scale(nc.matmul(q, nc.transpose(k)), 1.0 / np.sqrt(config.head_dim))
-    return nc.matmul(nc.softmax_rows(scores), v)
+    return nc.multihead_attention(q, k, v, 1,
+                                  [(np.arange(q.shape[0]), np.arange(k.shape[0]))])
 
 
 def dense_forward(gop: GopClip, params: ParamSet,
@@ -357,7 +412,8 @@ def dense_forward(gop: GopClip, params: ParamSet,
 
     Used for the first training stage; each frame attends over its own
     full token set plus one aux token holding the frame's current mean,
-    so the context operators see realistic inputs from the start.
+    so the context operators see realistic inputs from the start. Each
+    layer runs all P-frames as one stacked block.
     """
     gh, gw = config.grid_h, config.grid_w
     n = gh * gw
@@ -368,22 +424,27 @@ def dense_forward(gop: GopClip, params: ParamSet,
         raise ValidationError(
             f"clip has {t_total} frames, config allows {config.max_frames}")
     all_idx = np.arange(n)
+    p_count = t_total - 1
     with nc.stage("embedding"):
-        frames = [_embed_patches(gop.frame_patches(t), params, all_idx, t)
-                  for t in range(t_total)]
+        x_i = _embed_patches(gop.frame_patches(0), params, all_idx, 0)
+        if p_count:
+            x_p = _embed_patches(
+                np.concatenate([gop.frame_patches(t) for t in range(1, t_total)]),
+                params, np.tile(all_idx, p_count), np.repeat(np.arange(1, t_total), n))
     context_pairs = []
-    ci_prev = nc.colmean(frames[0])
+    ci_prev = nc.colmean(x_i)
     for layer in range(config.layers):
-        ci_cur = nc.colmean(frames[0])
+        ci_cur = nc.colmean(x_i)
         context_pairs.append((ci_cur, ci_prev))
-        for t in range(t_total):
-            stage = "i_frame_msa" if t == 0 else "p_frame_msa"
-            with nc.stage(stage):
-                mean_tok = nc.colmean(frames[t])
-                frames[t] = msa_block(frames[t], mean_tok, params, layer, config)
+        with nc.stage("i_frame_msa"):
+            x_i = msa_block(x_i, ci_cur, params, layer, config)
+        if p_count:
+            with nc.stage("p_frame_msa"):
+                x_p = msa_block(x_p, nc.segment_mean(x_p, [n] * p_count),
+                                params, layer, config, frames=[(n, 1)] * p_count)
         ci_prev = ci_cur
-    total = nc.colsum(frames[0])
-    for t in range(1, t_total):
-        total = nc.add(total, nc.colsum(frames[t]))
+    total = nc.colsum(x_i)
+    if p_count:
+        total = nc.add(total, nc.colsum(x_p))
     feature = nc.scale(total, 1.0 / (n * t_total))
     return PsformerResult(feature=feature, context_pairs=context_pairs)

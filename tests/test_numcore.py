@@ -97,6 +97,19 @@ def _op_cases():
     labels = np.array([1, 0, 2, 1])
     gamma = nc.Tensor(_rand((1, 3), 8))
     beta = nc.Tensor(_rand((1, 3), 9))
+    # two segments of unequal length, each attending to its own rows plus
+    # aux key/value rows 5 and 6-7; two heads, dk = 2, dv = 3
+    segments = [(np.array([0, 1]), np.array([0, 1, 5])),
+                (np.array([2, 3, 4]), np.array([2, 3, 4, 6, 7]))]
+    q = nc.Tensor(_rand((5, 4), 44))
+    k = nc.Tensor(_rand((8, 4), 45))
+    v = nc.Tensor(_rand((8, 6), 46))
+    attn_weight = nc.Tensor(_rand((5, 6), 47))
+
+    def attention(q_, k_, v_):
+        out = nc.multihead_attention(q_, k_, v_, 2, segments)
+        return nc.mul(out, attn_weight)
+
     return [
         ("matmul", lambda x: nc.matmul(x, w), (5, 4), 1),
         ("transpose", lambda x: nc.transpose(x), (3, 4), 2),
@@ -119,6 +132,11 @@ def _op_cases():
         ("rowmean", lambda x: nc.rowmean(x), (4, 3), 18),
         ("colsum", lambda x: nc.colsum(x), (4, 3), 19),
         ("colmean", lambda x: nc.colmean(x), (4, 3), 30),
+        ("segment_mean", lambda x: nc.segment_mean(x, [2, 1, 3]), (6, 3), 29),
+        ("sum_all", lambda x: nc.sum_all(nc.mul(x, nc.Tensor(_rand((3, 4), 48)))), (3, 4), 28),
+        ("attention_q", lambda x: attention(x, k, v), (5, 4), 49),
+        ("attention_k", lambda x: attention(q, x, v), (8, 4), 50),
+        ("attention_v", lambda x: attention(q, k, x), (8, 6), 51),
         ("rowmax", lambda x: nc.rowmax(x), (4, 5), 31),
         ("rowmin", lambda x: nc.rowmin(x), (4, 5), 32),
         ("concat_rows", lambda x: nc.concat_rows([x, nc.Tensor(_rand((2, 3), 24))]), (3, 3), 33),

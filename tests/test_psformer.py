@@ -285,3 +285,46 @@ def test_gate_gradient_reaches_selector():
     g_conv = sel_params["sel.conv0.w"].grad
     assert g_mlp is not None and np.abs(g_mlp).max() > 0
     assert g_conv is not None and np.abs(g_conv).max() > 0
+
+
+def test_stacked_msa_block_equals_per_frame_calls():
+    cfg = _toy_config()
+    params = init_psformer_params(cfg, seed=12)
+    rng = np.random.Generator(np.random.PCG64(13))
+    frames = [(4, 1), (6, 9), (3, 2)]  # (main rows, aux rows) per frame
+    mains = [rng.standard_normal((m, cfg.dim)) for m, _ in frames]
+    auxes = [rng.standard_normal((a, cfg.dim)) for _, a in frames]
+    single, stacked = nc.MacCounter(), nc.MacCounter()
+    with nc.mac_counting(single):
+        want = [msa_block(Tensor(m), Tensor(a), params, 1, cfg).data
+                for m, a in zip(mains, auxes)]
+    with nc.mac_counting(stacked):
+        got = msa_block(Tensor(np.vstack(mains)), Tensor(np.vstack(auxes)),
+                        params, 1, cfg, frames=frames)
+    assert np.abs(got.data - np.vstack(want)).max() < 1e-12
+    assert stacked.total == single.total
+
+
+@pytest.mark.parametrize("threshold", [3.0, -1.0])
+def test_matmul_calls_do_not_grow_with_frames(threshold, monkeypatch):
+    # every layer runs its P-frames as one stacked pass, so the number of
+    # matrix products is the same for 3 and 5 frames
+    cfg = _toy_config()
+    params = init_psformer_params(cfg, seed=14)
+    calls = []
+    matmul = nc.matmul
+
+    def counted(a, b):
+        calls.append(1)
+        return matmul(a, b)
+
+    monkeypatch.setattr(nc, "matmul", counted)
+    counts = []
+    for frames in (3, 5):
+        gop, sel = _toy_inputs(frames=frames)
+        assert all(sel.kept_counts)
+        calls.clear()
+        res = psformer_forward(gop, sel, params, cfg, threshold=threshold)
+        assert res.open_rate == (1.0 if threshold < 0 else 0.0)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
