@@ -76,9 +76,10 @@ def unpatchify(grid: PatchGrid) -> np.ndarray:
 # SAD search
 # ---------------------------------------------------------------------------
 
+_SAD_CHUNK = 512  # query rows per block of the queries x keys x dim temporaries
 
-def sad_nearest(queries: np.ndarray, keys: np.ndarray,
-                chunk: int = 512) -> tuple[np.ndarray, np.ndarray]:
+
+def sad_nearest(queries: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exhaustive L1 nearest key per query row; first minimum wins ties.
 
     Exact integer arithmetic on uint8/int16 inputs: |a - b| is computed as
@@ -95,8 +96,8 @@ def sad_nearest(queries: np.ndarray, keys: np.ndarray,
         counter.note_uncounted("sad_compares", q.shape[0] * k.shape[0] * q.shape[1])
     idx = np.empty(q.shape[0], dtype=np.int32)
     best = np.empty(q.shape[0], dtype=np.int32)
-    for lo in range(0, q.shape[0], chunk):
-        hi = min(lo + chunk, q.shape[0])
+    for lo in range(0, q.shape[0], _SAD_CHUNK):
+        hi = min(lo + _SAD_CHUNK, q.shape[0])
         block = q[lo:hi, None, :]
         upper = np.maximum(block, k[None, :, :])
         lower = np.minimum(block, k[None, :, :])

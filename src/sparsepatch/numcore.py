@@ -391,20 +391,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     return mul(a, reciprocal(b))
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax, stabilized by the (detached) row maximum."""
-    _require_2d(x)
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
-
-    def backward(g):
-        inner = (g * y).sum(axis=1, keepdims=True)
-        return ((g - inner) * y,)
-
-    return _record(y, (x,), backward)
-
-
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
     """(m, heads * w) -> (heads, m, w) view, one matrix per head."""
     return x.reshape(x.shape[0], heads, x.shape[1] // heads).transpose(1, 0, 2)
@@ -660,34 +646,48 @@ def gather_labels(x: Tensor, labels) -> Tensor:
     return _record(x.data[rows, labels].reshape(-1, 1), (x,), backward)
 
 
-def neighborhood_rows(x: Tensor, nbr: np.ndarray) -> Tensor:
-    """Gather row neighborhoods into im2col form.
+def neighborhood_rows(x: Tensor, frames: int, height: int, width: int,
+                      offset: int) -> Tensor:
+    """3x3x3 neighborhoods of a video grid in im2col form, spatial stride 2.
 
-    ``nbr`` is (P, K) integer; entry -1 means "outside", contributing a
-    zero row. Output is (P, K * C) where C = x.shape[1]. Backward
-    scatter-adds into the source rows, skipping the padding slots.
+    Row ``(t * height + y) * width + x`` of ``x`` holds the C channels of
+    cell (t, y, x). The output has one row per centre (t, 2 * yo + offset,
+    2 * xo + offset) for yo < height // 2 and xo < width // 2, in
+    (t, yo, xo) order; ``offset`` is 0 or 1. Its 27 * C columns run in
+    (dt, dy, dx, channel) order with each of dt, dy, dx in (-1, 0, 1):
+    tap (dt, dy, dx) fills the C columns from
+    ``(9 * (dt + 1) + 3 * (dy + 1) + dx + 1) * C``, so the dt = -1 taps
+    come first and the centre tap is slot 13. Cells outside the grid read
+    as zero. Backward adds each tap's gradient back into the cells it read.
     """
     _require_2d(x)
-    nbr = np.asarray(nbr, dtype=np.intp)
-    if nbr.ndim != 2:
-        raise ShapeError(f"neighborhood index must be 2-D, got {nbr.shape}")
-    if nbr.size and nbr.max() >= x.shape[0]:
-        raise ShapeError("neighborhood index out of range")
-    if nbr.size and nbr.min() < -1:
-        raise ShapeError("neighborhood index below -1")
-    p, k = nbr.shape
     c = x.shape[1]
-    valid = nbr >= 0
-    gathered = np.zeros((p, k, c))
-    gathered[valid] = x.data[nbr[valid]]
+    if x.shape[0] != frames * height * width:
+        raise ShapeError(f"{x.shape[0]} rows do not fill a {frames}x{height}x{width} grid")
+    if offset not in (0, 1):
+        raise ShapeError(f"neighborhood offset must be 0 or 1, got {offset}")
+    ho, wo = height // 2, width // 2
+    # one zero cell of padding on every side; tap (dt, dy, dx) of centre
+    # (t, yo, xo) sits at padded cell (t + dt, 2 * yo + offset + dy,
+    # 2 * xo + offset + dx) for dt, dy, dx in (0, 1, 2)
+    taps = [(slice(dt, dt + frames),
+             slice(offset + dy, offset + dy + 2 * ho, 2),
+             slice(offset + dx, offset + dx + 2 * wo, 2))
+            for dt in range(3) for dy in range(3) for dx in range(3)]
+    padded = np.zeros((frames + 2, height + 2, width + 2, c))
+    padded[1:-1, 1:-1, 1:-1] = x.data.reshape(frames, height, width, c)
+    cols = np.empty((frames, ho, wo, len(taps), c))
+    for k, tap in enumerate(taps):
+        cols[:, :, :, k] = padded[tap]
 
     def backward(g):
-        gx = np.zeros_like(x.data)
-        gv = g.reshape(p, k, c)
-        np.add.at(gx, nbr[valid], gv[valid])
-        return (gx,)
+        gpad = np.zeros((frames + 2, height + 2, width + 2, c))
+        g = g.reshape(frames, ho, wo, len(taps), c)
+        for k, tap in enumerate(taps):
+            gpad[tap] += g[:, :, :, k]
+        return (gpad[1:-1, 1:-1, 1:-1].reshape(-1, c),)
 
-    return _record(gathered.reshape(p, k * c), (x,), backward)
+    return _record(cols.reshape(-1, len(taps) * c), (x,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -765,11 +765,8 @@ def cosine_distance(a: Tensor, b: Tensor) -> Tensor:
     return add_const(neg(cos), 1.0)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    out = matmul(x, w)
-    if b is not None:
-        out = add(out, b)
-    return out
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    return add(matmul(x, w), b)
 
 
 # ---------------------------------------------------------------------------

@@ -38,44 +38,9 @@ _KERNEL = 27  # 3x3x3 neighborhood
 # shallow 3-D CNN
 # ---------------------------------------------------------------------------
 
-_INDEX_CACHE: dict[tuple[int, int, int], list[np.ndarray]] = {}
-
-
-def _layer_neighbors(t: int, h: int, w: int, offset: int) -> np.ndarray:
-    """im2col indices for one stride-2 (spatial) conv layer.
-
-    Rows follow (frame, y, x) order of the output grid; the 27 columns run
-    over (dt, dy, dx) offsets. -1 marks zero padding. ``offset`` shifts
-    the spatial sampling centers by one input cell.
-    """
-    ho, wo = h // 2, w // 2
-    off = np.arange(_KERNEL)
-    dt, dy, dx = off // 9 - 1, (off % 9) // 3 - 1, off % 3 - 1
-    t_in = np.arange(t)[:, None, None, None] + dt
-    y_in = 2 * np.arange(ho)[None, :, None, None] + offset + dy
-    x_in = 2 * np.arange(wo)[None, None, :, None] + offset + dx
-    t_in, y_in, x_in = np.broadcast_arrays(t_in, y_in, x_in)
-    flat = (t_in * h + y_in) * w + x_in
-    valid = ((t_in >= 0) & (t_in < t) & (y_in >= 0) & (y_in < h)
-             & (x_in >= 0) & (x_in < w))
-    return np.where(valid, flat, -1).reshape(t * ho * wo, _KERNEL)
-
-
 # the last layer samples at odd positions so the stacked receptive fields
 # center on 16x16 patch centers (16*v + 8) instead of patch corners
 _LAYER_OFFSETS = (0, 0, 0, 1)
-
-
-def _conv_indices(t: int, h: int, w: int) -> list[np.ndarray]:
-    key = (t, h, w)
-    if key not in _INDEX_CACHE:
-        layers = []
-        ch, cw = h, w
-        for offset in _LAYER_OFFSETS:
-            layers.append(_layer_neighbors(t, ch, cw, offset))
-            ch, cw = ch // 2, cw // 2
-        _INDEX_CACHE[key] = layers
-    return _INDEX_CACHE[key]
 
 
 @dataclass
@@ -118,6 +83,9 @@ def init_selector_params(seed: int, params: ParamSet | None = None) -> ParamSet:
     """
     if params is None:
         params = ParamSet()
+    # weight rows follow the (dt, dy, dx, channel) column order documented
+    # on numcore.neighborhood_rows: 9 * cin rows per dt block, dt = -1
+    # first, and the centre tap (0, 0, 0) at slot 13
     rng = nc.rng_stream(seed, "init", "sel.conv0")
     w0 = np.zeros((_KERNEL * CNN_CHANNELS[0], CNN_CHANNELS[1]))
     cin = CNN_CHANNELS[0]
@@ -139,7 +107,7 @@ def init_selector_params(seed: int, params: ParamSet | None = None) -> ParamSet:
         cin, cout = CNN_CHANNELS[i], CNN_CHANNELS[i + 1]
         rng = nc.rng_stream(seed, "init", f"sel.conv{i}")
         w = np.zeros((_KERNEL * cin, cout))
-        # center tap sits at (dt,dy,dx)=(0,0,0): kernel slot 13
+        # center tap only (slot 13, see above)
         w[13 * cin:14 * cin, :] = rng.standard_normal((cin, cout)) * np.sqrt(2.0 / cin)
         b = np.zeros((1, cout))
         if i == 3:
@@ -167,12 +135,13 @@ def shallow_3dcnn(clip: RawClip, params: ParamSet) -> SemanticsFeatures:
     if h % 16 or w % 16:
         raise ValidationError("clip dimensions must be multiples of 16")
     x = Tensor(clip.pixels.reshape(t * h * w, 3) / 255.0 - 0.5)
+    gh, gw = h // 16, w // 16
     with nc.stage("selection_cnn"):
-        for i, nbr in enumerate(_conv_indices(t, h, w)):
-            cols = nc.neighborhood_rows(x, nbr)
+        for i, offset in enumerate(_LAYER_OFFSETS):
+            cols = nc.neighborhood_rows(x, t, h, w, offset)
             x = nc.relu(nc.linear(cols, params[f"sel.conv{i}.w"],
                                   params[f"sel.conv{i}.b"]))
-    gh, gw = h // 16, w // 16
+            h, w = h // 2, w // 2
     n = gh * gw
     f_maps = [nc.slice_rows(x, ti * n, (ti + 1) * n) for ti in range(t)]
     return SemanticsFeatures(f_maps=f_maps, grid_h=gh, grid_w=gw)

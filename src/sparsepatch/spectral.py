@@ -31,17 +31,15 @@ def _as_features(f) -> np.ndarray:
     return arr
 
 
-def affinity(f, clamp_negative: bool = True) -> np.ndarray:
+def affinity(f) -> np.ndarray:
     """Pairwise inner products of patch features, clamped at zero.
 
-    Clamping keeps the graph weights interpretable as similarities; pass
-    clamp_negative=False to study the raw Gram matrix instead.
+    Clamping keeps the graph weights interpretable as similarities.
     """
     arr = _as_features(f)
     a = arr @ arr.T
     a = 0.5 * (a + a.T)  # exact symmetry despite float summation order
-    if clamp_negative:
-        np.maximum(a, 0.0, out=a)
+    np.maximum(a, 0.0, out=a)
     return a
 
 
@@ -79,7 +77,7 @@ class SaliencyVector:
     flipped: bool
 
 
-def prominent_eigvec(f, clamp_negative: bool = True) -> SaliencyVector:
+def prominent_eigvec(f) -> SaliencyVector:
     """Eigenvector at the smallest informative Laplacian eigenvalue.
 
     Raises DegenerateFeatureError when no eigenvalue clears the noise
@@ -87,7 +85,7 @@ def prominent_eigvec(f, clamp_negative: bool = True) -> SaliencyVector:
     from the next eigenvalue, as happens for constant features at N >= 3
     where the split direction would be arbitrary.
     """
-    lap = normalized_laplacian(affinity(f, clamp_negative=clamp_negative))
+    lap = normalized_laplacian(affinity(f))
     eigenvalues, eigenvectors = sym_eig(lap)
     lam_max = float(eigenvalues[-1])
     floor = _REL_TOL * lam_max

@@ -1,4 +1,4 @@
-import math
+import itertools
 
 import numpy as np
 import pytest
@@ -29,19 +29,6 @@ def test_matmul_known_value():
         nc.matmul(a, nc.Tensor([[1.0, 2.0]]))
 
 
-def test_softmax_known_value():
-    x = nc.Tensor([[math.log(1.0), math.log(3.0)]])
-    y = nc.softmax_rows(x)
-    assert np.allclose(y.data, [[0.25, 0.75]], atol=1e-12)
-
-
-def test_softmax_shift_invariance():
-    x = np.array([[1.0, 2.0, -0.5]])
-    a = nc.softmax_rows(nc.Tensor(x)).data
-    b = nc.softmax_rows(nc.Tensor(x + 1000.0)).data
-    assert np.allclose(a, b, atol=1e-12)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**31 - 1))
 def test_matmul_matches_numpy(m, k, n, seed):
@@ -50,15 +37,6 @@ def test_matmul_matches_numpy(m, k, n, seed):
     b = rng.standard_normal((k, n))
     out = nc.matmul(nc.Tensor(a), nc.Tensor(b))
     assert np.allclose(out.data, a @ b, atol=1e-12)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**31 - 1))
-def test_softmax_rows_is_distribution(m, n, seed):
-    rng = np.random.Generator(np.random.PCG64(seed))
-    y = nc.softmax_rows(nc.Tensor(rng.standard_normal((m, n)) * 5)).data
-    assert np.all(y > 0)
-    assert np.allclose(y.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_nonfinite_rejected():
@@ -93,7 +71,6 @@ def _rand(shape, seed, lo=None):
 def _op_cases():
     w = nc.Tensor(_rand((4, 3), 7))
     idx = np.array([2, 0, 2, 1])
-    nbr = np.array([[0, 1, -1], [3, -1, 2]])
     labels = np.array([1, 0, 2, 1])
     gamma = nc.Tensor(_rand((1, 3), 8))
     beta = nc.Tensor(_rand((1, 3), 9))
@@ -126,8 +103,6 @@ def _op_cases():
         ("log", lambda x: nc.log_(nc.add_const(nc.sigmoid(x), 0.5)), (3, 3), 13),
         ("sqrt", lambda x: nc.sqrt_(nc.add_const(nc.sigmoid(x), 0.5)), (3, 3), 14),
         ("reciprocal", lambda x: nc.reciprocal(nc.add_const(nc.sigmoid(x), 0.5)), (3, 3), 15),
-        # weight the rows so the reduction is not constant (softmax rows sum to 1)
-        ("softmax", lambda x: nc.mul(nc.softmax_rows(x), nc.Tensor(_rand((3, 5), 28))), (3, 5), 16),
         ("rowsum", lambda x: nc.rowsum(x), (4, 3), 17),
         ("rowmean", lambda x: nc.rowmean(x), (4, 3), 18),
         ("colsum", lambda x: nc.colsum(x), (4, 3), 19),
@@ -145,7 +120,9 @@ def _op_cases():
         ("slice_cols", lambda x: nc.slice_cols(x, 0, 2), (4, 3), 36),
         ("gather_rows", lambda x: nc.gather_rows(x, idx), (3, 3), 37),
         ("gather_labels", lambda x: nc.gather_labels(x, labels), (4, 3), 38),
-        ("neighborhood", lambda x: nc.neighborhood_rows(x, nbr), (4, 3), 39),
+        # odd 2x3x5 grid, offset 1: taps past the far edges read padding
+        ("neighborhood", lambda x: nc.mul(nc.neighborhood_rows(x, 2, 3, 5, 1),
+                                          nc.Tensor(_rand((4, 54), 52))), (30, 2), 39),
         ("clip01_interior", lambda x: nc.clip01(nc.scale(nc.sigmoid(x), 0.9)), (3, 3), 40),
         ("layer_norm", lambda x: nc.layer_norm(x, gamma, beta), (4, 3), 41),
         ("cosine_distance", lambda x: nc.cosine_distance(x, nc.Tensor(_rand((1, 5), 26))), (1, 5), 42),
@@ -159,6 +136,51 @@ def test_op_gradients(name, op, shape, seed):
     x = nc.Tensor(_rand(shape, seed), requires_grad=True)
     err = nc.grad_check(lambda t: nc.mean_all(op(t)), x)
     assert err < 1e-4, f"{name}: grad error {err:.3e}"
+
+
+def _neighborhood_oracle(grid, offset, g):
+    """Loop gather of every centre's 27 taps (zero outside the grid), and
+    the scatter-add of the output gradient ``g`` back to the grid cells."""
+    t, h, w, c = grid.shape
+    rows, gx = [], np.zeros_like(grid)
+    for ti in range(t):
+        for yo in range(h // 2):
+            for xo in range(w // 2):
+                g_row = g[len(rows)].reshape(27, c)
+                row = []
+                for k, (dt, dy, dx) in enumerate(itertools.product((-1, 0, 1), repeat=3)):
+                    tt, y, x = ti + dt, 2 * yo + offset + dy, 2 * xo + offset + dx
+                    if 0 <= tt < t and 0 <= y < h and 0 <= x < w:
+                        row.append(grid[tt, y, x])
+                        gx[tt, y, x] += g_row[k]
+                    else:
+                        row.append(np.zeros(c))
+                rows.append(np.concatenate(row))
+    return np.array(rows).reshape(-1, 27 * c), gx.reshape(-1, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 6), st.integers(1, 6), st.integers(1, 3),
+       st.integers(0, 1), st.integers(0, 2**31 - 1))
+def test_neighborhood_rows_matches_loop_gather(frames, height, width, channels, offset, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    grid = rng.standard_normal((frames, height, width, channels))
+    g = rng.standard_normal((frames * (height // 2) * (width // 2), 27 * channels))
+    want, want_grad = _neighborhood_oracle(grid, offset, g)
+    x = nc.Tensor(grid.reshape(-1, channels), requires_grad=True)
+    with nc.tape() as t:
+        cols = nc.neighborhood_rows(x, frames, height, width, offset)
+        t.backward(nc.sum_all(nc.mul(cols, nc.Tensor(g))))
+    assert np.array_equal(cols.data, want)
+    assert np.allclose(x.grad, want_grad, rtol=0.0, atol=1e-12)
+
+
+def test_neighborhood_rows_rejects_bad_grid_or_offset():
+    x = nc.Tensor(np.zeros((2 * 4 * 6, 3)))
+    assert nc.neighborhood_rows(x, 2, 4, 6, 1).shape == (2 * 2 * 3, 81)
+    for frames, height, width, offset in ((2, 4, 5, 0), (3, 4, 6, 0), (2, 4, 6, 2), (2, 4, 6, -1)):
+        with pytest.raises(ShapeError):
+            nc.neighborhood_rows(x, frames, height, width, offset)
 
 
 def test_grad_check_detects_scale_error():
@@ -229,7 +251,7 @@ def test_mac_counter_counts_matmuls_only():
     with nc.mac_counting(counter):
         nc.matmul(a, b)
         nc.add(a, a)
-        nc.softmax_rows(a)
+        nc.relu(a)
         with counter.stage("attention"):
             nc.matmul(a, b)
     assert counter.total == 2 * 3 * 4 * 2
