@@ -45,6 +45,7 @@ from .psformer import (
     psformer_forward,
 )
 from .selector import (
+    gate_features,
     init_selector_params,
     progressive_residual,
     score_gate,
@@ -392,21 +393,15 @@ def _gradcheck_selector(seed: int) -> list[tuple[str, float]]:
         noise = nc.rng_stream(seed, "gradcheck-jitter", name)
         tensor.data += noise.standard_normal(tensor.data.shape) * 0.03
     reference = select_patches(gop, params, mode="infer", seed=0)
-    frozen = []
-    for t in range(1, gop.frames):
-        sal = reference.saliency[t - 1].values.reshape(-1, 1)
-        prog, _ = progressive_residual(gop.frame_patches(t), reference.pool)
-        frozen.append((Tensor(sal),
-                       Tensor(gop.residual[t - 1] / 255.0),
-                       Tensor(prog / 255.0)))
+    progressive = [progressive_residual(gop.frame_patches(t), reference.pool)[0]
+                   for t in range(1, gop.frames)]
 
     def build_loss():
         sem = shallow_3dcnn(decode_gop(gop), params)
         total = None
         for t in range(1, gop.frames):
-            sal, residual, prog = frozen[t - 1]
-            s_feat = nc.mul(sem.f_maps[t], sal)
-            feats = nc.concat_cols([residual, s_feat, prog])
+            feats = gate_features(gop.residual[t - 1], sem.f_maps[t],
+                                  reference.saliency[t - 1], progressive[t - 1])
             score = score_gate(feats, params, "infer").score
             part = nc.sum_all(score)
             total = part if total is None else nc.add(total, part)

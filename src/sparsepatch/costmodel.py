@@ -281,11 +281,13 @@ def runtime_counter_report(counter: MacCounter, geom: Geometry,
     )
 
 
+_BISECT_STEPS = 80
+
+
 def bisect_kept_fraction(geom: Geometry, target_gmacs: float,
                          gate_open_rate: float = 0.0,
                          bounds: tuple[float, float] = (0.0, 1.0),
-                         include_selection: bool = True,
-                         iters: int = 80) -> tuple[float, CostReport]:
+                         include_selection: bool = True) -> tuple[float, CostReport]:
     """Uniform kept_fraction whose estimate is closest to the target.
 
     The estimate is strictly increasing in the fraction, so bisection
@@ -306,7 +308,7 @@ def bisect_kept_fraction(geom: Geometry, target_gmacs: float,
     elif value(hi) <= target_gmacs:
         f = hi
     else:
-        for _ in range(iters):
+        for _ in range(_BISECT_STEPS):
             mid = 0.5 * (lo + hi)
             if value(mid) < target_gmacs:
                 lo = mid

@@ -13,7 +13,6 @@ and inside a patch the 768 columns run over (y, x, channel).
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .numcore import active_counter
-from .videoio import PATCH, RawClip
+from .videoio import PATCH, RawClip, pack_header, parse_header
 
 _MAGIC = b"GOPV1\x00"
 PATCH_DIM = PATCH * PATCH * 3  # 768
@@ -179,8 +178,7 @@ def decode_gop(gop: GopClip) -> RawClip:
 
 def write_gop(gop: GopClip, path) -> None:
     blob = bytearray()
-    blob += _MAGIC
-    blob += struct.pack("<III", gop.height, gop.width, gop.frames)
+    blob += pack_header(_MAGIC, gop.height, gop.width, gop.frames)
     blob += gop.i_frame.patches.astype(np.uint8).tobytes()
     blob += gop.motion.astype("<i4").tobytes()
     blob += gop.residual.astype("<i2").tobytes()
@@ -189,15 +187,7 @@ def write_gop(gop: GopClip, path) -> None:
 
 def read_gop(path) -> GopClip:
     data = Path(path).read_bytes()
-    if len(data) < len(_MAGIC) or data[: len(_MAGIC)] != _MAGIC:
-        raise ParseError("bad or missing GOPV1 magic", offset=0)
-    pos = len(_MAGIC)
-    if len(data) < pos + 12:
-        raise ParseError("truncated header", offset=len(data))
-    height, width, frames = struct.unpack_from("<III", data, pos)
-    if frames < 1 or height < 1 or width < 1 or height % PATCH or width % PATCH:
-        raise ParseError(f"invalid dimensions {frames}x{height}x{width}", offset=pos)
-    pos += 12
+    height, width, frames, pos = parse_header(data, _MAGIC)
     n = (height // PATCH) * (width // PATCH)
 
     size_i = n * PATCH_DIM

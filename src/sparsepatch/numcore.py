@@ -67,12 +67,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}{flag})"
 
 
-def as_tensor(value, requires_grad: bool = False) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(value, requires_grad=requires_grad)
-
-
 class Tape:
     """Records (output, parents, backward_fn) triples in creation order."""
 
@@ -285,10 +279,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _record(a.data * b.data, (a, b), backward)
 
 
-def neg(x: Tensor) -> Tensor:
-    return scale(x, -1.0)
-
-
 def scale(x: Tensor, c: float) -> Tensor:
     _require_2d(x)
     c = float(c)
@@ -328,21 +318,6 @@ def gelu(x: Tensor) -> Tensor:
         return (g * (cdf + x.data * pdf),)
 
     return _record(x.data * cdf, (x,), backward)
-
-
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    _require_2d(x)
-    y = _stable_sigmoid(x.data)
-
-    def backward(g):
-        return (g * y * (1.0 - y),)
-
-    return _record(y, (x,), backward)
 
 
 def exp_(x: Tensor) -> Tensor:
@@ -385,10 +360,6 @@ def reciprocal(x: Tensor) -> Tensor:
         return (-g * y * y,)
 
     return _record(y, (x,), backward)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    return mul(a, reciprocal(b))
 
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
@@ -695,10 +666,6 @@ def neighborhood_rows(x: Tensor, frames: int, height: int, width: int,
 # ---------------------------------------------------------------------------
 
 
-def detach(x: Tensor) -> Tensor:
-    return Tensor(x.data.copy(), requires_grad=False)
-
-
 def rowmax_detached(x: Tensor) -> Tensor:
     """Row maxima as a gradient-free constant, for log-softmax shifts."""
     _require_2d(x)
@@ -710,6 +677,11 @@ def rowmax_detached(x: Tensor) -> Tensor:
 # clip(1.2 * sigmoid(x) - 0.1, 0, 1), which is nonzero only while the
 # clip is inactive, i.e. |x| < ln(11).
 _GATE_BAND = math.log(11.0)
+
+
+def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def soft_gate_value(x: np.ndarray) -> np.ndarray:
@@ -727,25 +699,19 @@ def hard_gate(x: Tensor) -> Tensor:
     return _record((x.data > 0.0).astype(np.float64), (x,), backward)
 
 
-def clip01(x: Tensor) -> Tensor:
-    _require_2d(x)
-
-    def backward(g):
-        return (g * ((x.data > 0.0) & (x.data < 1.0)),)
-
-    return _record(np.clip(x.data, 0.0, 1.0), (x,), backward)
-
-
 # ---------------------------------------------------------------------------
 # composites
 # ---------------------------------------------------------------------------
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
+_LN_EPS = 1e-6
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Per-row normalization with learned scale and shift."""
     centered = sub(x, rowmean(x))
     var = rowmean(mul(centered, centered))
-    inv = reciprocal(sqrt_(add_const(var, eps)))
+    inv = reciprocal(sqrt_(add_const(var, _LN_EPS)))
     return add(mul(mul(centered, inv), gamma), beta)
 
 
@@ -761,8 +727,8 @@ def cosine_distance(a: Tensor, b: Tensor) -> Tensor:
     na = sqrt_(add_const(rowsum(mul(a, a)), 1e-24))
     nb = sqrt_(add_const(rowsum(mul(b, b)), 1e-24))
     dot = rowsum(mul(a, b))
-    cos = div(dot, mul(na, nb))
-    return add_const(neg(cos), 1.0)
+    cos = mul(dot, reciprocal(mul(na, nb)))
+    return add_const(scale(cos, -1.0), 1.0)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -833,8 +799,7 @@ class ParamSet:
     def add(self, name: str, data) -> Tensor:
         if name in self._params:
             raise ValidationError(f"duplicate parameter name {name!r}")
-        t = as_tensor(data)
-        t.requires_grad = True
+        t = Tensor(data, requires_grad=True)
         self._params[name] = t
         return t
 
@@ -861,9 +826,6 @@ class ParamSet:
         for p in self._params.values():
             p.grad = None
 
-    def total_count(self) -> int:
-        return sum(p.data.size for p in self._params.values())
-
     def save_npz(self, path) -> None:
         np.savez(path, **{name: t.data for name, t in self.items()})
 
@@ -881,14 +843,13 @@ class ParamSet:
 # ---------------------------------------------------------------------------
 
 
-def grad_check(f, x: Tensor, eps: float = 1e-5, coords=None,
+def grad_check(f, x: Tensor, eps: float = 1e-5,
                max_coords: int | None = None, seed: int = 0) -> float:
     """Max relative error between taped and central-difference gradients.
 
     ``f`` maps the tensor to a (1, 1) loss and must be deterministic. By
-    default every coordinate of ``x`` is probed; pass ``coords`` (flat
-    indices) or ``max_coords`` (seeded subsample) to bound the cost on
-    large tensors.
+    default every coordinate of ``x`` is probed; pass ``max_coords`` to
+    probe a seeded subsample instead and bound the cost on large tensors.
     """
     x.requires_grad = True
     x.grad = None
@@ -901,12 +862,11 @@ def grad_check(f, x: Tensor, eps: float = 1e-5, coords=None,
     x.grad = None
 
     size = x.data.size
-    if coords is None:
-        if max_coords is not None and size > max_coords:
-            coords = rng_stream(seed, "gradcheck").choice(size, size=max_coords,
-                                                          replace=False)
-        else:
-            coords = range(size)
+    if max_coords is not None and size > max_coords:
+        coords = rng_stream(seed, "gradcheck").choice(size, size=max_coords,
+                                                      replace=False)
+    else:
+        coords = range(size)
     flat = x.data.reshape(-1)
     aflat = analytic.reshape(-1)
     worst = 0.0
@@ -925,7 +885,7 @@ def grad_check(f, x: Tensor, eps: float = 1e-5, coords=None,
     return worst
 
 
-def grad_check_params(build_loss, params: ParamSet, names=None,
+def grad_check_params(build_loss, params: ParamSet, names: list[str],
                       eps: float = 1e-5, max_coords: int = 6,
                       seed: int = 0) -> dict[str, float]:
     """Run grad_check against each named parameter of a model.
@@ -934,8 +894,6 @@ def grad_check_params(build_loss, params: ParamSet, names=None,
     the live ParamSet, so perturbing a parameter in place is reflected.
     Returns the worst relative error per parameter name.
     """
-    if names is None:
-        names = params.names()
     report: dict[str, float] = {}
     for name in names:
         target = params[name]

@@ -15,7 +15,10 @@ would otherwise lose is reinstated two ways:
 The reliability judgment is a per-layer, per-frame routing gate: run the
 context predictor round-trip and compare against the actual first-frame
 context by cosine distance; distances above the threshold mean the cheap
-path cannot be trusted for that frame at that layer.
+path cannot be trusted for that frame at that layer. The global warp,
+this routing cost and the error-constraint loss that trains it
+(``training.error_constraint_loss``) share one predictor,
+``predict_context``.
 
 Auxiliary tokens (context and pooled summaries) join attention as
 keys/values only: queries, projections, and the feed-forward run on the
@@ -134,15 +137,21 @@ def init_psformer_params(config: PsformerConfig,
 
 
 def _linear(x: Tensor, params: ParamSet, name: str) -> Tensor:
-    return nc.add(nc.matmul(x, params[f"{name}.w"]), params[f"{name}.b"])
+    return nc.linear(x, params[f"{name}.w"], params[f"{name}.b"])
 
 
-def _ev(x: Tensor, params: ParamSet) -> Tensor:
-    return _linear(nc.relu(_linear(x, params, "warp.ev.l1")), params, "warp.ev.l2")
+def predict_context(ev_input: Tensor, gw_prev: Tensor, params: ParamSet) -> Tensor:
+    """The context predictor's round trip ``gw([ev(ev_input), gw_prev])``.
 
-
-def _gw(x: Tensor, params: ParamSet) -> Tensor:
-    return _linear(nc.relu(_linear(x, params, "warp.gw.l1")), params, "warp.gw.l2")
+    ``ev`` (context evolution) and ``gw`` (global warp) are two-layer ReLU
+    MLPs over row pairs of contexts; every row is one prediction. The
+    global warp, the routing cost and ``training.error_constraint_loss``
+    all predict through this one function.
+    """
+    evolved = _linear(nc.relu(_linear(ev_input, params, "warp.ev.l1")),
+                      params, "warp.ev.l2")
+    hidden = nc.relu(_linear(nc.concat_cols([evolved, gw_prev]), params, "warp.gw.l1"))
+    return _linear(hidden, params, "warp.gw.l2")
 
 
 def msa_block(main: Tensor, aux: Tensor | None, params: ParamSet,
@@ -314,11 +323,11 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
         context_pairs.append((ci_cur, ci_prev))
         if p_count:
             with nc.stage("global_warp"):
-                e = _ev(nc.gather_rows(nc.concat_cols([ci_cur, ci_prev]), first), params)
-                cp_coarse = _gw(nc.concat_cols([e, cp_prev]), params)
+                cp_coarse = predict_context(
+                    nc.gather_rows(nc.concat_cols([ci_cur, ci_prev]), first), cp_prev, params)
             with nc.stage("routing"):
-                e_hat = _ev(nc.concat_cols([cp_coarse, cp_prev]), params)
-                ci_hat = _gw(nc.concat_cols([e_hat, nc.gather_rows(ci_prev, first)]), params)
+                ci_hat = predict_context(nc.concat_cols([cp_coarse, cp_prev]),
+                                         nc.gather_rows(ci_prev, first), params)
                 costs = nc.cosine_distance(ci_hat, ci_cur).data[:, 0]
             is_open = costs > threshold
             routing.extend(RoutingEntry(layer, f + 1, float(costs[f]), bool(is_open[f]))

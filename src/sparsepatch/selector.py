@@ -21,7 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
-from .errors import ShapeError, ValidationError
+from .errors import (
+    DegenerateFeatureError,
+    DegenerateGraphError,
+    ShapeError,
+    ValidationError,
+)
 from .gopcodec import PATCH_DIM, GopClip, decode_gop, sad_nearest
 from .numcore import ParamSet, Tensor
 from .spectral import SaliencyVector, prominent_eigvec
@@ -154,6 +159,15 @@ def patch_semantics(f_map: Tensor, saliency: SaliencyVector) -> Tensor:
             f"saliency length {saliency.values.shape[0]} != patch count {f_map.shape[0]}")
     weights = Tensor(saliency.values.reshape(-1, 1))
     return nc.mul(f_map, weights)
+
+
+def gate_features(residual: np.ndarray, f_map: Tensor, saliency: SaliencyVector,
+                  progressive: np.ndarray) -> Tensor:
+    """One P-frame's (N, FEATURE_DIM) gate input: the codec residual / 255,
+    the saliency-scaled semantics, and the progressive residual / 255."""
+    return nc.concat_cols([Tensor(residual / 255.0),
+                           patch_semantics(f_map, saliency),
+                           Tensor(progressive / 255.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +332,10 @@ def select_patches(gop: GopClip, params: ParamSet, mode: str = "infer",
     Frames are processed in time order; each P-frame's progressive
     residuals are measured against the pool as it stood *before* that
     frame, then its kept patches are appended. A clip with one frame
-    yields an empty selection.
+    yields an empty selection. A frame whose semantics give no usable
+    saliency split (a static or blank frame, say) gets zero saliency, so
+    its residual terms decide; the active counter tallies each such frame
+    as ``saliency_fallbacks`` under ``uncounted``.
     """
     counter = nc.active_counter()
     if semantics is None:
@@ -342,17 +359,16 @@ def select_patches(gop: GopClip, params: ParamSet, mode: str = "infer",
             with nc.stage("selection_cnn"):
                 counter.add(n * n * SEMANTIC_DIM)
             counter.note_uncounted("eig_decompositions", 1)
-        sal = prominent_eigvec(f_map.data)
-        s_feat = patch_semantics(f_map, sal)
+        try:
+            sal = prominent_eigvec(f_map.data)
+        except (DegenerateFeatureError, DegenerateGraphError):
+            sal = SaliencyVector(values=np.zeros(n), eigenvalue=0.0, flipped=False)
+            if counter is not None:
+                counter.note_uncounted("saliency_fallbacks", 1)
 
         recon = gop.frame_patches(t)
         prog, _ = progressive_residual(recon, pool)
-
-        feats = nc.concat_cols([
-            Tensor(gop.residual[t - 1] / 255.0),
-            s_feat,
-            Tensor(prog / 255.0),
-        ])
+        feats = gate_features(gop.residual[t - 1], f_map, sal, prog)
         noise = None
         if mode == "train":
             noise = nc.rng_stream(seed, "gate-noise", t).standard_normal((n, 1))

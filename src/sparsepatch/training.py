@@ -6,7 +6,8 @@ frame's tokens. Stage 2 switches to the sparse pipeline (selection,
 warping, routing) and adds a ranking penalty that teaches the context
 reconstruction cost to grow with the amount of noise injected into the
 context it reconstructs, which is what makes the cost usable as a
-routing signal.
+routing signal. The penalty and the router share one predictor,
+``psformer.predict_context``, so they price the same reconstruction.
 
 Identity supervision uses a linear classifier head (cross entropy) plus
 a batch-hard triplet loss on the clip features. Batches follow the P x K
@@ -25,10 +26,9 @@ from .gopcodec import GopClip, encode_gop
 from .numcore import ParamSet, Tensor
 from .psformer import (
     PsformerConfig,
-    _ev,
-    _gw,
     dense_forward,
     init_psformer_params,
+    predict_context,
     psformer_forward,
 )
 from .selector import init_selector_params, select_patches
@@ -94,7 +94,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     shifted = nc.sub(logits, nc.rowmax_detached(logits))
     log_z = nc.log_(nc.rowsum(nc.exp_(shifted)))
     log_p = nc.sub(nc.gather_labels(shifted, labels), log_z)
-    return nc.neg(nc.mean_all(log_p))
+    return nc.scale(nc.mean_all(log_p), -1.0)
 
 
 def hard_triplet(features: Tensor, labels, margin: float = 0.3) -> Tensor:
@@ -132,9 +132,10 @@ def error_constraint_loss(context_pairs, params: ParamSet,
 
     For each layer's (current, previous) context pair, blend the current
     context with standard Gaussian noise at ``noise_samples`` sorted
-    mixing levels, push each blend through the context-evolution and
-    global-warp networks, and penalize every sample pair whose
-    reconstruction cost fails to increase with the mixing level.
+    mixing levels, push each blend through ``psformer.predict_context``
+    (the predictor whose cost routes the sparse forward), and penalize
+    every sample pair whose reconstruction cost fails to increase with
+    the mixing level.
     """
     if noise_samples < 2:
         raise ValidationError("noise_samples must be >= 2")
@@ -147,8 +148,7 @@ def error_constraint_loss(context_pairs, params: ParamSet,
             noise = Tensor(rng.standard_normal((1, c_cur.shape[1])))
             mixed = nc.add(nc.scale(c_cur, 1.0 - float(alpha)),
                            nc.scale(noise, float(alpha)))
-            evolved = _ev(nc.concat_cols([mixed, c_prev]), params)
-            recon = _gw(nc.concat_cols([evolved, c_prev]), params)
+            recon = predict_context(nc.concat_cols([mixed, c_prev]), c_prev, params)
             costs.append(nc.cosine_distance(recon, c_cur))
         for i in range(noise_samples):
             for j in range(i + 1, noise_samples):
@@ -164,6 +164,10 @@ def error_constraint_loss(context_pairs, params: ParamSet,
 # ---------------------------------------------------------------------------
 
 
+_ADAM_BETAS = (0.9, 0.999)
+_ADAM_EPS = 1e-8
+
+
 class Adam:
     """Adaptive moment estimation over a ParamSet.
 
@@ -173,18 +177,15 @@ class Adam:
     """
 
     def __init__(self, params: ParamSet, lr: float = 5e-4,
-                 betas: tuple[float, float] = (0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 5e-4):
+                 weight_decay: float = 5e-4):
         self.params = params
         self.lr = lr
-        self.betas = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self._state: dict[str, list] = {}
 
     def step(self, lr: float | None = None) -> None:
         lr = self.lr if lr is None else lr
-        b1, b2 = self.betas
+        b1, b2 = _ADAM_BETAS
         for name, p in self.params.items():
             if p.grad is None:
                 continue
@@ -199,7 +200,7 @@ class Adam:
             self._state[name] = [m, v, t]
             m_hat = m / (1.0 - b1 ** t)
             v_hat = v / (1.0 - b2 ** t)
-            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
 def lr_for_epoch(base: float, epoch: int, decay_every: int = 40,
@@ -231,14 +232,13 @@ def make_dataset(spec: SynthSpec) -> list[ClipRecord]:
 
 
 def extract_feature(gop: GopClip, params: ParamSet, model: PsformerConfig,
-                    mode: str = "sparse", threshold: float = 0.5,
-                    seed: int = 0) -> np.ndarray:
+                    mode: str = "sparse", threshold: float = 0.5) -> np.ndarray:
     """Clip feature by the dense (stage 1) or sparse (stage 2) path."""
     if mode == "dense":
         return dense_forward(gop, params, model).feature.data.copy()
     if mode != "sparse":
         raise ValidationError(f"unknown feature mode {mode!r}")
-    sel = select_patches(gop, params, mode="infer", seed=seed)
+    sel = select_patches(gop, params, mode="infer")
     res = psformer_forward(gop, sel, params, model, threshold=threshold)
     return res.feature.data.copy()
 

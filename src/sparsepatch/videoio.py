@@ -118,10 +118,34 @@ class SynthSpec:
 # ---------------------------------------------------------------------------
 
 
+def pack_header(magic: bytes, height: int, width: int, frames: int) -> bytes:
+    """The header of a clip container (``.rv1`` and ``.gop1``): the
+    format's magic, then u32le height, width and frames."""
+    return magic + struct.pack("<III", height, width, frames)
+
+
+def parse_header(data: bytes, magic: bytes) -> tuple[int, int, int, int]:
+    """Check a container header written by ``pack_header``.
+
+    Returns (height, width, frames, offset of the first payload byte).
+    Raises ParseError on a wrong magic, a short header, or dimensions
+    that are not positive or not multiples of 16 in height and width.
+    """
+    if len(data) < len(magic) or data[: len(magic)] != magic:
+        name = magic.rstrip(b"\0").decode()
+        raise ParseError(f"bad or missing {name} magic", offset=0)
+    pos = len(magic)
+    if len(data) < pos + 12:
+        raise ParseError("truncated header", offset=len(data))
+    height, width, frames = struct.unpack_from("<III", data, pos)
+    if frames < 1 or height < 1 or width < 1 or height % PATCH or width % PATCH:
+        raise ParseError(f"invalid dimensions {frames}x{height}x{width}", offset=pos)
+    return height, width, frames, pos + 12
+
+
 def write_rawvid(clip: RawClip, path) -> None:
     blob = bytearray()
-    blob += _MAGIC
-    blob += struct.pack("<III", clip.height, clip.width, clip.frames)
+    blob += pack_header(_MAGIC, clip.height, clip.width, clip.frames)
     blob += clip.pixels.tobytes()
     if clip.masks is not None:
         blob += b"MASK" + clip.masks.tobytes()
@@ -132,15 +156,7 @@ def write_rawvid(clip: RawClip, path) -> None:
 
 def read_rawvid(path) -> RawClip:
     data = Path(path).read_bytes()
-    if len(data) < len(_MAGIC) or data[: len(_MAGIC)] != _MAGIC:
-        raise ParseError("bad or missing RVID1 magic", offset=0)
-    pos = len(_MAGIC)
-    if len(data) < pos + 12:
-        raise ParseError("truncated header", offset=len(data))
-    height, width, frames = struct.unpack_from("<III", data, pos)
-    if frames < 1 or height < 1 or width < 1 or height % PATCH or width % PATCH:
-        raise ParseError(f"invalid dimensions {frames}x{height}x{width}", offset=pos)
-    pos += 12
+    height, width, frames, pos = parse_header(data, _MAGIC)
     npix = frames * height * width * 3
     if len(data) < pos + npix:
         raise ParseError("truncated pixel payload", offset=len(data))

@@ -12,7 +12,7 @@ from sparsepatch.errors import UsageError
 from sparsepatch.gopcodec import encode_gop, read_gop, write_gop
 from sparsepatch.psformer import PsformerConfig, init_psformer_params
 from sparsepatch.selector import init_selector_params
-from sparsepatch.videoio import SynthSpec, synth_clip
+from sparsepatch.videoio import RawClip, SynthSpec, synth_clip, write_rawvid
 
 SMALL_CFG = """
 identities = 2
@@ -180,6 +180,25 @@ def test_exit_5_on_checkpoint_shape_mismatch(pipeline, capsys):
                    "--dim", "32", "--layers", "1", "--heads", "2",
                    "--out", str(tmp_path / "x.json"))
     assert code == 5
+    capsys.readouterr()
+
+
+def test_static_clips_serve(tmp_path, capsys):
+    # constant frames give the saliency graph no split; each P-frame falls
+    # back to zero saliency instead of failing with exit 5
+    for value in (0, 100, 255):
+        raw = tmp_path / f"static{value}.rv1"
+        write_rawvid(RawClip(pixels=np.full((4, 64, 64, 3), value, dtype=np.uint8)), raw)
+        gop = tmp_path / f"static{value}.gop1"
+        assert run_cli("encode", "--in", str(raw), "--out", str(gop)) == 0
+        for command in ("select", "forward"):
+            out = tmp_path / f"{command}{value}.json"
+            assert run_cli(command, "--gop", str(gop), *MODEL_FLAGS,
+                           "--out", str(out)) == 0
+            payload = json.loads(out.read_text())
+            assert payload["kept_per_frame"] == [0, 0, 0]
+        assert np.isfinite(payload["feature"]).all()
+        assert payload["uncounted"]["saliency_fallbacks"] == 3
     capsys.readouterr()
 
 

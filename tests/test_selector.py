@@ -22,7 +22,7 @@ from sparsepatch.selector import (
     select_patches,
     shallow_3dcnn,
 )
-from sparsepatch.spectral import SaliencyVector
+from sparsepatch.spectral import SaliencyVector, prominent_eigvec
 from sparsepatch.videoio import RawClip, SynthSpec, synth_clip
 
 
@@ -232,14 +232,29 @@ def test_select_patches_single_frame_clip():
     assert result.pool.size == 4
 
 
-def test_select_patches_degenerate_features_raise():
-    # zeroed final conv layer forces identical (all-zero) patch features,
-    # an edgeless affinity graph, and therefore a degeneracy error
-    clip, gop = _synth_gop(t=2, hw=48)
+def test_select_patches_degenerate_features_fall_back():
+    # a zeroed final conv layer gives every patch the same features, so
+    # the saliency graph has no usable split: each P-frame serves with
+    # zero saliency and counts one fallback
+    clip, gop = _synth_gop(t=3, hw=48)
     params = init_selector_params(seed=0)
     params["sel.conv3.w"].data[:] = 0.0
     with pytest.raises((DegenerateFeatureError, DegenerateGraphError)):
-        select_patches(gop, params)
+        prominent_eigvec(shallow_3dcnn(clip, params).f_maps[1].data)
+    counter = nc.MacCounter()
+    with nc.mac_counting(counter):
+        result = select_patches(gop, params)
+    assert counter.uncounted["saliency_fallbacks"] == 2
+    assert all(not s.values.any() for s in result.saliency)
+    assert len(result.selected) == 2
+
+
+def test_select_patches_takes_no_fallback_on_noise():
+    gop = encode_gop(_small_clip(t=3, h=32, w=64))
+    counter = nc.MacCounter()
+    with nc.mac_counting(counter):
+        select_patches(gop, init_selector_params(seed=0))
+    assert "saliency_fallbacks" not in counter.uncounted
 
 
 def test_select_patches_counts_macs():

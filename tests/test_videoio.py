@@ -1,9 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsepatch.errors import ParseError, ValidationError
+from sparsepatch.gopcodec import encode_gop, read_gop, write_gop
 from sparsepatch.videoio import (
     RawClip,
     SynthSpec,
@@ -79,14 +82,6 @@ def test_parse_errors(tmp_path):
     write_rawvid(_clip(identity=3, with_masks=True), good)
     blob = good.read_bytes()
 
-    path.write_bytes(b"NOPE" + blob[4:])
-    with pytest.raises(ParseError, match="offset 0"):
-        read_rawvid(path)
-
-    path.write_bytes(blob[:10])
-    with pytest.raises(ParseError, match="truncated"):
-        read_rawvid(path)
-
     path.write_bytes(blob[:100])
     with pytest.raises(ParseError, match="truncated pixel"):
         read_rawvid(path)
@@ -100,13 +95,30 @@ def test_parse_errors(tmp_path):
     with pytest.raises(ParseError, match="duplicate IDNT"):
         read_rawvid(path)
 
-    # header with non-multiple-of-16 width
-    import struct
-    hacked = bytearray(blob)
-    struct.pack_into("<I", hacked, 6 + 4, 17)
-    path.write_bytes(bytes(hacked))
-    with pytest.raises(ParseError, match="invalid dimensions"):
-        read_rawvid(path)
+
+@pytest.mark.parametrize("fmt", ["rv1", "gop1"])
+def test_container_header_errors(tmp_path, fmt):
+    # .rv1 and .gop1 share one header: magic, then u32le height, width, frames
+    clip = _clip()
+    path = tmp_path / f"clip.{fmt}"
+    if fmt == "rv1":
+        write_rawvid(clip, path)
+        read, name = read_rawvid, "RVID1"
+    else:
+        write_gop(encode_gop(clip), path)
+        read, name = read_gop, "GOPV1"
+    blob = path.read_bytes()
+    wide = bytearray(blob)
+    struct.pack_into("<I", wide, 10, 17)
+    cases = [(b"NOPE" + blob[4:], f"bad or missing {name} magic", 0),
+             (blob[:10], "truncated header", 10),
+             (bytes(wide), "invalid dimensions 2x32x17", 6)]
+    for data, message, offset in cases:
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as info:
+            read(path)
+        assert str(info.value) == f"{message} (byte offset {offset})"
+        assert info.value.offset == offset
 
 
 def test_parse_error_reports_offset():
