@@ -36,7 +36,7 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .gopcodec import decode_gop, encode_gop, read_gop, write_gop
+from .gopcodec import PATCH_DIM, decode_gop, encode_gop, read_gop, write_gop
 from .numcore import ParamSet, Tensor
 from .psformer import (
     PsformerConfig,
@@ -61,7 +61,7 @@ from .training import (
     rank1,
     two_stage_train,
 )
-from .videoio import SynthSpec, read_rawvid, synth_clip, write_rawvid
+from .videoio import PATCH, SynthSpec, read_rawvid, synth_clip, write_rawvid
 
 GRADCHECK_TOL = 1e-4
 
@@ -136,8 +136,8 @@ def _model_from_config(cfg: dict) -> PsformerConfig:
         dim=cfg["dim"],
         layers=cfg["layers"],
         heads=cfg["heads"],
-        grid_h=cfg["height"] // 16,
-        grid_w=cfg["width"] // 16,
+        grid_h=cfg["height"] // PATCH,
+        grid_w=cfg["width"] // PATCH,
         max_frames=cfg["frames"],
     )
 
@@ -155,9 +155,9 @@ def _load_or_init_params(args, model: PsformerConfig, seed: int) -> ParamSet:
         params = ParamSet.load_npz(args.params)
         if "embed.w" in params:
             got = params["embed.w"].shape
-            if got != (768, model.dim):
+            if got != (PATCH_DIM, model.dim):
                 raise ValidationError(
-                    f"checkpoint embed.w is {got}, model wants (768, {model.dim})")
+                    f"checkpoint embed.w is {got}, model wants ({PATCH_DIM}, {model.dim})")
         return params
     params = init_psformer_params(model, seed=seed)
     init_selector_params(seed=seed + 1, params=params)
@@ -324,15 +324,13 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _print_cost_table(report, file=None) -> None:
-    file = file if file is not None else sys.stdout
-    print(f"{'stage':<16} {'GMACs':>12}", file=file)
+def _print_cost_table(report) -> None:
+    print(f"{'stage':<16} {'GMACs':>12}")
     for stage in STAGES:
-        print(f"{stage:<16} {report.breakdown.get(stage, 0.0):>12.4f}",
-              file=file)
-    print(f"{'total':<16} {report.analytic_gmacs:>12.4f}", file=file)
+        print(f"{stage:<16} {report.breakdown.get(stage, 0.0):>12.4f}")
+    print(f"{'total':<16} {report.analytic_gmacs:>12.4f}")
     if report.counted_gmacs is not None:
-        print(f"{'counted':<16} {report.counted_gmacs:>12.4f}", file=file)
+        print(f"{'counted':<16} {report.counted_gmacs:>12.4f}")
 
 
 def cmd_macs(args) -> int:
@@ -400,7 +398,7 @@ def _gradcheck_selector(seed: int) -> list[tuple[str, float]]:
         sem = shallow_3dcnn(decode_gop(gop), params)
         total = None
         for t in range(1, gop.frames):
-            feats = gate_features(gop.residual[t - 1], sem.f_maps[t],
+            feats = gate_features(gop.residual[t - 1], sem[t],
                                   reference.saliency[t - 1], progressive[t - 1])
             score = score_gate(feats, params, "infer").score
             part = nc.sum_all(score)

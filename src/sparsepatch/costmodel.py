@@ -24,6 +24,7 @@ from .gopcodec import PATCH_DIM
 from .numcore import MacCounter
 from .psformer import CLOSED_AUX, OPEN_AUX, warp_hidden
 from .selector import CNN_CHANNELS, MLP_WIDTHS, SEMANTIC_DIM
+from .videoio import PATCH
 
 __all__ = [
     "Geometry",
@@ -54,14 +55,14 @@ class Geometry:
         if min(self.height, self.width, self.frames, self.dim,
                self.layers, self.heads) < 1:
             raise ValidationError("geometry fields must be positive")
-        if self.height % 16 or self.width % 16:
+        if self.height % PATCH or self.width % PATCH:
             raise ValidationError("height and width must be multiples of 16")
         if self.dim % self.heads:
             raise ValidationError(f"dim {self.dim} not divisible by heads {self.heads}")
 
     @property
     def patch_count(self) -> int:
-        return (self.height // 16) * (self.width // 16)
+        return (self.height // PATCH) * (self.width // PATCH)
 
     @property
     def head_dim(self) -> int:
@@ -236,9 +237,9 @@ def estimate_ours(geom: Geometry, kept_fraction: float, gate_open_rate: float,
 
 
 def exact_cost(geom: Geometry, kept_counts: list[int],
-               open_pattern: list[tuple[int, int]],
-               include_selection: bool = True) -> CostReport:
-    """Cost of one concrete run: integer kept counts, explicit open set.
+               open_pattern: list[tuple[int, int]]) -> CostReport:
+    """Cost of one concrete run, selection network included: integer kept
+    counts, explicit open set.
 
     ``open_pattern`` holds (layer, frame) pairs with frame >= 1; this is
     the exact accounting the runtime counter should reproduce MAC for MAC.
@@ -256,7 +257,8 @@ def exact_cost(geom: Geometry, kept_counts: list[int],
         open_set.add((layer, frame))
     open_weights = [[int((layer, frame) in open_set) for frame in range(1, t)]
                     for layer in range(l)]
-    breakdown = _pipeline_macs(geom, kept_counts, open_weights, include_selection)
+    breakdown = _pipeline_macs(geom, kept_counts, open_weights,
+                               include_selection=True)
     mean_f = float(np.mean([k / n for k in kept_counts])) if kept_counts else 0.0
     rate = len(open_set) / (l * (t - 1)) if t > 1 else 0.0
     return _report(breakdown, {"kept_fraction": mean_f,
@@ -266,12 +268,11 @@ def exact_cost(geom: Geometry, kept_counts: list[int],
 
 def runtime_counter_report(counter: MacCounter, geom: Geometry,
                            kept_counts: list[int],
-                           open_pattern: list[tuple[int, int]],
-                           include_selection: bool = True) -> CostReport:
+                           open_pattern: list[tuple[int, int]]) -> CostReport:
     """Compare a live counter against the exact cost of the same run."""
     if counter is None or counter.total == 0:
         raise ValidationError("runtime report needs a counter with recorded MACs")
-    analytic = exact_cost(geom, kept_counts, open_pattern, include_selection)
+    analytic = exact_cost(geom, kept_counts, open_pattern)
     return CostReport(
         analytic_gmacs=analytic.analytic_gmacs,
         counted_gmacs=counter.total / 1e9,

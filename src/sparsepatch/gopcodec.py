@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .numcore import active_counter
+from .numcore import note_uncounted
 from .videoio import PATCH, RawClip, pack_header, parse_header
 
 _MAGIC = b"GOPV1\x00"
@@ -90,9 +90,7 @@ def sad_nearest(queries: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.n
         raise ValidationError(f"incompatible SAD shapes {q.shape} vs {k.shape}")
     if k.shape[0] == 0:
         raise ValidationError("SAD search needs at least one key")
-    counter = active_counter()
-    if counter is not None:
-        counter.note_uncounted("sad_compares", q.shape[0] * k.shape[0] * q.shape[1])
+    note_uncounted("sad_compares", q.shape[0] * k.shape[0] * q.shape[1])
     idx = np.empty(q.shape[0], dtype=np.int32)
     best = np.empty(q.shape[0], dtype=np.int32)
     for lo in range(0, q.shape[0], _SAD_CHUNK):

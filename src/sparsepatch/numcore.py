@@ -16,7 +16,9 @@ Design notes:
 * ``matmul`` and ``multihead_attention`` (its two products per head)
   are the only ops that count multiply-accumulates. All elementwise
   work, reductions, softmax, normalization and gathers count zero, and
-  the analytic cost model relies on that convention.
+  the analytic cost model relies on that convention. Work outside the
+  tape tallies itself where it runs, through ``count_macs`` and
+  ``note_uncounted``.
 * Backward state that the forward result does not need (an activation's
   derivative, attention probabilities) is built only while a tape
   records the op.
@@ -167,8 +169,9 @@ class MacCounter:
     """Tally of matmul multiply-accumulates, grouped by pipeline stage.
 
     Ops that are not matmuls (elementwise work, reductions, SAD searches,
-    eigendecompositions) contribute zero; callers may log those under
-    ``uncounted`` so reports can disclose what the MAC total omits.
+    eigendecompositions) contribute zero; the functions that run the last
+    two tally them under ``uncounted`` so reports can disclose what the
+    MAC total omits.
     """
 
     def __init__(self):
@@ -182,7 +185,7 @@ class MacCounter:
         self.total += macs
         self.by_stage[label] = self.by_stage.get(label, 0) + macs
 
-    def note_uncounted(self, kind: str, amount: int = 1) -> None:
+    def note_uncounted(self, kind: str, amount: int) -> None:
         self.uncounted[kind] = self.uncounted.get(kind, 0) + amount
 
     @contextmanager
@@ -217,6 +220,22 @@ def stage(label: str):
     return counter.stage(label) if counter is not None else nullcontext()
 
 
+def count_macs(macs: int) -> None:
+    """Charge ``macs`` to the active counter's current stage; does nothing
+    when no counter is active. Called by the code that does the work."""
+    counter = active_counter()
+    if counter is not None:
+        counter.add(macs)
+
+
+def note_uncounted(kind: str, amount: int) -> None:
+    """Tally ``amount`` of an uncounted operation ``kind`` on the active
+    counter; does nothing when no counter is active."""
+    counter = active_counter()
+    if counter is not None:
+        counter.note_uncounted(kind, amount)
+
+
 # ---------------------------------------------------------------------------
 # core ops
 # ---------------------------------------------------------------------------
@@ -226,9 +245,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     _require_2d(a, b)
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul mismatch: {a.shape} @ {b.shape}")
-    counter = active_counter()
-    if counter is not None:
-        counter.add(a.shape[0] * a.shape[1] * b.shape[1])
+    count_macs(a.shape[0] * a.shape[1] * b.shape[1])
     out_data = a.data @ b.data
 
     def backward(g):
@@ -392,7 +409,6 @@ def multihead_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         raise ShapeError(f"{heads} heads do not split widths {q.shape[1]} and {v.shape[1]}")
     dk, dv = q.shape[1] // heads, v.shape[1] // heads
     c = 1.0 / math.sqrt(dk)
-    counter = active_counter()
     keep = _taping((q, k, v))
     out = np.zeros((q.shape[0], heads * dv))
     saved = []
@@ -400,8 +416,7 @@ def multihead_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         qs = _split_heads(q.data[rows], heads)
         ks = _split_heads(k.data[keys], heads)
         vs = _split_heads(v.data[keys], heads)
-        if counter is not None:
-            counter.add(heads * qs.shape[1] * ks.shape[1] * (dk + dv))
+        count_macs(heads * qs.shape[1] * ks.shape[1] * (dk + dv))
         p = np.matmul(qs, ks.transpose(0, 2, 1)) * c
         p -= p.max(axis=2, keepdims=True)
         np.exp(p, out=p)
@@ -761,7 +776,9 @@ def sym_eig(s) -> tuple[np.ndarray, np.ndarray]:
 
     Returns plain numpy arrays; the decomposition is outside the autodiff
     tape by design. The result is verified by reconstruction before it is
-    returned, so a silently bad factorization cannot leak downstream.
+    returned, so a silently bad factorization cannot leak downstream. Each
+    decomposition run is tallied as ``eig_decompositions`` on the active
+    counter.
     """
     arr = s.data if isinstance(s, Tensor) else np.asarray(s, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -777,6 +794,7 @@ def sym_eig(s) -> tuple[np.ndarray, np.ndarray]:
         eigenvalues, eigenvectors = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed to converge: {exc}") from exc
+    note_uncounted("eig_decompositions", 1)
     norm = float(np.linalg.norm(sym))
     residual = float(np.linalg.norm(sym @ eigenvectors - eigenvectors * eigenvalues))
     if residual > 1e-8 * max(norm, 1.0):

@@ -12,6 +12,10 @@ with unit Gaussian noise and the hard 0/1 decision backpropagates through
 a saturating-sigmoid surrogate (see numcore.hard_gate); at inference the
 gate is a plain strict sign test. Selected patches join the pool so later
 frames can skip content that was already kept.
+
+The pool is one int16 array: the I-frame's patches, then each P-frame's
+kept patches in ascending patch index, frame by frame. That row order is
+the tie-break order of the nearest-patch search.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .errors import (
 from .gopcodec import PATCH_DIM, GopClip, decode_gop, sad_nearest
 from .numcore import ParamSet, Tensor
 from .spectral import SaliencyVector, prominent_eigvec
-from .videoio import RawClip
+from .videoio import PATCH, RawClip
 
 CNN_CHANNELS = (3, 16, 32, 64, 64)
 SEMANTIC_DIM = CNN_CHANNELS[-1]
@@ -46,19 +50,6 @@ _KERNEL = 27  # 3x3x3 neighborhood
 # the last layer samples at odd positions so the stacked receptive fields
 # center on 16x16 patch centers (16*v + 8) instead of patch corners
 _LAYER_OFFSETS = (0, 0, 0, 1)
-
-
-@dataclass
-class SemanticsFeatures:
-    """Per-frame (N, 64) patch features from the shallow CNN."""
-
-    f_maps: list[Tensor]
-    grid_h: int
-    grid_w: int
-
-    @property
-    def frames(self) -> int:
-        return len(self.f_maps)
 
 
 # conv0 channel split: backward temporal difference / color-opponent /
@@ -130,26 +121,24 @@ def init_selector_params(seed: int, params: ParamSet | None = None) -> ParamSet:
     return params
 
 
-def shallow_3dcnn(clip: RawClip, params: ParamSet) -> SemanticsFeatures:
+def shallow_3dcnn(clip: RawClip, params: ParamSet) -> list[Tensor]:
     """Four 3x3x3 conv+ReLU layers, spatial stride 2 each, temporal stride 1.
 
-    Spatial extent shrinks 16x, so the output grid matches the patch grid
-    and row v of frame t's map describes patch v exactly.
+    Spatial extent shrinks 16x, so the output grid matches the patch grid:
+    one (N, 64) map per frame, whose row v describes patch v exactly.
     """
     t, h, w = clip.frames, clip.height, clip.width
-    if h % 16 or w % 16:
+    if h % PATCH or w % PATCH:
         raise ValidationError("clip dimensions must be multiples of 16")
     x = Tensor(clip.pixels.reshape(t * h * w, 3) / 255.0 - 0.5)
-    gh, gw = h // 16, w // 16
+    n = (h // PATCH) * (w // PATCH)
     with nc.stage("selection_cnn"):
         for i, offset in enumerate(_LAYER_OFFSETS):
             cols = nc.neighborhood_rows(x, t, h, w, offset)
             x = nc.relu(nc.linear(cols, params[f"sel.conv{i}.w"],
                                   params[f"sel.conv{i}.b"]))
             h, w = h // 2, w // 2
-    n = gh * gw
-    f_maps = [nc.slice_rows(x, ti * n, (ti + 1) * n) for ti in range(t)]
-    return SemanticsFeatures(f_maps=f_maps, grid_h=gh, grid_w=gw)
+    return [nc.slice_rows(x, ti * n, (ti + 1) * n) for ti in range(t)]
 
 
 def patch_semantics(f_map: Tensor, saliency: SaliencyVector) -> Tensor:
@@ -171,65 +160,16 @@ def gate_features(residual: np.ndarray, f_map: Tensor, saliency: SaliencyVector,
 
 
 # ---------------------------------------------------------------------------
-# progressive residual pool
+# progressive residual
 # ---------------------------------------------------------------------------
 
 
-class PatchPool:
-    """Grow-only store of kept pixel patches, queried by L1 distance.
-
-    Entry order is the tie-break order: I-frame patches first (by patch
-    index), then selections appended frame by frame in ascending patch
-    index.
-    """
-
-    def __init__(self, capacity: int, dim: int = PATCH_DIM):
-        self._buf = np.empty((capacity, dim), dtype=np.int16)
-        self._size = 0
-
-    @classmethod
-    def from_iframe(cls, gop: GopClip) -> "PatchPool":
-        n = gop.i_frame.count
-        pool = cls(capacity=n * gop.frames)
-        pool.append(gop.i_frame.patches, indices=np.arange(n, dtype=np.int64))
-        return pool
-
-    @property
-    def size(self) -> int:
-        return self._size
-
-    def append(self, patches: np.ndarray, indices) -> None:
-        indices = np.asarray(indices, dtype=np.int64)
-        if patches.shape != (indices.size, self._buf.shape[1]):
-            raise ValidationError(f"pool append shape mismatch {patches.shape}")
-        if indices.size and np.any(np.diff(indices) <= 0):
-            raise ValidationError("pool appends must use strictly ascending indices")
-        end = self._size + indices.size
-        if end > self._buf.shape[0]:
-            raise ValidationError("pool capacity exceeded")
-        self._buf[self._size:end] = patches
-        self._size = end
-
-    def residual(self, patches: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Signed (M, dim) differences to each row's L1-nearest entry
-        (earliest on ties), and those entries' indices."""
-        if self._size == 0:
-            raise ValidationError("pool is empty")
-        idx, _ = sad_nearest(patches, self._buf[: self._size])
-        return patches - self._buf[idx], idx
-
-
-def progressive_residual(patches: np.ndarray, pool: PatchPool):
-    """Signed difference to the pool's L1-nearest patch (earliest on ties).
-
-    One (dim,) row gives ``(residual, index)``; an (M, dim) batch gives
-    ``(residuals, indices)`` with one nearest-neighbour search.
-    """
-    patches = np.asarray(patches, dtype=np.int16)
-    if patches.ndim == 1:
-        res, idx = pool.residual(patches.reshape(1, -1))
-        return res[0], int(idx[0])
-    return pool.residual(patches)
+def progressive_residual(patches: np.ndarray,
+                         pool: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signed (M, dim) differences of the int16 ``patches`` to each row's
+    L1-nearest pool row (earliest on ties), and those rows' indices."""
+    idx, _ = sad_nearest(patches, pool)
+    return patches - pool[idx], idx
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +224,7 @@ class SelectionResult:
     ``selected[t-1]`` holds ascending kept patch indices for P-frame t;
     ``gates[t-1]`` is the (N, 1) multiplier tensor whose straight-through
     gradients reach the CNN and scoring MLP in train mode. ``pool`` is the
-    final progressive pool (I-frame patches plus every kept patch).
+    final progressive pool: the I-frame patches, then every kept patch.
     """
 
     frames: int
@@ -296,7 +236,7 @@ class SelectionResult:
     scores: list[np.ndarray]
     shifted_scores: list[np.ndarray]
     saliency: list[SaliencyVector]
-    pool: PatchPool
+    pool: np.ndarray
 
     @property
     def patch_count(self) -> int:
@@ -319,32 +259,32 @@ class SelectionResult:
             "mode": self.mode,
             "kept_per_frame": self.kept_counts,
             "kept_fraction": round(self.kept_fraction, 6),
-            "pool_size": self.pool.size,
+            "pool_size": self.pool.shape[0],
             "selected": [s.tolist() for s in self.selected],
         }
 
 
 def select_patches(gop: GopClip, params: ParamSet, mode: str = "infer",
                    seed: int = 0,
-                   semantics: SemanticsFeatures | None = None) -> SelectionResult:
+                   semantics: list[Tensor] | None = None) -> SelectionResult:
     """Run the full selection pipeline over an encoded clip.
 
     Frames are processed in time order; each P-frame's progressive
     residuals are measured against the pool as it stood *before* that
-    frame, then its kept patches are appended. A clip with one frame
-    yields an empty selection. A frame whose semantics give no usable
-    saliency split (a static or blank frame, say) gets zero saliency, so
-    its residual terms decide; the active counter tallies each such frame
-    as ``saliency_fallbacks`` under ``uncounted``.
+    frame, then its kept patches are appended. ``semantics``, when given,
+    is ``shallow_3dcnn``'s per-frame maps of the decoded clip. A clip with
+    one frame yields an empty selection. A frame whose semantics give no
+    usable saliency split (a static or blank frame, say) gets zero
+    saliency, so its residual terms decide; the active counter tallies
+    each such frame as ``saliency_fallbacks`` under ``uncounted``.
     """
-    counter = nc.active_counter()
     if semantics is None:
         semantics = shallow_3dcnn(decode_gop(gop), params)
     n = gop.i_frame.count
-    if semantics.frames != gop.frames or semantics.grid_h * semantics.grid_w != n:
+    if len(semantics) != gop.frames or any(f.shape[0] != n for f in semantics):
         raise ValidationError("semantics do not match the encoded clip")
 
-    pool = PatchPool.from_iframe(gop)
+    pool = gop.i_frame.patches.copy()
     selected: list[np.ndarray] = []
     gates: list[Tensor] = []
     scores: list[np.ndarray] = []
@@ -352,19 +292,14 @@ def select_patches(gop: GopClip, params: ParamSet, mode: str = "infer",
     saliencies: list[SaliencyVector] = []
 
     for t in range(1, gop.frames):
-        f_map = semantics.f_maps[t]
-        # the Gram product inside the saliency graph is a real matmul even
-        # though it runs outside the tape; charge it so counted == analytic
-        if counter is not None:
-            with nc.stage("selection_cnn"):
-                counter.add(n * n * SEMANTIC_DIM)
-            counter.note_uncounted("eig_decompositions", 1)
-        try:
-            sal = prominent_eigvec(f_map.data)
-        except (DegenerateFeatureError, DegenerateGraphError):
-            sal = SaliencyVector(values=np.zeros(n), eigenvalue=0.0, flipped=False)
-            if counter is not None:
-                counter.note_uncounted("saliency_fallbacks", 1)
+        f_map = semantics[t]
+        # the saliency graph's Gram product is charged to the CNN's stage
+        with nc.stage("selection_cnn"):
+            try:
+                sal = prominent_eigvec(f_map.data)
+            except (DegenerateFeatureError, DegenerateGraphError):
+                sal = SaliencyVector(values=np.zeros(n), eigenvalue=0.0, flipped=False)
+                nc.note_uncounted("saliency_fallbacks", 1)
 
         recon = gop.frame_patches(t)
         prog, _ = progressive_residual(recon, pool)
@@ -376,7 +311,7 @@ def select_patches(gop: GopClip, params: ParamSet, mode: str = "infer",
             gate = score_gate(feats, params, mode, noise)
 
         keep = np.nonzero(gate.hard)[0]
-        pool.append(recon[keep], indices=keep)
+        pool = np.concatenate([pool, recon[keep]])
         selected.append(keep.astype(np.int64))
         gates.append(gate.gate)
         scores.append(gate.score.data[:, 0].copy())
@@ -384,6 +319,6 @@ def select_patches(gop: GopClip, params: ParamSet, mode: str = "infer",
         saliencies.append(sal)
 
     return SelectionResult(
-        frames=gop.frames, grid_h=semantics.grid_h, grid_w=semantics.grid_w,
+        frames=gop.frames, grid_h=gop.i_frame.grid_h, grid_w=gop.i_frame.grid_w,
         mode=mode, selected=selected, gates=gates, scores=scores,
         shifted_scores=shifted_scores, saliency=saliencies, pool=pool)

@@ -8,6 +8,8 @@ split is a foreground score per patch.
 
 Everything here is plain numpy on purpose: the decomposition is not
 differentiated, and callers treat the saliency vector as a constant.
+The Gram product is still a real matmul, so ``affinity`` charges it to
+the active MAC counter, and ``sym_eig`` tallies each decomposition.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFeatureError, DegenerateGraphError, ValidationError
-from .numcore import Tensor, sym_eig
+from .numcore import Tensor, count_macs, sym_eig
 
 _REL_TOL = 1e-8
 
@@ -34,9 +36,11 @@ def _as_features(f) -> np.ndarray:
 def affinity(f) -> np.ndarray:
     """Pairwise inner products of patch features, clamped at zero.
 
-    Clamping keeps the graph weights interpretable as similarities.
+    Clamping keeps the graph weights interpretable as similarities. The
+    (n, d) features cost n * n * d MACs on the active counter.
     """
     arr = _as_features(f)
+    count_macs(arr.shape[0] * arr.shape[0] * arr.shape[1])
     a = arr @ arr.T
     a = 0.5 * (a + a.T)  # exact symmetry despite float summation order
     np.maximum(a, 0.0, out=a)

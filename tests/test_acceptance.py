@@ -24,7 +24,6 @@ from sparsepatch.gopcodec import decode_gop, encode_gop
 from sparsepatch.numcore import Tensor, soft_gate_value
 from sparsepatch.psformer import PsformerConfig, init_psformer_params
 from sparsepatch.selector import (
-    PatchPool,
     init_selector_params,
     progressive_residual,
     shallow_3dcnn,
@@ -142,7 +141,7 @@ def test_c05_saliency_finds_movers_on_distractor_backgrounds():
         for t in range(1, clip.frames):
             truth = clip.masks[t].reshape(-1).astype(bool)
             try:
-                sal = prominent_eigvec(sem.f_maps[t].data)
+                sal = prominent_eigvec(sem[t].data)
             except SparsepatchError:
                 ious.append(0.0)
                 continue
@@ -162,11 +161,9 @@ def test_c06_duplicate_patches_have_zero_progressive_residual():
     worst = 0
     for _ in range(1000):
         n = int(rng.integers(1, 65))
-        patches = rng.integers(0, 256, size=(n, 768)).astype(np.int16)
-        pool = PatchPool(capacity=n)
-        pool.append(patches, indices=np.arange(n))
-        dup = patches[int(rng.integers(0, n))]
-        res, _ = progressive_residual(dup, pool)
+        pool = rng.integers(0, 256, size=(n, 768)).astype(np.int16)
+        dup = int(rng.integers(0, n))
+        res, _ = progressive_residual(pool[dup:dup + 1], pool)
         worst = max(worst, int(np.abs(res).max()))
     ok = worst == 0
     assert _line(6, ok, f"1000 duplicated patches all return an exactly "

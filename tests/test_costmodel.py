@@ -179,17 +179,17 @@ def test_counted_matches_exact_cost_mixed_routing():
     params = init_psformer_params(cfg, seed=5)
     init_selector_params(seed=3, params=params)
     gop = encode_gop(clip)
-    sel = select_patches(gop, params, mode="infer", seed=0)
-    probe = psformer_forward(gop, sel, params, cfg, threshold=3.0)
+    probe = psformer_forward(gop, select_patches(gop, params, mode="infer", seed=0),
+                             params, cfg, threshold=3.0)
     mid = float(np.median([r.cost for r in probe.routing]))
     counter = nc.MacCounter()
     with nc.mac_counting(counter):
+        sel = select_patches(gop, params, mode="infer", seed=0)
         res = psformer_forward(gop, sel, params, cfg, threshold=mid)
     opens = [(r.layer, r.frame) for r in res.routing if r.open_path]
     assert 0 < len(opens) < len(res.routing)
     geom = Geometry(height=64, width=64, frames=4, dim=64, layers=3, heads=4)
-    report = runtime_counter_report(counter, geom, sel.kept_counts, opens,
-                                    include_selection=False)
+    report = runtime_counter_report(counter, geom, sel.kept_counts, opens)
     assert report.counted_gmacs == pytest.approx(report.analytic_gmacs,
                                                  rel=1e-12)
 

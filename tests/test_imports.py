@@ -1,10 +1,14 @@
-"""Every module of the package uses each name it imports, and imports
-no private name from another package module.
+"""Every module of the package uses each name it imports, imports no
+private name from another package module, and every public top-level
+function or class of the package has a user.
 
 Checked with the standard library's ``ast``: a name bound by an import
 counts as used when it is read anywhere in the module or listed in its
 ``__all__`` (re-exports). A ``_``-prefixed name is private to the module
-that defines it, so another module must not import it.
+that defines it, so another module must not import it. A public
+definition counts as used when a name or attribute of that spelling
+appears in package or benchmark code outside its own definition; tests
+do not count.
 """
 
 import ast
@@ -12,8 +16,16 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sparsepatch"
+REPO = Path(__file__).resolve().parents[1]
+PACKAGE = REPO / "src" / "sparsepatch"
 MODULES = sorted(PACKAGE.glob("*.py"))
+BENCHMARK = sorted((REPO / "perfbench").glob("*.py"))
+
+# public definitions kept without a caller in package or benchmark code
+UNREFERENCED_OK = {
+    "soft_gate_value": "the surrogate that hard_gate's straight-through "
+                       "gradient is tested against",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -47,6 +59,31 @@ def private_imports(source: str) -> list[str]:
     return found
 
 
+def _names(tree) -> set[str]:
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def unreferenced_definitions(package: dict[str, str],
+                             others: list[str]) -> list[str]:
+    """Public top-level functions and classes of ``package`` (module name
+    to source) whose name appears in no other definition or statement of
+    the package and in none of the ``others`` sources."""
+    defined, used = {}, set()
+    for module, source in package.items():
+        for top in ast.parse(source).body:
+            own = None
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                own = top.name
+                if not own.startswith("_"):
+                    defined[own] = module
+            used |= _names(top) - {own}
+    for source in others:
+        used |= _names(ast.parse(source))
+    return sorted(f"{module}: {name}" for name, module in defined.items()
+                  if name not in used)
+
+
 def test_checker_flags_unused_and_accepts_used_names():
     source = ("from __future__ import annotations\n"
               "import os, sys\n"
@@ -67,6 +104,23 @@ def test_checker_flags_private_package_imports():
                                        "line 8: _record"]
 
 
+def test_checker_flags_unreferenced_definitions():
+    package = {
+        "a": ("def used():\n    return 1\n"
+              "def recursive(n):\n    return recursive(n - 1)\n"
+              "def _private():\n    pass\n"
+              "class Dead:\n    def used(self):\n        return Dead\n"
+              "class Annotated:\n    pass\n"),
+        "b": ("from .a import used\n"
+              "def caller(x: 'unused') -> None:\n    return used()\n"
+              "def typed(x) -> Annotated:\n    return x\n"),
+    }
+    bench = ["import b\nb.caller(1)\nb.typed(2)\n"]
+    assert unreferenced_definitions(package, bench) == ["a: Dead", "a: recursive"]
+    assert unreferenced_definitions(package, []) == [
+        "a: Dead", "a: recursive", "b: caller", "b: typed"]
+
+
 def test_package_has_modules():
     assert {"cli.py", "psformer.py", "costmodel.py"} <= {p.name for p in MODULES}
 
@@ -79,3 +133,11 @@ def test_module_uses_every_import(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_no_private_package_name(path):
     assert private_imports(path.read_text()) == []
+
+
+def test_every_public_definition_has_a_user():
+    found = unreferenced_definitions(
+        {path.stem: path.read_text() for path in MODULES},
+        [path.read_text() for path in BENCHMARK])
+    # an allowlisted name that gains a user leaves the list too
+    assert {entry.split(": ")[1] for entry in found} == set(UNREFERENCED_OK), found

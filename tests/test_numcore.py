@@ -272,6 +272,18 @@ def test_sym_eig_rejects_bad_input():
         nc.sym_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+def test_sym_eig_tallies_each_decomposition_it_runs():
+    counter = nc.MacCounter()
+    with nc.mac_counting(counter):
+        nc.sym_eig(np.eye(2))
+        with pytest.raises(ValidationError):
+            nc.sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        nc.sym_eig(np.eye(3))
+    nc.sym_eig(np.eye(2))  # outside the context: not tallied
+    assert counter.uncounted == {"eig_decompositions": 2}
+    assert counter.total == 0
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 16), st.integers(0, 2**31 - 1))
 def test_sym_eig_reconstructs(n, seed):

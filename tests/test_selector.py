@@ -14,7 +14,6 @@ from sparsepatch.selector import (
     CNN_CHANNELS,
     FEATURE_DIM,
     GateDecision,
-    PatchPool,
     init_selector_params,
     patch_semantics,
     progressive_residual,
@@ -71,7 +70,7 @@ def test_cnn_matches_loop_oracle():
                            params[f"sel.conv{i}.b"].data, offset=offset)
     assert x.shape == (2, 1, 2, CNN_CHANNELS[-1])
     for t in range(clip.frames):
-        got = sem.f_maps[t].data
+        got = sem[t].data
         want = x[t].reshape(-1, CNN_CHANNELS[-1])
         assert np.allclose(got, want, atol=1e-10), f"frame {t} mismatch"
 
@@ -79,16 +78,15 @@ def test_cnn_matches_loop_oracle():
 def test_cnn_output_geometry():
     clip = _small_clip(t=3, h=32, w=64)
     sem = shallow_3dcnn(clip, init_selector_params(seed=0))
-    assert sem.frames == 3
-    assert (sem.grid_h, sem.grid_w) == (2, 4)
-    assert all(f.shape == (8, 64) for f in sem.f_maps)
+    assert len(sem) == 3
+    assert all(f.shape == (2 * 4, 64) for f in sem)
 
 
 def test_cnn_gradients_reach_first_layer():
     clip = _small_clip(t=2, h=16, w=16)
     params = init_selector_params(seed=1)
     err = nc.grad_check(
-        lambda _t: nc.mean_all(shallow_3dcnn(clip, params).f_maps[1]),
+        lambda _t: nc.mean_all(shallow_3dcnn(clip, params)[1]),
         params["sel.conv0.w"], max_coords=6, seed=0)
     assert err < 1e-4
 
@@ -104,26 +102,15 @@ def test_patch_semantics_scales_rows():
 
 
 def test_progressive_residual_exact_zero_on_duplicates():
-    pool = PatchPool(capacity=8, dim=6)
     rng = np.random.Generator(np.random.PCG64(2))
-    rows = rng.integers(0, 256, size=(4, 6)).astype(np.int16)
-    rows[3] = rows[1]  # duplicate entry later in the pool
-    pool.append(rows, indices=np.arange(4))
-    res, idx = progressive_residual(rows[1], pool)
-    assert idx == 1  # earliest duplicate wins
+    pool = rng.integers(0, 256, size=(4, 6)).astype(np.int16)
+    pool[3] = pool[1]  # duplicate entry later in the pool
+    res, idx = progressive_residual(pool[1:2], pool)
+    assert idx.tolist() == [1]  # earliest duplicate wins
     assert not res.any()
-    res2, idx2 = progressive_residual(rows[1] + 1, pool)
-    assert idx2 == 1
+    res2, idx2 = progressive_residual(pool[1:2] + 1, pool)
+    assert idx2.tolist() == [1]
     assert np.all(res2 == 1)
-
-
-def test_pool_append_rules():
-    pool = PatchPool(capacity=4, dim=3)
-    pool.append(np.zeros((2, 3), dtype=np.int16), indices=[0, 1])
-    with pytest.raises(ValidationError, match="ascending"):
-        pool.append(np.zeros((2, 3), dtype=np.int16), indices=[3, 2])
-    with pytest.raises(ValidationError, match="capacity"):
-        pool.append(np.zeros((3, 3), dtype=np.int16), indices=[0, 1, 2])
 
 
 def _gate_params(seed=0):
@@ -192,7 +179,7 @@ def test_select_patches_end_to_end():
     for keep, score in zip(result.selected, result.scores):
         assert np.array_equal(keep, np.nonzero(score > 0)[0])
         assert np.all(np.diff(keep) > 0)
-    assert result.pool.size == n + sum(result.kept_counts)
+    assert result.pool.shape[0] == n + sum(result.kept_counts)
     assert 0.0 <= result.kept_fraction <= 1.0
     summary = result.summary()
     assert summary["kept_per_frame"] == result.kept_counts
@@ -200,6 +187,30 @@ def test_select_patches_end_to_end():
     again = select_patches(gop, params, mode="infer", seed=0)
     for a, b in zip(result.scores, again.scores):
         assert np.array_equal(a, b)
+
+
+def test_select_patches_pool_is_iframe_then_kept_patches_in_frame_order():
+    # the pool's row order is the nearest-patch tie-break order: I-frame
+    # patches by index, then each P-frame's kept patches by ascending index
+    clip, gop = _synth_gop()
+    result = select_patches(gop, init_selector_params(seed=11))
+    assert sum(result.kept_counts) > 0
+    want = np.concatenate([gop.i_frame.patches]
+                          + [gop.frame_patches(t)[keep]
+                             for t, keep in enumerate(result.selected, start=1)])
+    assert result.pool.dtype == np.int16
+    assert np.array_equal(result.pool, want)
+    assert result.summary()["pool_size"] == want.shape[0]
+
+
+def test_select_patches_rejects_mismatched_semantics():
+    clip, gop = _synth_gop(t=3, hw=32)
+    params = init_selector_params(seed=1)
+    sem = shallow_3dcnn(clip, params)
+    with pytest.raises(ValidationError, match="semantics do not match"):
+        select_patches(gop, params, semantics=sem[:2])
+    with pytest.raises(ValidationError, match="semantics do not match"):
+        select_patches(gop, params, semantics=[nc.slice_rows(f, 0, 3) for f in sem])
 
 
 def test_select_patches_train_mode_jitters_and_backprops():
@@ -229,7 +240,7 @@ def test_select_patches_single_frame_clip():
     result = select_patches(gop, init_selector_params(seed=0))
     assert result.selected == []
     assert result.kept_fraction == 0.0
-    assert result.pool.size == 4
+    assert result.pool.shape[0] == 4
 
 
 def test_select_patches_degenerate_features_fall_back():
@@ -240,13 +251,29 @@ def test_select_patches_degenerate_features_fall_back():
     params = init_selector_params(seed=0)
     params["sel.conv3.w"].data[:] = 0.0
     with pytest.raises((DegenerateFeatureError, DegenerateGraphError)):
-        prominent_eigvec(shallow_3dcnn(clip, params).f_maps[1].data)
+        prominent_eigvec(shallow_3dcnn(clip, params)[1].data)
     counter = nc.MacCounter()
     with nc.mac_counting(counter):
         result = select_patches(gop, params)
     assert counter.uncounted["saliency_fallbacks"] == 2
     assert all(not s.values.any() for s in result.saliency)
     assert len(result.selected) == 2
+
+
+def test_select_patches_zero_features_fall_back_without_eigendecomposition():
+    # zeroed final conv weights and bias give all-zero features: the graph
+    # has no edges and is refused before any eigendecomposition runs, so
+    # nothing may be tallied as one
+    clip, gop = _synth_gop(t=3, hw=48)
+    params = init_selector_params(seed=0)
+    params["sel.conv3.w"].data[:] = 0.0
+    params["sel.conv3.b"].data[:] = 0.0
+    counter = nc.MacCounter()
+    with nc.mac_counting(counter):
+        result = select_patches(gop, params)
+    assert counter.uncounted["saliency_fallbacks"] == 2
+    assert "eig_decompositions" not in counter.uncounted
+    assert all(not s.values.any() for s in result.saliency)
 
 
 def test_select_patches_takes_no_fallback_on_noise():
@@ -305,7 +332,7 @@ def test_untrained_saliency_finds_the_walker():
         params = init_selector_params(seed=c + 7)
         sem = shallow_3dcnn(clip, params)
         for t in range(1, clip.frames):
-            sal = prominent_eigvec(sem.f_maps[t].data)
+            sal = prominent_eigvec(sem[t].data)
             pred = sal.values.reshape(-1) > 0.0
             truth = clip.masks[t].reshape(-1).astype(bool)
             union = np.logical_or(pred, truth).sum()

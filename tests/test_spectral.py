@@ -10,7 +10,7 @@ from sparsepatch.errors import (
     DegenerateGraphError,
     ValidationError,
 )
-from sparsepatch.numcore import Tensor
+from sparsepatch.numcore import MacCounter, Tensor, mac_counting
 from sparsepatch.spectral import (
     SaliencyVector,
     affinity,
@@ -31,6 +31,13 @@ def test_affinity_accepts_tensor():
     a = affinity(Tensor([[1.0, 1.0], [1.0, 1.0]]))
     assert isinstance(a, np.ndarray)
     assert np.allclose(a, 2.0)
+
+
+def test_affinity_charges_its_gram_product():
+    counter = MacCounter()
+    with mac_counting(counter), counter.stage("saliency"):
+        affinity(np.ones((5, 3)))
+    assert counter.by_stage == {"saliency": 5 * 5 * 3}
 
 
 def test_laplacian_known_value():
