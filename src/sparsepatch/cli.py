@@ -79,7 +79,6 @@ CONFIG_SCHEMA: dict[str, tuple[type, object]] = {
     "dim": (int, 64),
     "layers": (int, 4),
     "heads": (int, 4),
-    "eval_every": (int, 1),
     **{f.name: (type(f.default), f.default)
        for f in dataclasses.fields(TrainConfig)},
 }
@@ -301,8 +300,7 @@ def cmd_train(args) -> int:
     fields = {f.name for f in dataclasses.fields(TrainConfig)} - {"seed"}
     config = TrainConfig(seed=seed, **{k: cfg[k] for k in fields})
     model = _model_from_config(cfg)
-    result = two_stage_train(spec, config, model=model,
-                             eval_every=cfg["eval_every"])
+    result = two_stage_train(spec, config, model=model)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result.params.save_npz(out / "params.npz")
@@ -391,8 +389,14 @@ def _gradcheck_selector(seed: int) -> list[tuple[str, float]]:
         noise = nc.rng_stream(seed, "gradcheck-jitter", name)
         tensor.data += noise.standard_normal(tensor.data.shape) * 0.03
     reference = select_patches(gop, params, mode="infer", seed=0)
-    progressive = [progressive_residual(gop.frame_patches(t), reference.pool)[0]
-                   for t in range(1, gop.frames)]
+    # frame t is measured against the pool as it stood before frame t:
+    # the I-frame's patches, then the patches kept in frames 1 .. t-1
+    n = gop.i_frame.count
+    progressive = [
+        progressive_residual(
+            gop.frame_patches(t),
+            reference.pool[:n + sum(reference.kept_counts[:t - 1])])[0]
+        for t in range(1, gop.frames)]
 
     def build_loss():
         sem = shallow_3dcnn(decode_gop(gop), params)
@@ -400,7 +404,7 @@ def _gradcheck_selector(seed: int) -> list[tuple[str, float]]:
         for t in range(1, gop.frames):
             feats = gate_features(gop.residual[t - 1], sem[t],
                                   reference.saliency[t - 1], progressive[t - 1])
-            score = score_gate(feats, params, "infer").score
+            score = score_gate(feats, params).score
             part = nc.sum_all(score)
             total = part if total is None else nc.add(total, part)
         return total
@@ -450,7 +454,8 @@ def _gradcheck_losses(seed: int) -> list[tuple[str, float]]:
                                eps=1e-6)))
     feats = Tensor(rng.standard_normal((6, 8)), requires_grad=True)
     rows.append(("losses/hard_triplet",
-                 nc.grad_check(lambda t: hard_triplet(t, [0, 0, 1, 1, 2, 2]),
+                 nc.grad_check(lambda t: hard_triplet(t, [0, 0, 1, 1, 2, 2],
+                                                      TrainConfig.triplet_margin),
                                feats, eps=1e-6)))
     model = PsformerConfig(dim=16, layers=1, heads=2, grid_h=2, grid_w=4)
     params = init_psformer_params(model, seed=seed)

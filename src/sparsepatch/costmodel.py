@@ -14,7 +14,6 @@ as uncounted operations.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,10 +67,6 @@ class Geometry:
     def head_dim(self) -> int:
         return self.dim // self.heads
 
-    @property
-    def warp_hidden(self) -> int:
-        return warp_hidden(self.dim)
-
     def to_dict(self) -> dict:
         return {"height": self.height, "width": self.width,
                 "frames": self.frames, "dim": self.dim,
@@ -102,9 +97,6 @@ class CostReport:
             "uncounted": dict(self.uncounted),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
-
 
 # ---------------------------------------------------------------------------
 # shared cost kernel
@@ -120,7 +112,7 @@ def msa_macs(m: float, aux: float, d: int) -> float:
 
 def _warp_row_macs(geom: Geometry) -> float:
     """Per-patch cost of the coarse warp MLP plus one-head refinement."""
-    d, h, dk, n = geom.dim, geom.warp_hidden, geom.head_dim, geom.patch_count
+    d, h, dk, n = geom.dim, warp_hidden(geom.dim), geom.head_dim, geom.patch_count
     return (d + PATCH_DIM) * h + h * h + h * d + d * dk + n * dk + n * d
 
 
@@ -132,7 +124,7 @@ def _kv_macs(geom: Geometry) -> float:
 
 def _context_mlp_macs(geom: Geometry) -> float:
     """One evolution MLP plus one warp MLP evaluation (a 2d->h->d pair)."""
-    return 6 * geom.dim * geom.warp_hidden
+    return 6 * geom.dim * warp_hidden(geom.dim)
 
 
 def _selection_macs(geom: Geometry) -> tuple[float, float]:
@@ -184,16 +176,13 @@ def _pipeline_macs(geom: Geometry, kept: list[float],
     return breakdown
 
 
-def _report(breakdown_macs: dict[str, float], inputs: dict,
-            counted: float | None = None,
-            uncounted: dict | None = None) -> CostReport:
+def _report(breakdown_macs: dict[str, float], inputs: dict) -> CostReport:
     breakdown = {k: v / 1e9 for k, v in breakdown_macs.items()}
     return CostReport(
         analytic_gmacs=sum(breakdown.values()),
-        counted_gmacs=counted,
+        counted_gmacs=None,
         breakdown=breakdown,
         inputs=inputs,
-        uncounted=uncounted or {},
     )
 
 

@@ -86,20 +86,13 @@ class PsformerConfig:
         return self.dim // self.heads
 
     @property
-    def warp_hidden(self) -> int:
-        return warp_hidden(self.dim)
-
-    @property
     def patch_count(self) -> int:
         return self.grid_h * self.grid_w
 
 
-def init_psformer_params(config: PsformerConfig,
-                         seed: int,
-                         params: ParamSet | None = None) -> ParamSet:
-    if params is None:
-        params = ParamSet()
-    d, h = config.dim, config.warp_hidden
+def init_psformer_params(config: PsformerConfig, seed: int) -> ParamSet:
+    params = ParamSet()
+    d, h = config.dim, warp_hidden(config.dim)
     dk = config.head_dim
 
     def lin(name: str, fan_in: int, fan_out: int, gain: float = 1.0):

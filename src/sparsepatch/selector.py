@@ -7,11 +7,11 @@ Per P-frame patch, three feature blocks feed a small scoring MLP:
 * a progressive residual against a pool of already-kept pixel patches
   (what previous selections cannot explain either).
 
-Scores pass a zero-threshold gate. During training the score is jittered
-with unit Gaussian noise and the hard 0/1 decision backpropagates through
-a saturating-sigmoid surrogate (see numcore.hard_gate); at inference the
-gate is a plain strict sign test. Selected patches join the pool so later
-frames can skip content that was already kept.
+Scores pass one zero-threshold gate, ``numcore.hard_gate``: a strict
+sign test whose 0/1 decision backpropagates through a saturating-sigmoid
+surrogate. During training the score is first jittered with unit
+Gaussian noise; at inference it is gated as is. Selected patches join
+the pool so later frames can skip content that was already kept.
 
 The pool is one int16 array: the I-frame's patches, then each P-frame's
 kept patches in ascending patch index, frame by frame. That row order is
@@ -182,15 +182,15 @@ class GateDecision:
     """Gate outputs for one P-frame: raw scores, jittered scores, decisions."""
 
     score: Tensor          # (N, 1) raw MLP output
-    shifted: Tensor        # (N, 1) score + noise in train mode, alias otherwise
+    shifted: Tensor        # (N, 1) score + noise in training, alias otherwise
     hard: np.ndarray       # (N,) uint8 keep decisions
     gate: Tensor           # (N, 1) multiplier carrying straight-through grads
 
 
-def score_gate(features: Tensor, params: ParamSet, mode: str,
+def score_gate(features: Tensor, params: ParamSet,
                noise: np.ndarray | None = None) -> GateDecision:
-    if mode not in ("train", "infer"):
-        raise ValidationError(f"mode must be 'train' or 'infer', got {mode!r}")
+    """Score each row with the gate MLP and keep it when the score, plus
+    ``noise`` in training, is positive."""
     if features.shape[1] != FEATURE_DIM:
         raise ShapeError(f"gate features must be (N, {FEATURE_DIM}), got {features.shape}")
     h = features
@@ -198,16 +198,12 @@ def score_gate(features: Tensor, params: ParamSet, mode: str,
     h = nc.relu(nc.linear(h, params["sel.mlp1.w"], params["sel.mlp1.b"]))
     score = nc.linear(h, params["sel.mlp2.w"], params["sel.mlp2.b"])
 
-    if mode == "train":
-        if noise is None or noise.shape != score.shape:
-            raise ValidationError("train mode needs (N, 1) gate noise")
+    shifted = score
+    if noise is not None:
+        if noise.shape != score.shape:
+            raise ValidationError(f"gate noise must be {score.shape}, got {noise.shape}")
         shifted = nc.add(score, Tensor(noise))
-        gate = nc.hard_gate(shifted)
-    else:
-        if noise is not None:
-            raise ValidationError("inference gating takes no noise")
-        shifted = score
-        gate = Tensor((score.data > 0.0).astype(np.float64))
+    gate = nc.hard_gate(shifted)
     hard = (shifted.data[:, 0] > 0.0).astype(np.uint8)
     return GateDecision(score=score, shifted=shifted, hard=hard, gate=gate)
 
@@ -223,8 +219,9 @@ class SelectionResult:
 
     ``selected[t-1]`` holds ascending kept patch indices for P-frame t;
     ``gates[t-1]`` is the (N, 1) multiplier tensor whose straight-through
-    gradients reach the CNN and scoring MLP in train mode. ``pool`` is the
-    final progressive pool: the I-frame patches, then every kept patch.
+    gradients reach the CNN and scoring MLP when the selection runs under
+    a tape, in either mode. ``pool`` is the final progressive pool: the
+    I-frame patches, then every kept patch.
     """
 
     frames: int
@@ -276,8 +273,12 @@ def select_patches(gop: GopClip, params: ParamSet, mode: str = "infer",
     one frame yields an empty selection. A frame whose semantics give no
     usable saliency split (a static or blank frame, say) gets zero
     saliency, so its residual terms decide; the active counter tallies
-    each such frame as ``saliency_fallbacks`` under ``uncounted``.
+    each such frame as ``saliency_fallbacks`` under ``uncounted``. In
+    ``"train"`` mode each frame's scores are jittered with seeded unit
+    Gaussian noise; ``"infer"`` gates them as they are.
     """
+    if mode not in ("train", "infer"):
+        raise ValidationError(f"mode must be 'train' or 'infer', got {mode!r}")
     if semantics is None:
         semantics = shallow_3dcnn(decode_gop(gop), params)
     n = gop.i_frame.count
@@ -298,7 +299,7 @@ def select_patches(gop: GopClip, params: ParamSet, mode: str = "infer",
             try:
                 sal = prominent_eigvec(f_map.data)
             except (DegenerateFeatureError, DegenerateGraphError):
-                sal = SaliencyVector(values=np.zeros(n), eigenvalue=0.0, flipped=False)
+                sal = SaliencyVector(values=np.zeros(n), eigenvalue=0.0)
                 nc.note_uncounted("saliency_fallbacks", 1)
 
         recon = gop.frame_patches(t)
@@ -308,7 +309,7 @@ def select_patches(gop: GopClip, params: ParamSet, mode: str = "infer",
         if mode == "train":
             noise = nc.rng_stream(seed, "gate-noise", t).standard_normal((n, 1))
         with nc.stage("selector_mlp"):
-            gate = score_gate(feats, params, mode, noise)
+            gate = score_gate(feats, params, noise)
 
         keep = np.nonzero(gate.hard)[0]
         pool = np.concatenate([pool, recon[keep]])

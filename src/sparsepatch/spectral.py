@@ -78,7 +78,6 @@ class SaliencyVector:
 
     values: np.ndarray
     eigenvalue: float
-    flipped: bool
 
 
 def prominent_eigvec(f) -> SaliencyVector:
@@ -116,4 +115,4 @@ def prominent_eigvec(f) -> SaliencyVector:
             flipped = True
     if flipped:
         y = -y
-    return SaliencyVector(values=y, eigenvalue=lam, flipped=flipped)
+    return SaliencyVector(values=y, eigenvalue=lam)

@@ -66,6 +66,9 @@ class TrainConfig:
     error_weight: float = 1.0
     threshold: float = 0.5
     heldout_clips: int = 2
+    # evaluate every this many epochs and always after the last; <= 0
+    # evaluates only the last epoch
+    eval_every: int = 1
     seed: int = 0
 
     def __post_init__(self):
@@ -97,7 +100,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     return nc.scale(nc.mean_all(log_p), -1.0)
 
 
-def hard_triplet(features: Tensor, labels, margin: float = 0.3) -> Tensor:
+def hard_triplet(features: Tensor, labels, margin: float) -> Tensor:
     """Batch-hard triplet loss with Euclidean distances.
 
     Per anchor: hardest (farthest) positive minus hardest (closest)
@@ -127,7 +130,7 @@ def hard_triplet(features: Tensor, labels, margin: float = 0.3) -> Tensor:
 
 
 def error_constraint_loss(context_pairs, params: ParamSet,
-                          noise_samples: int = 4, seed: int = 0) -> Tensor:
+                          noise_samples: int, seed: int) -> Tensor:
     """Ranking penalty tying reconstruction cost to injected noise level.
 
     For each layer's (current, previous) context pair, blend the current
@@ -176,15 +179,12 @@ class Adam:
     weight decay is classic L2 (added to the gradient).
     """
 
-    def __init__(self, params: ParamSet, lr: float = 5e-4,
-                 weight_decay: float = 5e-4):
+    def __init__(self, params: ParamSet, weight_decay: float):
         self.params = params
-        self.lr = lr
         self.weight_decay = weight_decay
         self._state: dict[str, list] = {}
 
-    def step(self, lr: float | None = None) -> None:
-        lr = self.lr if lr is None else lr
+    def step(self, lr: float) -> None:
         b1, b2 = _ADAM_BETAS
         for name, p in self.params.items():
             if p.grad is None:
@@ -203,8 +203,8 @@ class Adam:
             p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
-def lr_for_epoch(base: float, epoch: int, decay_every: int = 40,
-                 decay_factor: float = 0.1) -> float:
+def lr_for_epoch(base: float, epoch: int, decay_every: int,
+                 decay_factor: float) -> float:
     return base * decay_factor ** (epoch // decay_every)
 
 
@@ -232,7 +232,7 @@ def make_dataset(spec: SynthSpec) -> list[ClipRecord]:
 
 
 def extract_feature(gop: GopClip, params: ParamSet, model: PsformerConfig,
-                    mode: str = "sparse", threshold: float = 0.5) -> np.ndarray:
+                    mode: str, threshold: float) -> np.ndarray:
     """Clip feature by the dense (stage 1) or sparse (stage 2) path."""
     if mode == "dense":
         return dense_forward(gop, params, model).feature.data.copy()
@@ -263,7 +263,6 @@ def rank1(features: np.ndarray, labels) -> float:
 @dataclass
 class TrainResult:
     params: ParamSet
-    model: PsformerConfig
     log: list = field(default_factory=list)
 
     @property
@@ -310,8 +309,7 @@ def _eval_rank1(records: list[ClipRecord], params: ParamSet,
 
 
 def two_stage_train(spec: SynthSpec, config: TrainConfig,
-                    model: PsformerConfig,
-                    eval_every: int = 1) -> TrainResult:
+                    model: PsformerConfig) -> TrainResult:
     """Dense warm-up then sparse fine-tuning over a synthetic dataset.
 
     Returns the trained parameters plus a per-epoch convergence log with
@@ -334,8 +332,7 @@ def two_stage_train(spec: SynthSpec, config: TrainConfig,
         (model.dim, spec.identity_count)) / np.sqrt(model.dim))
     params.add("cls.b", np.zeros((1, spec.identity_count)))
 
-    opt = Adam(params, lr=config.learning_rate,
-               weight_decay=config.weight_decay)
+    opt = Adam(params, config.weight_decay)
     # fixed subsample keeps the per-epoch train metric comparable over time
     train_probe = [r for r in train if r.clip < 2]
     log: list[dict] = []
@@ -396,7 +393,7 @@ def two_stage_train(spec: SynthSpec, config: TrainConfig,
             "heldout_rank1": float("nan"),
         }
         last = epoch == config.total_epochs - 1
-        if last or (eval_every > 0 and epoch % eval_every == 0):
+        if last or (config.eval_every > 0 and epoch % config.eval_every == 0):
             mode = "dense" if stage == 1 else "sparse"
             row["train_rank1"] = _eval_rank1(train_probe, params, model,
                                              mode, config.threshold)
@@ -405,7 +402,7 @@ def two_stage_train(spec: SynthSpec, config: TrainConfig,
                                                    mode, config.threshold)
         log.append(row)
 
-    return TrainResult(params=params, model=model, log=log)
+    return TrainResult(params=params, log=log)
 
 
 def _sum_tensors(terms: list[Tensor]) -> Tensor:

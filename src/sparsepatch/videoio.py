@@ -82,10 +82,6 @@ class RawClip:
     def width(self) -> int:
         return self.pixels.shape[2]
 
-    @property
-    def grid(self) -> tuple[int, int]:
-        return self.height // PATCH, self.width // PATCH
-
 
 @dataclass
 class SynthSpec:

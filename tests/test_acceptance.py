@@ -238,7 +238,7 @@ def test_c08_error_loss_oracle_and_learned_noise_ranking():
     oracle_err = abs(got.data[0, 0] - want)
 
     # 500 steps on the warp networks only, then rank fresh noise levels
-    opt = Adam(params, lr=1e-2, weight_decay=0.0)
+    opt = Adam(params, weight_decay=0.0)
     warp_names = [n for n in params.names()
                   if n.startswith(("warp.ev", "warp.gw"))]
     t0 = time.perf_counter()
@@ -251,7 +251,7 @@ def test_c08_error_loss_oracle_and_learned_noise_ranking():
         for name, p in params.items():
             if name not in warp_names:
                 p.grad = None
-        opt.step()
+        opt.step(lr=1e-2)
     dt = time.perf_counter() - t0
 
     eval_rng = nc.rng_stream(0, "errloss-eval")
@@ -276,10 +276,11 @@ def test_c09_two_stage_training_beats_stage2_only_control():
                      motion_amplitude=2.0, seed=0)
     model = PsformerConfig(dim=64, layers=4, heads=4, grid_h=4, grid_w=4,
                            max_frames=8)
-    two = two_stage_train(spec, TrainConfig(), model=model, eval_every=2)
+    two = two_stage_train(spec, TrainConfig(eval_every=2), model=model)
     control = two_stage_train(spec, TrainConfig(stage1_epochs=0,
-                                                stage2_epochs=40),
-                              model=model, eval_every=4)
+                                                stage2_epochs=40,
+                                                eval_every=4),
+                              model=model)
     dt = time.perf_counter() - t0
     r_two = two.final_heldout_rank1
     r_ctl = control.final_heldout_rank1

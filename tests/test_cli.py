@@ -3,15 +3,30 @@
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sparsepatch import cli, selector
+from sparsepatch import numcore as nc
 from sparsepatch.cli import CONFIG_SCHEMA, main, parse_config_text
-from sparsepatch.errors import UsageError
+from sparsepatch.errors import (
+    NumericalError,
+    ParseError,
+    SparsepatchError,
+    UsageError,
+)
 from sparsepatch.gopcodec import encode_gop, read_gop, write_gop
-from sparsepatch.psformer import PsformerConfig, init_psformer_params
-from sparsepatch.selector import init_selector_params
+from sparsepatch.psformer import (
+    PsformerConfig,
+    init_psformer_params,
+    psformer_forward,
+)
+from sparsepatch.selector import init_selector_params, select_patches
 from sparsepatch.videoio import RawClip, SynthSpec, synth_clip, write_rawvid
 
 SMALL_CFG = """
@@ -217,6 +232,75 @@ def test_exit_5_on_grid_too_small_for_pooling(tmp_path, capsys):
         assert not out.exists()
 
 
+# the exit code the README documents for each error category
+_EXIT_CODES = ((UsageError, 2), (ParseError, 3), (NumericalError, 4),
+               (SparsepatchError, 5))
+
+
+def _adversarial_gop(kind: str, frames: int, height: int, width: int,
+                     seed: int, value: int):
+    """A GopClip of one adversarial family: a constant clip, uniform byte
+    noise, per-pixel 0/255 noise (residuals at +-255), or a valid clip
+    whose first residual is pushed to +255 so it decodes off the byte
+    range."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    shape = (frames, height, width, 3)
+    if kind == "constant":
+        pixels = np.full(shape, value, dtype=np.uint8)
+    elif kind == "noise":
+        pixels = rng.integers(0, 256, size=shape, dtype=np.uint8)
+    else:
+        pixels = (rng.integers(0, 2, size=shape) * 255).astype(np.uint8)
+    gop = encode_gop(RawClip(pixels=pixels))
+    if kind == "overflow" and gop.frames > 1:
+        gop.i_frame.patches[:] = np.maximum(gop.i_frame.patches, 1)
+        gop.residual[0] = 255
+    return gop
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(["constant", "noise", "binary", "overflow"]),
+       frames=st.integers(1, 3),
+       grid=st.sampled_from([(2, 4), (3, 4), (2, 5), (1, 4), (2, 3)]),
+       seed=st.integers(0, 2 ** 16),
+       value=st.sampled_from([0, 1, 128, 254, 255]))
+def test_adversarial_clips_serve_or_are_refused_before_compute(
+        kind, frames, grid, seed, value):
+    # every clip either serves with a finite feature, or raises a
+    # documented error before a single MAC is counted; `forward` exits
+    # with the code the README gives that error
+    gop = _adversarial_gop(kind, frames, 16 * grid[0], 16 * grid[1], seed, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "clip.gop1"
+        write_gop(gop, path)
+        counter = nc.MacCounter()
+        feature = error = None
+        try:
+            with nc.mac_counting(counter):
+                served = read_gop(path)
+                model = PsformerConfig(dim=16, layers=1, heads=2,
+                                       grid_h=grid[0], grid_w=grid[1],
+                                       max_frames=frames)
+                params = init_psformer_params(model, seed=0)
+                init_selector_params(seed=1, params=params)
+                selection = select_patches(served, params, mode="infer")
+                feature = psformer_forward(served, selection, params, model,
+                                           threshold=0.5).feature.data[0]
+        except SparsepatchError as exc:
+            error = exc
+            assert counter.total == 0, (type(exc).__name__, counter.by_stage)
+        if error is None:
+            assert np.isfinite(feature).all()
+        want = next((code for kind_, code in _EXIT_CODES
+                     if isinstance(error, kind_)), 0)
+        out = Path(tmp) / "feature.json"
+        assert run_cli("forward", "--gop", str(path), "--dim", "16",
+                       "--layers", "1", "--heads", "2",
+                       "--out", str(out)) == want
+        if error is None:
+            assert json.loads(out.read_text())["feature"] == feature.tolist()
+
+
 def test_exit_2_on_bad_sweep_range(tmp_path, capsys):
     code = run_cli("sweep-s", "--from", "0.9", "--to", "0.4",
                    "--out", str(tmp_path / "x.csv"))
@@ -363,6 +447,28 @@ def test_gradcheck_losses_passes(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert "losses/cross_entropy" in out
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_gradcheck_selector_uses_the_pool_each_frame_was_served(seed, monkeypatch):
+    # every progressive residual the gradient check takes must be measured
+    # against the same pool rows select_patches measured that frame against
+    def spy(log, real):
+        def wrapped(patches, pool):
+            log.append(pool.shape[0])
+            return real(patches, pool)
+        return wrapped
+
+    served, checked = [], []
+    monkeypatch.setattr(selector, "progressive_residual",
+                        spy(served, selector.progressive_residual))
+    monkeypatch.setattr(cli, "progressive_residual",
+                        spy(checked, cli.progressive_residual))
+    monkeypatch.setattr(nc, "grad_check_params", lambda *args, **kwargs: {})
+    cli._gradcheck_selector(seed)
+    gop = cli._tiny_gradcheck_setup(seed)
+    assert len(served) == gop.frames - 1
+    assert checked == served
 
 
 def test_train_writes_run_directory(tmp_path, capsys):

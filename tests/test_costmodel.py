@@ -215,7 +215,7 @@ def test_msa_macs_zero_rows_is_free():
 
 def test_report_json_fields():
     rep = estimate_ours(VIT_B, 0.2, 0.1)
-    data = json.loads(rep.to_json())
+    data = json.loads(json.dumps(rep.to_json_dict()))
     assert set(data) == {"analytic_gmacs", "counted_gmacs", "breakdown",
                          "inputs", "uncounted"}
     assert data["inputs"]["geometry"]["dim"] == 768

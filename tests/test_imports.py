@@ -9,6 +9,10 @@ that defines it, so another module must not import it. A public
 definition counts as used when a name or attribute of that spelling
 appears in package or benchmark code outside its own definition; tests
 do not count.
+
+The package's defaulted parameters are counted too, and the count is
+pinned: a change that adds or removes a default updates
+``DEFAULTED_PARAMETERS``, so every new option shows up in review.
 """
 
 import ast
@@ -20,6 +24,10 @@ REPO = Path(__file__).resolve().parents[1]
 PACKAGE = REPO / "src" / "sparsepatch"
 MODULES = sorted(PACKAGE.glob("*.py"))
 BENCHMARK = sorted((REPO / "perfbench").glob("*.py"))
+
+# parameters with a default value across the package's functions,
+# methods, nested functions and lambdas
+DEFAULTED_PARAMETERS = 21
 
 # public definitions kept without a caller in package or benchmark code
 UNREFERENCED_OK = {
@@ -84,6 +92,22 @@ def unreferenced_definitions(package: dict[str, str],
                   if name not in used)
 
 
+def defaulted_parameters(source: str) -> list[str]:
+    """``function(parameter)`` for each parameter, positional or
+    keyword-only, that has a default value."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        named = positional[len(positional) - len(args.defaults):]
+        named += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        owner = getattr(node, "name", "<lambda>")
+        found += [f"{owner}({a.arg})" for a in named]
+    return found
+
+
 def test_checker_flags_unused_and_accepts_used_names():
     source = ("from __future__ import annotations\n"
               "import os, sys\n"
@@ -121,6 +145,18 @@ def test_checker_flags_unreferenced_definitions():
         "a: Dead", "a: recursive", "b: caller", "b: typed"]
 
 
+def test_checker_counts_defaulted_parameters():
+    source = ("def f(a, b=1, *args, c, d=2, **kw):\n"
+              "    g = lambda x=0, y=1: x\n"
+              "    def inner(y, z=None):\n        return z\n"
+              "class C:\n    def m(self, k=3):\n        pass\n"
+              "def p(a=0, /, b=1):\n    pass\n"
+              "def plain(a, *, b):\n    pass\n")
+    assert sorted(defaulted_parameters(source)) == [
+        "<lambda>(x)", "<lambda>(y)", "f(b)", "f(d)", "inner(z)", "m(k)",
+        "p(a)", "p(b)"]
+
+
 def test_package_has_modules():
     assert {"cli.py", "psformer.py", "costmodel.py"} <= {p.name for p in MODULES}
 
@@ -141,3 +177,9 @@ def test_every_public_definition_has_a_user():
         [path.read_text() for path in BENCHMARK])
     # an allowlisted name that gains a user leaves the list too
     assert {entry.split(": ")[1] for entry in found} == set(UNREFERENCED_OK), found
+
+
+def test_defaulted_parameter_count_is_pinned():
+    found = [f"{path.stem}.{entry}" for path in MODULES
+             for entry in defaulted_parameters(path.read_text())]
+    assert len(found) == DEFAULTED_PARAMETERS, found

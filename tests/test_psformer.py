@@ -11,6 +11,7 @@ from sparsepatch.psformer import (
     init_psformer_params,
     msa_block,
     psformer_forward,
+    warp_hidden,
 )
 from sparsepatch.selector import init_selector_params, select_patches
 from sparsepatch.videoio import SynthSpec, synth_clip
@@ -160,7 +161,7 @@ def test_closed_path_macs_match_analytic():
     counter = nc.MacCounter()
     with nc.mac_counting(counter):
         psformer_forward(gop, sel, params, cfg, threshold=3.0)
-    d, h, dk, n = cfg.dim, cfg.warp_hidden, cfg.head_dim, cfg.patch_count
+    d, h, dk, n = cfg.dim, warp_hidden(cfg.dim), cfg.head_dim, cfg.patch_count
     t = gop.frames
     kept = sel.kept_counts
     unsel = [n - k for k in kept]
@@ -183,7 +184,7 @@ def test_open_path_macs_match_analytic():
     counter = nc.MacCounter()
     with nc.mac_counting(counter):
         psformer_forward(gop, sel, params, cfg, threshold=-1.0)
-    d, h, dk, n = cfg.dim, cfg.warp_hidden, cfg.head_dim, cfg.patch_count
+    d, h, dk, n = cfg.dim, warp_hidden(cfg.dim), cfg.head_dim, cfg.patch_count
     kept = sel.kept_counts
     unsel = [n - k for k in kept]
     assert counter.by_stage["p_frame_msa"] == cfg.layers * sum(

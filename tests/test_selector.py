@@ -93,12 +93,11 @@ def test_cnn_gradients_reach_first_layer():
 
 def test_patch_semantics_scales_rows():
     f = Tensor([[2.0, 4.0], [1.0, -3.0]])
-    sal = SaliencyVector(values=np.array([0.5, -1.0]), eigenvalue=0.3, flipped=False)
+    sal = SaliencyVector(values=np.array([0.5, -1.0]), eigenvalue=0.3)
     s = patch_semantics(f, sal)
     assert s.data.tolist() == [[1.0, 2.0], [-1.0, 3.0]]
     with pytest.raises(ValidationError):
-        patch_semantics(f, SaliencyVector(values=np.zeros(3), eigenvalue=0.1,
-                                          flipped=False))
+        patch_semantics(f, SaliencyVector(values=np.zeros(3), eigenvalue=0.1))
 
 
 def test_progressive_residual_exact_zero_on_duplicates():
@@ -128,24 +127,22 @@ def test_score_gate_train_vs_infer():
     feats = Tensor(rng.standard_normal((5, FEATURE_DIM)) * 0.2)
     noise = rng.standard_normal((5, 1))
 
-    trained = score_gate(feats, params, "train", noise)
+    trained = score_gate(feats, params, noise)
     assert isinstance(trained, GateDecision)
     assert np.allclose(trained.shifted.data, trained.score.data + noise)
     assert np.array_equal(trained.hard, (trained.shifted.data[:, 0] > 0).astype(np.uint8))
     assert np.array_equal(trained.gate.data[:, 0], trained.hard.astype(np.float64))
 
-    inferred = score_gate(feats, params, "infer")
+    inferred = score_gate(feats, params)
     assert np.array_equal(inferred.hard, (inferred.score.data[:, 0] > 0).astype(np.uint8))
+    assert np.array_equal(inferred.gate.data[:, 0], inferred.hard.astype(np.float64))
     assert inferred.shifted is inferred.score
+    assert not inferred.gate.requires_grad  # no tape, nothing recorded
 
     with pytest.raises(ValidationError):
-        score_gate(feats, params, "train")
-    with pytest.raises(ValidationError):
-        score_gate(feats, params, "infer", noise)
-    with pytest.raises(ValidationError):
-        score_gate(feats, params, "predict")
+        score_gate(feats, params, noise[:3])
     with pytest.raises(ShapeError):
-        score_gate(Tensor(np.zeros((2, 7))), params, "infer")
+        score_gate(Tensor(np.zeros((2, 7))), params)
 
 
 def test_score_gate_gradient_flows_through_hard_gate():
@@ -153,12 +150,21 @@ def test_score_gate_gradient_flows_through_hard_gate():
     rng = np.random.Generator(np.random.PCG64(1))
     feats = Tensor(rng.standard_normal((6, FEATURE_DIM)) * 0.1)
     noise = rng.standard_normal((6, 1)) * 0.2
-    params.zero_grad()
-    with nc.tape() as t:
-        gate = score_gate(feats, params, "train", noise)
-        t.backward(nc.sum_all(gate.gate))
-    assert params["sel.mlp0.w"].grad is not None
-    assert np.abs(params["sel.mlp0.w"].grad).max() > 0
+    for gate_noise in (noise, None):
+        params.zero_grad()
+        with nc.tape() as t:
+            gate = score_gate(feats, params, gate_noise)
+            t.backward(nc.sum_all(gate.gate))
+        assert params["sel.mlp0.w"].grad is not None
+        assert np.abs(params["sel.mlp0.w"].grad).max() > 0
+
+
+def test_select_patches_rejects_unknown_mode_before_compute():
+    _, gop = _synth_gop(t=3)
+    counter = nc.MacCounter()
+    with nc.mac_counting(counter), pytest.raises(ValidationError):
+        select_patches(gop, init_selector_params(seed=0), mode="predict")
+    assert counter.total == 0 and not counter.by_stage and not counter.uncounted
 
 
 def _synth_gop(t=4, hw=64, seed=6, background="textured"):

@@ -79,16 +79,16 @@ def test_hard_triplet_matches_bruteforce():
 
 def test_hard_triplet_needs_positives_and_negatives():
     with pytest.raises(ValidationError):
-        hard_triplet(Tensor(np.zeros((3, 2))), [0, 1, 2])  # no positives
+        hard_triplet(Tensor(np.zeros((3, 2))), [0, 1, 2], 0.3)  # no positives
     with pytest.raises(ValidationError):
-        hard_triplet(Tensor(np.zeros((3, 2))), [0, 0, 0])  # no negatives
+        hard_triplet(Tensor(np.zeros((3, 2))), [0, 0, 0], 0.3)  # no negatives
 
 
 def test_hard_triplet_gradcheck():
     rng = np.random.Generator(np.random.PCG64(5))
     feats = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
     labels = [0, 0, 1, 1, 2, 2]
-    err = nc.grad_check(lambda t: hard_triplet(t, labels), feats, eps=1e-6)
+    err = nc.grad_check(lambda t: hard_triplet(t, labels, 0.3), feats, eps=1e-6)
     assert err < 1e-4
 
 
@@ -177,14 +177,14 @@ def test_adam_minimizes_quadratic():
     params = ParamSet()
     params.add("x", np.array([[5.0, -3.0]]))
     target = np.array([[1.0, 2.0]])
-    opt = Adam(params, lr=0.1, weight_decay=0.0)
+    opt = Adam(params, weight_decay=0.0)
     for _ in range(300):
         params.zero_grad()
         with nc.tape() as t:
             diff = nc.sub(params["x"], Tensor(target))
             loss = nc.sum_all(nc.mul(diff, diff))
             t.backward(loss)
-        opt.step()
+        opt.step(lr=0.1)
     assert np.allclose(params["x"].data, target, atol=1e-3)
 
 
@@ -192,21 +192,21 @@ def test_adam_skips_parameters_without_gradients():
     params = ParamSet()
     params.add("used", np.ones((1, 2)))
     params.add("unused", np.ones((1, 2)) * 7.0)
-    opt = Adam(params, lr=0.1)
+    opt = Adam(params, weight_decay=5e-4)
     params.zero_grad()
     with nc.tape() as t:
         loss = nc.sum_all(nc.mul(params["used"], params["used"]))
         t.backward(loss)
-    opt.step()
+    opt.step(lr=0.1)
     assert np.array_equal(params["unused"].data, np.ones((1, 2)) * 7.0)
     assert not np.array_equal(params["used"].data, np.ones((1, 2)))
 
 
 def test_lr_schedule():
-    assert lr_for_epoch(5e-4, 0) == 5e-4
-    assert lr_for_epoch(5e-4, 39) == 5e-4
-    assert lr_for_epoch(5e-4, 40) == pytest.approx(5e-5)
-    assert lr_for_epoch(5e-4, 80) == pytest.approx(5e-6)
+    assert lr_for_epoch(5e-4, 0, 40, 0.1) == 5e-4
+    assert lr_for_epoch(5e-4, 39, 40, 0.1) == 5e-4
+    assert lr_for_epoch(5e-4, 40, 40, 0.1) == pytest.approx(5e-5)
+    assert lr_for_epoch(5e-4, 80, 40, 0.1) == pytest.approx(5e-6)
 
 
 def test_rank1_perfect_and_mixed():

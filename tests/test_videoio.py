@@ -167,7 +167,7 @@ def test_synth_mask_marks_painted_patches():
     spec = _spec(background="uniform", height=64, width=128, frames=3,
                  motion_amplitude=5.0)
     clip = synth_clip(spec, identity=1, clip_seed=9)
-    gh, gw = clip.grid
+    gh, gw = clip.height // 16, clip.width // 16
     for t in range(clip.frames):
         frame = clip.pixels[t].astype(np.int32)
         flat = np.full((64, 128, 3), 121.0).astype(np.int32)
