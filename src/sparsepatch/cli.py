@@ -332,8 +332,8 @@ def _print_cost_table(report) -> None:
 
 
 def cmd_macs(args) -> int:
-    geom = Geometry(height=args.height, width=args.width, frames=args.frames,
-                    dim=args.dim, layers=args.layers, heads=args.heads)
+    geom = Geometry(**{f.name: getattr(args, f.name)
+                       for f in dataclasses.fields(Geometry)})
     bisect_info = None
     if args.baseline:
         report = estimate_vit(geom)
@@ -559,9 +559,8 @@ def cmd_sweep_s(args) -> int:
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--layers", type=int, default=4)
-    p.add_argument("--heads", type=int, default=4)
+    for key in ("dim", "layers", "heads"):
+        p.add_argument(f"--{key}", type=int, default=CONFIG_SCHEMA[key][1])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -612,12 +611,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("macs", help="analytic MACs estimate")
-    p.add_argument("--height", type=int, default=128)
-    p.add_argument("--width", type=int, default=256)
-    p.add_argument("--frames", type=int, default=8)
-    p.add_argument("--dim", type=int, default=768)
-    p.add_argument("--layers", type=int, default=12)
-    p.add_argument("--heads", type=int, default=12)
+    for f in dataclasses.fields(Geometry):
+        p.add_argument(f"--{f.name}", type=int, default=f.default)
     p.add_argument("--kept-fraction", type=float, default=0.25)
     p.add_argument("--open-rate", type=float, default=0.0)
     p.add_argument("--baseline", action="store_true",

@@ -75,32 +75,38 @@ def unpatchify(grid: PatchGrid) -> np.ndarray:
 # SAD search
 # ---------------------------------------------------------------------------
 
-_SAD_CHUNK = 512  # query rows per block of the queries x keys x dim temporaries
+# bytes of one block's int16 |q - k| temporary, rows x keys x dim x 2
+# (a sweep in CHANGES.md picked it)
+_SAD_BLOCK_BYTES = 1 << 19
 
 
 def sad_nearest(queries: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exhaustive L1 nearest key per query row; first minimum wins ties.
 
-    Exact integer arithmetic on uint8/int16 inputs: |a - b| is computed as
-    max - min to stay inside the unsigned domain. Returns (indices, sums).
+    Rows hold pixels in [0, 255] as uint8 or int16; other dtypes are
+    refused before any work. |q - k| is exact in int16 and its sums in
+    int32. Query rows go in blocks of at least one row whose one
+    temporary fits ``_SAD_BLOCK_BYTES``. Returns int32 (indices, sums).
     """
     q = np.asarray(queries)
     k = np.asarray(keys)
+    if q.dtype not in (np.uint8, np.int16) or k.dtype not in (np.uint8, np.int16):
+        raise ValidationError(
+            f"SAD search takes uint8 or int16 pixels, got {q.dtype} and {k.dtype}")
     if q.ndim != 2 or k.ndim != 2 or q.shape[1] != k.shape[1]:
         raise ValidationError(f"incompatible SAD shapes {q.shape} vs {k.shape}")
     if k.shape[0] == 0:
         raise ValidationError("SAD search needs at least one key")
     note_uncounted("sad_compares", q.shape[0] * k.shape[0] * q.shape[1])
+    rows = max(1, _SAD_BLOCK_BYTES // max(1, 2 * k.size))
     idx = np.empty(q.shape[0], dtype=np.int32)
     best = np.empty(q.shape[0], dtype=np.int32)
-    for lo in range(0, q.shape[0], _SAD_CHUNK):
-        hi = min(lo + _SAD_CHUNK, q.shape[0])
-        block = q[lo:hi, None, :]
-        upper = np.maximum(block, k[None, :, :])
-        lower = np.minimum(block, k[None, :, :])
-        sad = (upper - lower).sum(axis=2, dtype=np.int32)
-        idx[lo:hi] = sad.argmin(axis=1)
-        best[lo:hi] = sad[np.arange(hi - lo), idx[lo:hi]]
+    for lo in range(0, q.shape[0], rows):
+        diff = np.subtract(q[lo:lo + rows, None, :], k, dtype=np.int16)
+        sad = np.abs(diff, out=diff).sum(axis=2, dtype=np.int32)
+        del diff  # freed before the next block's is allocated
+        idx[lo:lo + rows] = sad.argmin(axis=1)
+        best[lo:lo + rows] = sad.min(axis=1)
     return idx, best
 
 
@@ -151,20 +157,20 @@ class GopClip:
 
 def encode_gop(clip: RawClip) -> GopClip:
     """Motion-compensate every P-frame against the I-frame, keeping exact
-    residuals. Labels and masks are not part of the encoded stream."""
-    i_grid = patchify(clip.pixels[0])
-    i_u8 = i_grid.patches.astype(np.uint8)
-    n = i_grid.count
-    t_minus_1 = clip.frames - 1
-    motion = np.empty((t_minus_1, n), dtype=np.int32)
-    residual = np.empty((t_minus_1, n, PATCH_DIM), dtype=np.int16)
-    for t in range(1, clip.frames):
-        p_grid = patchify(clip.pixels[t])
-        idx, _ = sad_nearest(p_grid.patches.astype(np.uint8), i_u8)
-        motion[t - 1] = idx
-        residual[t - 1] = p_grid.patches - i_grid.patches[idx]
-    return GopClip(i_frame=i_grid, motion=motion, residual=residual,
-                   height=clip.height, width=clip.width)
+    residuals. One ``sad_nearest`` call searches all P-frame patches
+    against the I-frame's, on int16 pixels in [0, 255], in blocks of
+    bounded size. Labels and masks are not part of the encoded stream."""
+    t, h, w, _ = clip.pixels.shape
+    # frames stacked vertically patchify to each frame's patches in turn
+    patches = patchify(clip.pixels.reshape(t * h, w, 3)).patches
+    n = patches.shape[0] // t
+    # a copy, so the GopClip does not hold every frame's patches
+    i_grid = PatchGrid(patches=patches[:n].copy(), grid_h=h // PATCH, grid_w=w // PATCH)
+    idx, _ = sad_nearest(patches[n:], i_grid.patches)
+    residual = patches[n:] - i_grid.patches[idx]
+    return GopClip(i_frame=i_grid, motion=idx.reshape(t - 1, n),
+                   residual=residual.reshape(t - 1, n, PATCH_DIM),
+                   height=h, width=w)
 
 
 def decode_gop(gop: GopClip) -> RawClip:

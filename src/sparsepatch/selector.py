@@ -167,7 +167,8 @@ def gate_features(residual: np.ndarray, f_map: Tensor, saliency: SaliencyVector,
 def progressive_residual(patches: np.ndarray,
                          pool: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Signed (M, dim) differences of the int16 ``patches`` to each row's
-    L1-nearest pool row (earliest on ties), and those rows' indices."""
+    L1-nearest pool row (earliest on ties), and those rows' indices.
+    Both hold pixel values in [0, 255], the domain ``sad_nearest`` takes."""
     idx, _ = sad_nearest(patches, pool)
     return patches - pool[idx], idx
 

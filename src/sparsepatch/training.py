@@ -81,6 +81,8 @@ class TrainConfig:
                 "triplet mining needs >= 2 identities and >= 2 clips each")
         if self.heldout_clips < 0:
             raise ValidationError("heldout_clips must be >= 0")
+        if self.decay_every < 1:
+            raise ValidationError("decay_every must be >= 1")
 
     @property
     def total_epochs(self) -> int:
@@ -276,14 +278,7 @@ def _pk_batches(records: list[ClipRecord], config: TrainConfig,
     by_id: dict[int, list[ClipRecord]] = {}
     for rec in records:
         by_id.setdefault(rec.identity, []).append(rec)
-    idents = sorted(by_id)
-    if len(idents) < 2:
-        raise ValidationError("training needs >= 2 identities")
-    for ident in idents:
-        if len(by_id[ident]) < config.batch_clips:
-            raise ValidationError(
-                f"identity {ident} has fewer than {config.batch_clips} clips")
-    order = rng.permutation(idents)
+    order = rng.permutation(sorted(by_id))
     batches = []
     p = config.batch_identities
     for start in range(0, len(order), p):
@@ -315,15 +310,18 @@ def two_stage_train(spec: SynthSpec, config: TrainConfig,
     Returns the trained parameters plus a per-epoch convergence log with
     rank-1 scores on a training subsample and on the held-out clips.
     """
-    records = make_dataset(spec)
-    if config.heldout_clips >= spec.clips_per_identity:
+    # every identity has the same clips: check the split before rendering
+    train_clips = spec.clips_per_identity - config.heldout_clips
+    if train_clips < 1:
         raise ValidationError("heldout_clips must leave clips to train on")
-    train = [r for r in records
-             if r.clip < spec.clips_per_identity - config.heldout_clips]
-    heldout = [r for r in records
-               if r.clip >= spec.clips_per_identity - config.heldout_clips]
-    if not train:
-        raise ValidationError("empty training split")
+    if spec.identity_count < 2:
+        raise ValidationError("training needs >= 2 identities")
+    if train_clips < config.batch_clips:
+        raise ValidationError(
+            f"identity 0 has fewer than {config.batch_clips} clips")
+    records = make_dataset(spec)
+    train = [r for r in records if r.clip < train_clips]
+    heldout = [r for r in records if r.clip >= train_clips]
 
     params = init_psformer_params(model, seed=config.seed)
     init_selector_params(seed=config.seed + 1, params=params)

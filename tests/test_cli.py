@@ -232,6 +232,15 @@ def test_exit_5_on_grid_too_small_for_pooling(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_exit_5_on_train_config_decay_every_zero(tmp_path, capsys):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(TRAIN_CFG + "decay_every = 0\n")
+    run_dir = tmp_path / "run"
+    assert run_cli("train", "--config", str(cfg), "--out", str(run_dir)) == 5
+    assert "decay_every must be >= 1" in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
 # the exit code the README documents for each error category
 _EXIT_CODES = ((UsageError, 2), (ParseError, 3), (NumericalError, 4),
                (SparsepatchError, 5))

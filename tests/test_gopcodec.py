@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
+from sparsepatch import gopcodec
+from sparsepatch import numcore as nc
 from sparsepatch.errors import ParseError, ValidationError
 from sparsepatch.gopcodec import (
     GopClip,
@@ -70,6 +74,87 @@ def test_sad_nearest_tie_breaks_to_first():
     idx, best = sad_nearest(q, k)
     assert idx[0] == 0
     assert best[0] == 0
+
+
+def _sad_oracle(q, k):
+    d = np.abs(q.astype(np.int64)[:, None, :] - k.astype(np.int64)[None]).sum(axis=2)
+    return d.argmin(axis=1), d.min(axis=1)  # argmin takes the first minimum
+
+
+@pytest.mark.parametrize("q_dtype,k_dtype", [(np.uint8, np.uint8),
+                                             (np.int16, np.int16),
+                                             (np.uint8, np.int16)])
+def test_sad_nearest_matches_oracle_across_blocks(q_dtype, k_dtype):
+    rng = np.random.Generator(np.random.PCG64(8))
+    keys = rng.integers(0, 256, size=(40, 768))
+    keys[[11, 30]] = keys[4]  # tied keys: the first, 4, must win
+    rows = gopcodec._SAD_BLOCK_BYTES // (2 * keys.size)
+    assert rows > 1
+    queries = rng.integers(0, 256, size=(3 * rows + rows // 2, 768))
+    queries[[0, rows, 3 * rows + 1]] = keys[30]
+    queries[2] = keys[4] ^ 1  # nearest to the tied keys, not equal to them
+    idx, best = sad_nearest(queries.astype(q_dtype), keys.astype(k_dtype))
+    want_idx, want_best = _sad_oracle(queries, keys)
+    assert idx.dtype == best.dtype == np.int32
+    assert np.array_equal(idx, want_idx)
+    assert np.array_equal(best, want_best)
+    assert idx[0] == idx[rows] == idx[3 * rows + 1] == idx[2] == 4
+
+
+def test_sad_nearest_zero_queries_and_single_key():
+    rng = np.random.Generator(np.random.PCG64(3))
+    keys = rng.integers(0, 256, size=(5, 768)).astype(np.int16)
+    idx, best = sad_nearest(keys[:0], keys)
+    assert idx.shape == best.shape == (0,)
+    queries = rng.integers(0, 256, size=(6, 768)).astype(np.uint8)
+    idx, best = sad_nearest(queries, keys[:1])
+    assert not idx.any()
+    assert np.array_equal(best, _sad_oracle(queries, keys[:1])[1])
+
+
+def test_sad_nearest_peak_memory_stays_within_one_block():
+    # the last ViT-B pool query: one frame's 128 patches against ~330
+    rng = np.random.Generator(np.random.PCG64(4))
+    queries = rng.integers(0, 256, size=(128, 768)).astype(np.int16)
+    keys = rng.integers(0, 256, size=(330, 768)).astype(np.int16)
+    tracemalloc.start()
+    try:
+        sad_nearest(queries, keys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = gopcodec._SAD_BLOCK_BYTES + queries.nbytes + keys.nbytes + (64 << 10)
+    assert peak <= bound, (peak, bound)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int32])
+def test_sad_nearest_refuses_other_dtypes_before_any_work(dtype):
+    pixels = np.zeros((2, 768), dtype=dtype)
+    counter = nc.MacCounter()
+    with nc.mac_counting(counter), pytest.raises(ValidationError, match="uint8 or int16"):
+        sad_nearest(pixels, pixels.astype(np.int16))
+    assert "sad_compares" not in counter.uncounted
+
+
+@pytest.mark.parametrize("frames", [1, 4])
+def test_encode_gop_searches_once_per_clip(monkeypatch, frames):
+    calls = []
+
+    def spy(queries, keys):
+        calls.append((queries.shape, keys.shape))
+        return sad_nearest(queries, keys)
+
+    monkeypatch.setattr(gopcodec, "sad_nearest", spy)
+    clip = _noise_clip(t=frames, h=48, w=64, seed=12)
+    gop = encode_gop(clip)
+    assert calls == [(((frames - 1) * 12, 768), (12, 768))]
+    i_pix = patchify(clip.pixels[0]).patches
+    for t in range(1, frames):
+        p_pix = patchify(clip.pixels[t]).patches
+        motion, _ = _sad_oracle(p_pix, i_pix)
+        assert np.array_equal(gop.motion[t - 1], motion)
+        assert np.array_equal(gop.residual[t - 1], p_pix - i_pix[motion])
+    assert np.array_equal(decode_gop(gop).pixels, clip.pixels)
 
 
 def test_encode_decode_bit_exact_noise():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sparsepatch import numcore as nc
+from sparsepatch import training
 from sparsepatch.errors import ShapeError, ValidationError
 from sparsepatch.numcore import ParamSet, Tensor
 from sparsepatch.psformer import PsformerConfig, init_psformer_params
@@ -237,6 +238,8 @@ def test_train_config_validation():
         TrainConfig(batch_identities=1)
     with pytest.raises(ValidationError):
         TrainConfig(stage1_epochs=-1)
+    with pytest.raises(ValidationError, match="decay_every"):
+        TrainConfig(decay_every=0)
 
 
 def _tiny_train(seed=0, stage1=1, stage2=1):
@@ -262,15 +265,23 @@ def test_two_stage_train_smoke_and_determinism():
         assert name in a.params
 
 
-def test_two_stage_train_rejects_bad_split():
-    spec = SynthSpec(identity_count=2, clips_per_identity=2, height=32,
-                     width=64, frames=2, seed=0)
-    config = TrainConfig(stage1_epochs=1, stage2_epochs=0,
-                         batch_identities=2, batch_clips=2, heldout_clips=2)
+def test_two_stage_train_rejects_bad_split(monkeypatch):
+    # refused from the spec and config, before any clip is rendered
+    rendered = []
+    monkeypatch.setattr(training, "make_dataset", rendered.append)
     model = PsformerConfig(dim=16, layers=1, heads=2, grid_h=2, grid_w=4,
                            max_frames=2)
-    with pytest.raises(ValidationError):
-        two_stage_train(spec, config, model=model)
+    cases = [((2, 2), {"heldout_clips": 2}, "heldout_clips must leave clips"),
+             ((2, 3), {"heldout_clips": 2}, "identity 0 has fewer than 2 clips"),
+             ((1, 3), {"heldout_clips": 1}, "training needs >= 2 identities")]
+    for (identities, clips), split, message in cases:
+        spec = SynthSpec(identity_count=identities, clips_per_identity=clips,
+                         height=32, width=64, frames=2, seed=0)
+        config = TrainConfig(stage1_epochs=1, stage2_epochs=0,
+                             batch_identities=2, batch_clips=2, **split)
+        with pytest.raises(ValidationError, match=message):
+            two_stage_train(spec, config, model=model)
+    assert rendered == []
 
 
 def test_log_to_csv_header_and_rows():
