@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -84,6 +85,12 @@ CONFIG_SCHEMA: dict[str, tuple[type, object]] = {
 }
 
 
+def _require_finite(label: str, value: float) -> None:
+    """Refuse nan and infinities, which no float setting takes."""
+    if not math.isfinite(value):
+        raise UsageError(f"{label} must be a finite number, got {value}")
+
+
 def parse_config_text(text: str) -> dict:
     """key=value lines with # comments; unknown keys and bad values reject."""
     values = {key: default for key, (_, default) in CONFIG_SCHEMA.items()}
@@ -104,6 +111,8 @@ def parse_config_text(text: str) -> dict:
             raise UsageError(
                 f"config line {lineno}: {key} needs {kind.__name__}, got {val!r}"
             ) from None
+        if kind is float:
+            _require_finite(f"config line {lineno}: {key}", values[key])
     return values
 
 
@@ -152,11 +161,25 @@ def _resolve_seed(args, cfg: dict | None = None) -> int:
 def _load_or_init_params(args, model: PsformerConfig, seed: int) -> ParamSet:
     if getattr(args, "params", None):
         params = ParamSet.load_npz(args.params)
+        # each model flag against the parameters that carry it, where the
+        # checkpoint holds them: embed.w has --dim columns, warp.q.w one
+        # head's width, and the layer{l}.* blocks number --layers
         if "embed.w" in params:
             got = params["embed.w"].shape
             if got != (PATCH_DIM, model.dim):
                 raise ValidationError(
                     f"checkpoint embed.w is {got}, model wants ({PATCH_DIM}, {model.dim})")
+        if "warp.q.w" in params:
+            width = params["warp.q.w"].shape[1]
+            if width != model.head_dim:
+                raise ValidationError(
+                    f"checkpoint head width is {width} (warp.q.w), model wants "
+                    f"{model.head_dim} ({model.dim} dim over {model.heads} heads)")
+        blocks = {name.partition(".")[0] for name in params.names()}
+        layers = sorted(int(b[5:]) for b in blocks if b[:5] == "layer" and b[5:].isdigit())
+        if layers and layers != list(range(model.layers)):
+            raise ValidationError(
+                f"checkpoint holds layers {layers}, model wants {model.layers}")
         return params
     params = init_psformer_params(model, seed=seed)
     init_selector_params(seed=seed + 1, params=params)
@@ -405,7 +428,7 @@ def _gradcheck_selector(seed: int) -> list[tuple[str, float]]:
             feats = gate_features(gop.residual[t - 1], sem[t],
                                   reference.saliency[t - 1], progressive[t - 1])
             score = score_gate(feats, params).score
-            part = nc.sum_all(score)
+            part = nc.sum_(score, None)
             total = part if total is None else nc.add(total, part)
         return total
 
@@ -436,7 +459,7 @@ def _gradcheck_psformer(seed: int) -> list[tuple[str, float]]:
             loss = nc.matmul(res.feature, probe)
             for cur, prev in res.context_pairs:
                 loss = nc.add(loss, nc.matmul(nc.mul(cur, prev), probe))
-            return nc.sum_all(loss)
+            return nc.sum_(loss, None)
 
         errs = nc.grad_check_params(build_loss, params, names, eps=1e-5,
                                     max_coords=5, seed=seed)
@@ -463,8 +486,8 @@ def _gradcheck_losses(seed: int) -> list[tuple[str, float]]:
               Tensor(rng.standard_normal((1, 16)))) for _ in range(2)]
 
     def build_loss():
-        return nc.sum_all(error_constraint_loss(pairs, params,
-                                                noise_samples=3, seed=seed))
+        return nc.sum_(error_constraint_loss(pairs, params,
+                                             noise_samples=3, seed=seed), None)
 
     errs = nc.grad_check_params(
         build_loss, params,
@@ -657,6 +680,10 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
     try:
+        for dest, value in vars(args).items():
+            if isinstance(value, float):
+                # sweep-s stores --from, --to and --step as s_from, s_to, s_step
+                _require_finite("--" + dest.removeprefix("s_").replace("_", "-"), value)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,6 +6,16 @@ Design notes:
   (1, 1). Ops raise ShapeError on anything else, which keeps gradient
   bookkeeping trivial (no implicit rank games beyond row/column broadcast
   in ``add``/``mul``).
+* The recording ops, each with its own backward: ``matmul`` and
+  ``multihead_attention``; the elementwise ``add``, ``sub``, ``mul``,
+  ``scale``, ``add_const``, ``relu``, ``gelu``, ``exp_``, ``log_``,
+  ``sqrt_``, ``reciprocal`` and ``hard_gate``; ``sum_``, ``concat`` and
+  ``slice_``, which take the axis as a required argument (0, 1, or for
+  ``sum_`` also None); and ``transpose``, ``segment_mean``,
+  ``gather_rows``, ``gather_labels`` and ``neighborhood_rows``. A row
+  maximum or minimum is ``gather_labels`` at the row's argmax or argmin.
+  ``mean``, ``layer_norm``, ``cosine_distance`` and ``linear`` compose
+  them.
 * Recording is explicit: ops only build a backward graph while a Tape is
   active (see the ``tape()`` context manager). Outside a tape the same
   functions are plain numpy computations, which is what inference and
@@ -444,32 +454,27 @@ def multihead_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
 # ---------------------------------------------------------------------------
 
 
-def rowsum(x: Tensor) -> Tensor:
+def _require_axis(axis, allowed: tuple) -> None:
+    if not (axis is None or type(axis) is int) or axis not in allowed:
+        raise ShapeError(f"axis must be one of {allowed}, got {axis!r}")
+
+
+def sum_(x: Tensor, axis) -> Tensor:
+    """Sum down the columns (``axis=0``, giving (1, n)), along the rows
+    (``axis=1``, giving (m, 1)) or over everything (``axis=None``)."""
     _require_2d(x)
-    n = x.shape[1]
+    _require_axis(axis, (0, 1, None))
 
     def backward(g):
-        return (np.broadcast_to(g, (x.shape[0], n)).copy(),)
+        return (np.broadcast_to(g, x.shape).copy(),)
 
-    return _record(x.data.sum(axis=1, keepdims=True), (x,), backward)
-
-
-def rowmean(x: Tensor) -> Tensor:
-    return scale(rowsum(x), 1.0 / x.shape[1])
+    return _record(x.data.sum(axis=axis, keepdims=True), (x,), backward)
 
 
-def colsum(x: Tensor) -> Tensor:
-    _require_2d(x)
-    m = x.shape[0]
-
-    def backward(g):
-        return (np.broadcast_to(g, (m, x.shape[1])).copy(),)
-
-    return _record(x.data.sum(axis=0, keepdims=True), (x,), backward)
-
-
-def colmean(x: Tensor) -> Tensor:
-    return scale(colsum(x), 1.0 / x.shape[0])
+def mean(x: Tensor, axis) -> Tensor:
+    """``sum_`` divided by the number of entries summed."""
+    total = sum_(x, axis)
+    return scale(total, 1.0 / (x.data.size if axis is None else x.shape[axis]))
 
 
 def segment_mean(x: Tensor, sizes) -> Tensor:
@@ -484,7 +489,7 @@ def segment_mean(x: Tensor, sizes) -> Tensor:
         raise ShapeError(f"segment sizes {sizes.tolist()} do not split {x.shape[0]} rows")
     ends = np.cumsum(sizes)
     inv = 1.0 / sizes[:, None]
-    # a sum per run matches colmean bit for bit, and beats add.reduceat,
+    # a sum per run matches mean(x, 0) bit for bit, and beats add.reduceat,
     # which walks axis 0 of a row-major array slowly
     sums = np.stack([x.data[e - m:e].sum(axis=0) for m, e in zip(sizes, ends)])
 
@@ -494,109 +499,43 @@ def segment_mean(x: Tensor, sizes) -> Tensor:
     return _record(sums * inv, (x,), backward)
 
 
-def sum_all(x: Tensor) -> Tensor:
-    _require_2d(x)
-
-    def backward(g):
-        return (np.full(x.shape, g[0, 0]),)
-
-    return _record(x.data.sum().reshape(1, 1), (x,), backward)
-
-
-def mean_all(x: Tensor) -> Tensor:
-    return scale(sum_all(x), 1.0 / x.data.size)
-
-
-def rowmax(x: Tensor) -> Tensor:
-    """Row-wise max; gradient flows to the first argmax of each row."""
-    _require_2d(x)
-    idx = x.data.argmax(axis=1)
-    rows = np.arange(x.shape[0])
-
-    def backward(g):
-        gx = np.zeros_like(x.data)
-        gx[rows, idx] = g[:, 0]
-        return (gx,)
-
-    return _record(x.data[rows, idx].reshape(-1, 1), (x,), backward)
-
-
-def rowmin(x: Tensor) -> Tensor:
-    _require_2d(x)
-    idx = x.data.argmin(axis=1)
-    rows = np.arange(x.shape[0])
-
-    def backward(g):
-        gx = np.zeros_like(x.data)
-        gx[rows, idx] = g[:, 0]
-        return (gx,)
-
-    return _record(x.data[rows, idx].reshape(-1, 1), (x,), backward)
-
-
 # ---------------------------------------------------------------------------
 # structural ops
 # ---------------------------------------------------------------------------
 
 
-def concat_rows(parts: list[Tensor]) -> Tensor:
+def concat(parts: list[Tensor], axis) -> Tensor:
+    """Stack tensors vertically (``axis=0``) or side by side (``axis=1``)."""
+    _require_axis(axis, (0, 1))
     if not parts:
-        raise ShapeError("concat_rows needs at least one tensor")
+        raise ShapeError("concat needs at least one tensor")
     _require_2d(*parts)
-    widths = {p.shape[1] for p in parts}
-    if len(widths) != 1:
-        raise ShapeError(f"concat_rows width mismatch: {sorted(widths)}")
-    sizes = [p.shape[0] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    across = {p.shape[1 - axis] for p in parts}
+    if len(across) != 1:
+        raise ShapeError(f"concat along axis {axis} mismatch: {sorted(across)}")
+    offsets = np.cumsum([p.shape[axis] for p in parts])[:-1]
 
     def backward(g):
-        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(parts)))
+        return tuple(np.split(g, offsets, axis=axis))
 
-    return _record(np.concatenate([p.data for p in parts], axis=0),
+    return _record(np.concatenate([p.data for p in parts], axis=axis),
                    tuple(parts), backward)
 
 
-def concat_cols(parts: list[Tensor]) -> Tensor:
-    if not parts:
-        raise ShapeError("concat_cols needs at least one tensor")
-    _require_2d(*parts)
-    heights = {p.shape[0] for p in parts}
-    if len(heights) != 1:
-        raise ShapeError(f"concat_cols height mismatch: {sorted(heights)}")
-    sizes = [p.shape[1] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        return tuple(g[:, offsets[i]:offsets[i + 1]] for i in range(len(parts)))
-
-    return _record(np.concatenate([p.data for p in parts], axis=1),
-                   tuple(parts), backward)
-
-
-def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
+def slice_(x: Tensor, start: int, stop: int, axis) -> Tensor:
+    """Rows (``axis=0``) or columns (``axis=1``) ``start:stop`` of ``x``."""
     _require_2d(x)
-    if not (0 <= start <= stop <= x.shape[0]):
-        raise ShapeError(f"slice_rows [{start}:{stop}] out of range for {x.shape}")
+    _require_axis(axis, (0, 1))
+    if not (0 <= start <= stop <= x.shape[axis]):
+        raise ShapeError(f"slice [{start}:{stop}] along axis {axis} out of range for {x.shape}")
+    span = (slice(None),) * axis + (slice(start, stop),)
 
     def backward(g):
         gx = np.zeros_like(x.data)
-        gx[start:stop] = g
+        gx[span] = g
         return (gx,)
 
-    return _record(x.data[start:stop].copy(), (x,), backward)
-
-
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    _require_2d(x)
-    if not (0 <= start <= stop <= x.shape[1]):
-        raise ShapeError(f"slice_cols [{start}:{stop}] out of range for {x.shape}")
-
-    def backward(g):
-        gx = np.zeros_like(x.data)
-        gx[:, start:stop] = g
-        return (gx,)
-
-    return _record(x.data[:, start:stop].copy(), (x,), backward)
+    return _record(x.data[span].copy(), (x,), backward)
 
 
 def gather_rows(x: Tensor, idx) -> Tensor:
@@ -615,7 +554,8 @@ def gather_rows(x: Tensor, idx) -> Tensor:
 
 
 def gather_labels(x: Tensor, labels) -> Tensor:
-    """Pick one column per row, returning (m, 1)."""
+    """Pick one column per row, returning (m, 1). At ``x.data.argmax(axis=1)``
+    this is the row maximum, with the gradient going to the first maximum."""
     _require_2d(x)
     labels = np.asarray(labels, dtype=np.intp).ravel()
     if labels.shape[0] != x.shape[0]:
@@ -677,14 +617,8 @@ def neighborhood_rows(x: Tensor, frames: int, height: int, width: int,
 
 
 # ---------------------------------------------------------------------------
-# gates and detachment
+# gates
 # ---------------------------------------------------------------------------
-
-
-def rowmax_detached(x: Tensor) -> Tensor:
-    """Row maxima as a gradient-free constant, for log-softmax shifts."""
-    _require_2d(x)
-    return Tensor(x.data.max(axis=1, keepdims=True), requires_grad=False)
 
 
 # Saturating-sigmoid surrogate used by the selection gate. The hard
@@ -724,8 +658,8 @@ _LN_EPS = 1e-6
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Per-row normalization with learned scale and shift."""
-    centered = sub(x, rowmean(x))
-    var = rowmean(mul(centered, centered))
+    centered = sub(x, mean(x, 1))
+    var = mean(mul(centered, centered), 1)
     inv = reciprocal(sqrt_(add_const(var, _LN_EPS)))
     return add(mul(mul(centered, inv), gamma), beta)
 
@@ -739,9 +673,9 @@ def cosine_distance(a: Tensor, b: Tensor) -> Tensor:
     everywhere and, for an all-zero input, drives the cosine itself to
     zero rather than NaN.
     """
-    na = sqrt_(add_const(rowsum(mul(a, a)), 1e-24))
-    nb = sqrt_(add_const(rowsum(mul(b, b)), 1e-24))
-    dot = rowsum(mul(a, b))
+    na = sqrt_(add_const(sum_(mul(a, a), 1), 1e-24))
+    nb = sqrt_(add_const(sum_(mul(b, b), 1), 1e-24))
+    dot = sum_(mul(a, b), 1)
     cos = mul(dot, reciprocal(mul(na, nb)))
     return add_const(scale(cos, -1.0), 1.0)
 

@@ -143,7 +143,7 @@ def predict_context(ev_input: Tensor, gw_prev: Tensor, params: ParamSet) -> Tens
     """
     evolved = _linear(nc.relu(_linear(ev_input, params, "warp.ev.l1")),
                       params, "warp.ev.l2")
-    hidden = nc.relu(_linear(nc.concat_cols([evolved, gw_prev]), params, "warp.gw.l1"))
+    hidden = nc.relu(_linear(nc.concat([evolved, gw_prev], 1), params, "warp.gw.l1"))
     return _linear(hidden, params, "warp.gw.l2")
 
 
@@ -172,13 +172,13 @@ def msa_block(main: Tensor, aux: Tensor | None, params: ParamSet,
     normed = nc.layer_norm(main, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
     if aux is not None:
         aux_normed = nc.layer_norm(aux, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
-        kv_src = nc.concat_rows([normed, aux_normed])
+        kv_src = nc.concat([normed, aux_normed], 0)
     else:
         kv_src = normed
     q = _linear(normed, params, f"{p}.attn.q")
     kv = _linear(kv_src, params, f"{p}.attn.kv")
-    k = nc.slice_cols(kv, 0, config.dim)
-    v = nc.slice_cols(kv, config.dim, 2 * config.dim)
+    k = nc.slice_(kv, 0, config.dim, 1)
+    v = nc.slice_(kv, config.dim, 2 * config.dim, 1)
     segments = []
     m0, a0 = 0, main.shape[0]
     for m, a in frames:
@@ -268,7 +268,7 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
     all_idx = np.arange(n)
     with nc.stage("embedding"):
         x_i = _embed_patches(gop.i_frame.patches, params, all_idx, 0)
-    c0 = nc.colmean(x_i)
+    c0 = nc.mean(x_i, 0)
 
     # P-frame f (frame f + 1) owns rows offsets[f]:offsets[f + 1] of the
     # stacked kept tokens x_p; `full` lists the P-frames with kept rows
@@ -300,26 +300,26 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
             x_p = _embed_patches(
                 np.concatenate([gop.frame_patches(f + 1)[kept[f]] for f in full]),
                 params, np.concatenate(kept), np.repeat(np.arange(1, t_total), sizes))
-        gates = nc.gather_rows(nc.concat_rows([selection.gates[f] for f in full]),
+        gates = nc.gather_rows(nc.concat([selection.gates[f] for f in full], 0),
                                np.concatenate([j * n + kept[f] for j, f in enumerate(full)]))
         x_p = nc.mul(x_p, gates)  # straight-through path into the selector
         parts.append(nc.segment_mean(x_p, sizes[full]))
     slot = np.zeros(p_count, dtype=np.intp)
     slot[full] = 1 + np.arange(full.size)
-    cp_prev = nc.gather_rows(nc.concat_rows(parts), slot)
+    cp_prev = nc.gather_rows(nc.concat(parts, 0), slot)
 
     routing: list[RoutingEntry] = []
     context_pairs = []
     ci_prev = c0
     for layer in range(config.layers):
-        ci_cur = nc.colmean(x_i)
+        ci_cur = nc.mean(x_i, 0)
         context_pairs.append((ci_cur, ci_prev))
         if p_count:
             with nc.stage("global_warp"):
                 cp_coarse = predict_context(
-                    nc.gather_rows(nc.concat_cols([ci_cur, ci_prev]), first), cp_prev, params)
+                    nc.gather_rows(nc.concat([ci_cur, ci_prev], 1), first), cp_prev, params)
             with nc.stage("routing"):
-                ci_hat = predict_context(nc.concat_cols([cp_coarse, cp_prev]),
+                ci_hat = predict_context(nc.concat([cp_coarse, cp_prev], 1),
                                          nc.gather_rows(ci_prev, first), params)
                 costs = nc.cosine_distance(ci_hat, ci_cur).data[:, 0]
             is_open = costs > threshold
@@ -350,9 +350,9 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
                     grid_rows += [rows, rows]
                     carry[f] = p_count + OPEN_AUX * j
                     aux_rows[f] = list(range(carry[f], carry[f] + OPEN_AUX))
-                grid = nc.gather_rows(nc.concat_rows([x_p, p_tilde]), np.concatenate(grid_rows))
+                grid = nc.gather_rows(nc.concat([x_p, p_tilde], 0), np.concatenate(grid_rows))
                 parts.append(nc.segment_mean(grid, ([n] + cell_sizes) * opened.size))
-            sources = nc.concat_rows(parts)
+            sources = nc.concat(parts, 0)
             # a zero-row frame has nothing to attend; its aux key/value
             # projection would count MACs the cost model does not price
             if full.size:
@@ -366,9 +366,9 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
         ci_prev = ci_cur
 
     # reinstate every skipped patch once from the final first-frame tokens
-    total = nc.colsum(x_i)
+    total = nc.sum_(x_i, 0)
     if p_count:
-        total = nc.add(total, nc.colsum(x_p))
+        total = nc.add(total, nc.sum_(x_p, 0))
         with nc.stage("patchwise_warp"):
             kv = _warp_kv(x_i, params)
             # with every patch kept, a zero-row refinement would still
@@ -377,7 +377,7 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
                 p_tilde = _refine_unselected(
                     x_i, np.concatenate(motion), Tensor(np.concatenate(residual)),
                     params, kv)
-                total = nc.add(total, nc.colsum(p_tilde))
+                total = nc.add(total, nc.sum_(p_tilde, 0))
     feature = nc.scale(total, 1.0 / (n * t_total))
     return PsformerResult(feature=feature, context_pairs=context_pairs,
                           routing=routing)
@@ -398,7 +398,7 @@ def _refine_unselected(x_i: Tensor, motion: np.ndarray, residual: Tensor,
     first-frame tokens with their key/value projections ``kv``.
     """
     src = nc.gather_rows(x_i, motion)
-    inp = nc.concat_cols([src, residual])
+    inp = nc.concat([src, residual], 1)
     hidden = nc.relu(_linear(inp, params, "warp.pw.l1"))
     hidden = nc.relu(_linear(hidden, params, "warp.pw.l2"))
     p_hat = _linear(hidden, params, "warp.pw.l3")
@@ -434,9 +434,9 @@ def dense_forward(gop: GopClip, params: ParamSet,
                 np.concatenate([gop.frame_patches(t) for t in range(1, t_total)]),
                 params, np.tile(all_idx, p_count), np.repeat(np.arange(1, t_total), n))
     context_pairs = []
-    ci_prev = nc.colmean(x_i)
+    ci_prev = nc.mean(x_i, 0)
     for layer in range(config.layers):
-        ci_cur = nc.colmean(x_i)
+        ci_cur = nc.mean(x_i, 0)
         context_pairs.append((ci_cur, ci_prev))
         with nc.stage("i_frame_msa"):
             x_i = msa_block(x_i, ci_cur, params, layer, config)
@@ -445,8 +445,8 @@ def dense_forward(gop: GopClip, params: ParamSet,
                 x_p = msa_block(x_p, nc.segment_mean(x_p, [n] * p_count),
                                 params, layer, config, frames=[(n, 1)] * p_count)
         ci_prev = ci_cur
-    total = nc.colsum(x_i)
+    total = nc.sum_(x_i, 0)
     if p_count:
-        total = nc.add(total, nc.colsum(x_p))
+        total = nc.add(total, nc.sum_(x_p, 0))
     feature = nc.scale(total, 1.0 / (n * t_total))
     return PsformerResult(feature=feature, context_pairs=context_pairs)

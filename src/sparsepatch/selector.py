@@ -138,7 +138,7 @@ def shallow_3dcnn(clip: RawClip, params: ParamSet) -> list[Tensor]:
             x = nc.relu(nc.linear(cols, params[f"sel.conv{i}.w"],
                                   params[f"sel.conv{i}.b"]))
             h, w = h // 2, w // 2
-    return [nc.slice_rows(x, ti * n, (ti + 1) * n) for ti in range(t)]
+    return [nc.slice_(x, ti * n, (ti + 1) * n, 0) for ti in range(t)]
 
 
 def patch_semantics(f_map: Tensor, saliency: SaliencyVector) -> Tensor:
@@ -154,9 +154,9 @@ def gate_features(residual: np.ndarray, f_map: Tensor, saliency: SaliencyVector,
                   progressive: np.ndarray) -> Tensor:
     """One P-frame's (N, FEATURE_DIM) gate input: the codec residual / 255,
     the saliency-scaled semantics, and the progressive residual / 255."""
-    return nc.concat_cols([Tensor(residual / 255.0),
-                           patch_semantics(f_map, saliency),
-                           Tensor(progressive / 255.0)])
+    return nc.concat([Tensor(residual / 255.0),
+                      patch_semantics(f_map, saliency),
+                      Tensor(progressive / 255.0)], 1)
 
 
 # ---------------------------------------------------------------------------

@@ -96,10 +96,11 @@ class TrainConfig:
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean negative log softmax probability of the true class."""
-    shifted = nc.sub(logits, nc.rowmax_detached(logits))
-    log_z = nc.log_(nc.rowsum(nc.exp_(shifted)))
+    # the row maxima shift out as a constant, so they carry no gradient
+    shifted = nc.sub(logits, Tensor(logits.data.max(axis=1, keepdims=True)))
+    log_z = nc.log_(nc.sum_(nc.exp_(shifted), 1))
     log_p = nc.sub(nc.gather_labels(shifted, labels), log_z)
-    return nc.scale(nc.mean_all(log_p), -1.0)
+    return nc.scale(nc.mean(log_p, None), -1.0)
 
 
 def hard_triplet(features: Tensor, labels, margin: float) -> Tensor:
@@ -120,15 +121,17 @@ def hard_triplet(features: Tensor, labels, margin: float) -> Tensor:
     if not neg_mask.any(axis=1).all():
         raise ValidationError("some anchor has no negative in the batch")
 
-    sq = nc.rowsum(nc.mul(features, features))
+    sq = nc.sum_(nc.mul(features, features), 1)
     cross = nc.matmul(features, nc.transpose(features))
     d2 = nc.add(nc.add(sq, nc.transpose(sq)), nc.scale(cross, -2.0))
     dist = nc.sqrt_(nc.add_const(nc.relu(d2), 1e-12))
 
-    hardest_pos = nc.rowmax(nc.add(dist, Tensor(np.where(pos_mask, 0.0, -1e18))))
-    hardest_neg = nc.rowmin(nc.add(dist, Tensor(np.where(neg_mask, 0.0, 1e18))))
+    pos = nc.add(dist, Tensor(np.where(pos_mask, 0.0, -1e18)))
+    hardest_pos = nc.gather_labels(pos, pos.data.argmax(axis=1))
+    neg = nc.add(dist, Tensor(np.where(neg_mask, 0.0, 1e18)))
+    hardest_neg = nc.gather_labels(neg, neg.data.argmin(axis=1))
     hinge = nc.relu(nc.add_const(nc.sub(hardest_pos, hardest_neg), margin))
-    return nc.mean_all(hinge)
+    return nc.mean(hinge, None)
 
 
 def error_constraint_loss(context_pairs, params: ParamSet,
@@ -153,7 +156,7 @@ def error_constraint_loss(context_pairs, params: ParamSet,
             noise = Tensor(rng.standard_normal((1, c_cur.shape[1])))
             mixed = nc.add(nc.scale(c_cur, 1.0 - float(alpha)),
                            nc.scale(noise, float(alpha)))
-            recon = predict_context(nc.concat_cols([mixed, c_prev]), c_prev, params)
+            recon = predict_context(nc.concat([mixed, c_prev], 1), c_prev, params)
             costs.append(nc.cosine_distance(recon, c_cur))
         for i in range(noise_samples):
             for j in range(i + 1, noise_samples):
@@ -363,7 +366,7 @@ def two_stage_train(spec: SynthSpec, config: TrainConfig,
                             res.context_pairs, params,
                             noise_samples=config.noise_samples,
                             seed=step * 131 + slot))
-                f = nc.concat_rows(feats)
+                f = nc.concat(feats, 0)
                 logits = nc.linear(f, params["cls.w"], params["cls.b"])
                 l_cent = cross_entropy(logits, labels)
                 l_tri = hard_triplet(f, labels, config.triplet_margin)

@@ -105,8 +105,8 @@ class SynthSpec:
             raise ValidationError("frames must be >= 1")
         if self.background not in _BACKGROUNDS:
             raise ValidationError(f"background must be one of {_BACKGROUNDS}")
-        if self.motion_amplitude < 0:
-            raise ValidationError("motion_amplitude must be >= 0")
+        if not 0 <= self.motion_amplitude < np.inf:
+            raise ValidationError("motion_amplitude must be finite and >= 0")
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,15 @@ def test_config_int_accepted_for_float_key():
     assert parse_config_text("error_weight = 2\n")["error_weight"] == 2.0
 
 
+def test_config_rejects_non_finite_floats():
+    float_keys = [key for key, (kind, _) in CONFIG_SCHEMA.items() if kind is float]
+    assert "motion_amplitude" in float_keys and "learning_rate" in float_keys
+    for key in float_keys:
+        for value in ("nan", "inf", "-inf", "NaN", "Infinity"):
+            with pytest.raises(UsageError, match=f"line 2: {key} must be a finite number"):
+                parse_config_text(f"# first line\n{key} = {value}\n")
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -310,6 +319,83 @@ def test_adversarial_clips_serve_or_are_refused_before_compute(
             assert json.loads(out.read_text())["feature"] == feature.tolist()
 
 
+def test_exit_2_on_non_finite_config_values(tmp_path, capsys):
+    # refused at parse time: synth used to die with an OverflowError
+    # traceback (exit 1), train used to train and then exit 4
+    for command, text, key in (("synth", SMALL_CFG, "motion_amplitude"),
+                               ("train", TRAIN_CFG, "learning_rate")):
+        for value in ("nan", "inf"):
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(text + f"{key} = {value}\n")
+            out = tmp_path / "out"
+            flag = "--spec" if command == "synth" else "--config"
+            assert run_cli(command, flag, str(cfg), "--out", str(out)) == 2
+            assert f"{key} must be a finite number" in capsys.readouterr().err
+            assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["forward", "--gop", "missing.gop1", "--threshold", "nan"], "--threshold"),
+    (["sweep-s", "--from", "nan"], "--from"),
+    (["sweep-s", "--to", "inf"], "--to"),
+    (["sweep-s", "--step", "nan"], "--step"),
+    (["macs", "--kept-fraction", "nan"], "--kept-fraction"),
+    (["macs", "--open-rate", "inf"], "--open-rate"),
+    (["macs", "--target", "nan"], "--target"),
+    (["macs", "--target", "20", "--lo=-inf"], "--lo"),
+    (["macs", "--target", "20", "--hi", "nan"], "--hi"),
+])
+def test_exit_2_on_non_finite_float_flags(argv, flag, tmp_path, capsys):
+    # refused before the command runs: `forward` never opens its GOP
+    out = tmp_path / "out"
+    args = argv + (["--out", str(out)] if argv[0] != "macs" else [])
+    assert run_cli(*args) == 2
+    captured = capsys.readouterr()
+    assert f"{flag} must be a finite number" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def _checkpoint(path, layers, heads):
+    model = PsformerConfig(dim=16, layers=layers, heads=heads, grid_h=2,
+                           grid_w=4, max_frames=3)
+    params = init_psformer_params(model, seed=0)
+    init_selector_params(seed=1, params=params)
+    params.save_npz(path)
+    return path
+
+
+@pytest.mark.parametrize("command", ["select", "forward", "sweep-s"])
+def test_exit_5_on_checkpoint_that_does_not_fit_the_model(pipeline, command,
+                                                           monkeypatch, capsys):
+    # each model flag is checked against the parameters that carry it,
+    # before a single matmul
+    tmp_path, cfg, _, gop = pipeline
+    calls = []
+    matmul, count_macs = nc.matmul, nc.count_macs
+    monkeypatch.setattr(nc, "matmul", lambda *a: calls.append("matmul") or matmul(*a))
+    monkeypatch.setattr(nc, "count_macs", lambda *a: calls.append("macs") or count_macs(*a))
+    cases = (  # checkpoint (layers, heads), flags, message
+        ((2, 2), ["--layers", "1", "--heads", "2"], "holds layers [0, 1], model wants 1"),
+        ((2, 2), ["--layers", "2", "--heads", "4"], "head width is 8 (warp.q.w), model wants 4"),
+        ((1, 4), ["--layers", "1", "--heads", "2"], "head width is 4 (warp.q.w), model wants 8"),
+        ((1, 2), ["--layers", "3", "--heads", "2"], "holds layers [0], model wants 3"),
+    )
+    for (layers, heads), flags, message in cases:
+        ckpt = _checkpoint(tmp_path / f"l{layers}h{heads}.npz", layers, heads)
+        out = tmp_path / "out"
+        if command == "sweep-s":
+            # sweep-s reads the model from its config
+            text = SMALL_CFG + f"layers = {flags[1]}\nheads = {flags[3]}\n"
+            (tmp_path / "model.cfg").write_text(text)
+            argv = ["sweep-s", "--config", str(tmp_path / "model.cfg")]
+        else:
+            argv = [command, "--gop", str(gop), "--dim", "16", *flags]
+        assert run_cli(*argv, "--params", str(ckpt), "--out", str(out)) == 5
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+    assert calls == []
+
+
 def test_exit_2_on_bad_sweep_range(tmp_path, capsys):
     code = run_cli("sweep-s", "--from", "0.9", "--to", "0.4",
                    "--out", str(tmp_path / "x.csv"))
@@ -480,7 +566,8 @@ def test_gradcheck_selector_uses_the_pool_each_frame_was_served(seed, monkeypatc
     assert checked == served
 
 
-def test_train_writes_run_directory(tmp_path, capsys):
+def test_train_writes_run_directory(pipeline, capsys):
+    tmp_path, _, _, gop = pipeline
     cfg = tmp_path / "train.cfg"
     cfg.write_text(TRAIN_CFG)
     run_dir = tmp_path / "run"
@@ -492,7 +579,14 @@ def test_train_writes_run_directory(tmp_path, capsys):
     log = (run_dir / "log.csv").read_text().strip().splitlines()
     assert log[0].startswith("epoch,stage,")
     assert len(log) == 3
-    assert (run_dir / "params.npz").exists()
+    # the checkpoint, with its extra cls.* parameters, serves the model it
+    # was trained for
+    ckpt = run_dir / "params.npz"
+    assert any(name.startswith("cls.") for name in nc.ParamSet.load_npz(ckpt).names())
+    for command in ("select", "forward"):
+        assert run_cli(command, "--gop", str(gop), "--params", str(ckpt),
+                       *MODEL_FLAGS, "--out", str(tmp_path / f"{command}.json")) == 0
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,10 @@ Checked with the standard library's ``ast``: a public function of
 ``numcore`` that calls ``_record`` defines its own backward, so it must
 be called inside ``tests/test_numcore.py::_op_cases``, whose entries
 ``test_op_gradients`` compares against central differences.
+
+The number of recording ops is pinned too: a change that adds or
+removes one updates ``RECORDING_OPS``, so a new near-duplicate of an
+existing op shows up in review.
 """
 
 import ast
@@ -12,6 +16,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 NUMCORE = ROOT / "src" / "sparsepatch" / "numcore.py"
 TABLE = ROOT / "tests" / "test_numcore.py"
+
+# public numcore functions that call ``_record``
+RECORDING_OPS = 22
 
 # ops whose backward is deliberately not the derivative of their forward,
 # with the test that checks the backward instead
@@ -59,3 +66,8 @@ def test_every_recording_op_is_gradient_checked():
         assert name in ops and f"def {test}(" in tests
     missing = ops - table_ops(tests) - set(NOT_DERIVATIVES)
     assert not missing, f"ops missing from _op_cases: {sorted(missing)}"
+
+
+def test_recording_op_count_is_pinned():
+    ops = recording_ops(NUMCORE.read_text())
+    assert len(ops) == RECORDING_OPS, sorted(ops)

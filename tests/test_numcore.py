@@ -87,6 +87,8 @@ def _op_cases():
         out = nc.multihead_attention(q_, k_, v_, 2, segments)
         return nc.mul(out, attn_weight)
 
+    # case ids name the operation: sum_, mean, concat and slice_ get one
+    # case per axis, and a row max or min is gather_labels at the arg-extreme
     return [
         ("matmul", lambda x: nc.matmul(x, w), _rand((5, 4), 1)),
         ("transpose", lambda x: nc.transpose(x), _rand((3, 4), 2)),
@@ -102,21 +104,22 @@ def _op_cases():
         ("log", lambda x: nc.log_(x), _rand((3, 3), 13, lo=0.5)),
         ("sqrt", lambda x: nc.sqrt_(x), _rand((3, 3), 14, lo=0.5)),
         ("reciprocal", lambda x: nc.reciprocal(x), _rand((3, 3), 15, lo=0.5)),
-        ("rowsum", lambda x: nc.rowsum(x), _rand((4, 3), 17)),
-        ("rowmean", lambda x: nc.rowmean(x), _rand((4, 3), 18)),
-        ("colsum", lambda x: nc.colsum(x), _rand((4, 3), 19)),
-        ("colmean", lambda x: nc.colmean(x), _rand((4, 3), 30)),
+        ("rowsum", lambda x: nc.sum_(x, 1), _rand((4, 3), 17)),
+        ("rowmean", lambda x: nc.mean(x, 1), _rand((4, 3), 18)),
+        ("colsum", lambda x: nc.sum_(x, 0), _rand((4, 3), 19)),
+        ("colmean", lambda x: nc.mean(x, 0), _rand((4, 3), 30)),
         ("segment_mean", lambda x: nc.segment_mean(x, [2, 1, 3]), _rand((6, 3), 29)),
-        ("sum_all", lambda x: nc.sum_all(nc.mul(x, nc.Tensor(_rand((3, 4), 48)))), _rand((3, 4), 28)),
+        ("sum_all", lambda x: nc.sum_(nc.mul(x, nc.Tensor(_rand((3, 4), 48))), None), _rand((3, 4), 28)),
+        ("mean_all", lambda x: nc.mean(nc.mul(x, nc.Tensor(_rand((3, 4), 53))), None), _rand((3, 4), 54)),
         ("attention_q", lambda x: attention(x, k, v), _rand((5, 4), 49)),
         ("attention_k", lambda x: attention(q, x, v), _rand((8, 4), 50)),
         ("attention_v", lambda x: attention(q, k, x), _rand((8, 6), 51)),
-        ("rowmax", lambda x: nc.rowmax(x), _rand((4, 5), 31)),
-        ("rowmin", lambda x: nc.rowmin(x), _rand((4, 5), 32)),
-        ("concat_rows", lambda x: nc.concat_rows([x, nc.Tensor(_rand((2, 3), 24))]), _rand((3, 3), 33)),
-        ("concat_cols", lambda x: nc.concat_cols([x, nc.Tensor(_rand((3, 2), 25))]), _rand((3, 3), 34)),
-        ("slice_rows", lambda x: nc.slice_rows(x, 1, 3), _rand((4, 3), 35)),
-        ("slice_cols", lambda x: nc.slice_cols(x, 0, 2), _rand((4, 3), 36)),
+        ("rowmax", lambda x: nc.gather_labels(x, x.data.argmax(axis=1)), _rand((4, 5), 31)),
+        ("rowmin", lambda x: nc.gather_labels(x, x.data.argmin(axis=1)), _rand((4, 5), 32)),
+        ("concat_rows", lambda x: nc.concat([x, nc.Tensor(_rand((2, 3), 24))], 0), _rand((3, 3), 33)),
+        ("concat_cols", lambda x: nc.concat([x, nc.Tensor(_rand((3, 2), 25))], 1), _rand((3, 3), 34)),
+        ("slice_rows", lambda x: nc.slice_(x, 1, 3, 0), _rand((4, 3), 35)),
+        ("slice_cols", lambda x: nc.slice_(x, 0, 2, 1), _rand((4, 3), 36)),
         ("gather_rows", lambda x: nc.gather_rows(x, idx), _rand((3, 3), 37)),
         ("gather_labels", lambda x: nc.gather_labels(x, labels), _rand((4, 3), 38)),
         # odd 2x3x5 grid, offset 1: taps past the far edges read padding
@@ -131,8 +134,40 @@ def _op_cases():
                          ids=[c[0] for c in _op_cases()])
 def test_op_gradients(name, op, value):
     x = nc.Tensor(value.copy(), requires_grad=True)
-    err = nc.grad_check(lambda t: nc.mean_all(op(t)), x)
+    err = nc.grad_check(lambda t: nc.mean(op(t), None), x)
     assert err < 1e-4, f"{name}: grad error {err:.3e}"
+
+
+def test_bad_axis_is_refused_before_any_work(monkeypatch):
+    def no_work(*_args):
+        raise AssertionError("an op with a bad axis reached _record")
+
+    monkeypatch.setattr(nc, "_record", no_work)
+    x = nc.Tensor(_rand((3, 4), 55), requires_grad=True)
+    calls = [lambda axis: nc.sum_(x, axis), lambda axis: nc.mean(x, axis),
+             lambda axis: nc.concat([x, x], axis), lambda axis: nc.slice_(x, 0, 1, axis)]
+    with nc.tape() as t:
+        for call in calls:
+            for axis in (2, -1, True, 1.0, "rows"):
+                with pytest.raises(ShapeError, match="axis must be one of"):
+                    call(axis)
+        for call in calls[2:]:
+            with pytest.raises(ShapeError, match="axis must be one of"):
+                call(None)
+        with pytest.raises(ShapeError, match="axis must be one of"):
+            nc.concat([], 2)
+    assert len(t) == 0
+
+
+def test_row_max_and_min_send_the_gradient_to_the_first_tied_extreme():
+    x = nc.Tensor([[1.0, 3.0, 3.0], [-2.0, 0.0, -2.0]], requires_grad=True)
+    with nc.tape() as t:
+        top = nc.gather_labels(x, x.data.argmax(axis=1))
+        bottom = nc.gather_labels(x, x.data.argmin(axis=1))
+        t.backward(nc.sum_(nc.add(top, nc.scale(bottom, 2.0)), None))
+    assert top.data.tolist() == [[3.0], [0.0]]
+    assert bottom.data.tolist() == [[1.0], [-2.0]]
+    assert x.grad.tolist() == [[2.0, 1.0, 0.0], [2.0, 1.0, 0.0]]
 
 
 def _neighborhood_oracle(grid, offset, g):
@@ -167,7 +202,7 @@ def test_neighborhood_rows_matches_loop_gather(frames, height, width, channels, 
     x = nc.Tensor(grid.reshape(-1, channels), requires_grad=True)
     with nc.tape() as t:
         cols = nc.neighborhood_rows(x, frames, height, width, offset)
-        t.backward(nc.sum_all(nc.mul(cols, nc.Tensor(g))))
+        t.backward(nc.sum_(nc.mul(cols, nc.Tensor(g)), None))
     assert np.array_equal(cols.data, want)
     assert np.allclose(x.grad, want_grad, rtol=0.0, atol=1e-12)
 
@@ -184,7 +219,7 @@ def test_grad_check_detects_scale_error():
     # a deliberately wrong gradient must be caught, otherwise the checker
     # itself is vacuous
     x = nc.Tensor(_rand((2, 2), 50), requires_grad=True)
-    err = nc.grad_check(lambda t: nc.mean_all(nc.mul(t, nc.Tensor(t.data.copy()))), x)
+    err = nc.grad_check(lambda t: nc.mean(nc.mul(t, nc.Tensor(t.data.copy())), None), x)
     assert err > 0.3
 
 
@@ -198,7 +233,7 @@ def test_hard_gate_matches_soft_surrogate_gradient():
     vals = np.array([[ -2.0, -1.0, -0.3, 0.2, 0.9, 2.1]])
     x = nc.Tensor(vals, requires_grad=True)
     with nc.tape() as t:
-        t.backward(nc.sum_all(nc.hard_gate(x)))
+        t.backward(nc.sum_(nc.hard_gate(x), None))
     st_grad = x.grad.copy()
 
     # central differences of the surrogate, with grad_check's error bound
@@ -211,7 +246,7 @@ def test_hard_gate_matches_soft_surrogate_gradient():
 def test_hard_gate_saturation_outside_band():
     x = nc.Tensor([[4.0, -4.0, 2.5, -2.5]], requires_grad=True)
     with nc.tape() as t:
-        t.backward(nc.sum_all(nc.hard_gate(x)))
+        t.backward(nc.sum_(nc.hard_gate(x), None))
     assert np.all(x.grad == 0.0)
 
 

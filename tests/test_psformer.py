@@ -258,7 +258,7 @@ def test_psformer_gradcheck(threshold):
         loss = nc.matmul(res.feature, probe)
         for cur, prev in res.context_pairs:
             loss = nc.add(loss, nc.matmul(nc.mul(cur, prev), probe))
-        return nc.sum_all(loss)
+        return nc.sum_(loss, None)
 
     names = ["embed.w", "pos", "frame", "layer0.attn.kv.w", "layer0.ffn.l1.w",
              "warp.pw.l1.w", "warp.ev.l1.w", "warp.gw.l2.w", "warp.k.w"]
@@ -280,7 +280,7 @@ def test_gate_gradient_reaches_selector():
     with nc.tape() as t:
         sel = select_patches(gop, sel_params, mode="train", seed=1)
         res = psformer_forward(gop, sel, params, cfg, threshold=3.0)
-        loss = nc.sum_all(res.feature)
+        loss = nc.sum_(res.feature, None)
         t.backward(loss)
     g_mlp = sel_params["sel.mlp0.w"].grad
     g_conv = sel_params["sel.conv0.w"].grad

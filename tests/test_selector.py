@@ -86,7 +86,7 @@ def test_cnn_gradients_reach_first_layer():
     clip = _small_clip(t=2, h=16, w=16)
     params = init_selector_params(seed=1)
     err = nc.grad_check(
-        lambda _t: nc.mean_all(shallow_3dcnn(clip, params)[1]),
+        lambda _t: nc.mean(shallow_3dcnn(clip, params)[1], None),
         params["sel.conv0.w"], max_coords=6, seed=0)
     assert err < 1e-4
 
@@ -154,7 +154,7 @@ def test_score_gate_gradient_flows_through_hard_gate():
         params.zero_grad()
         with nc.tape() as t:
             gate = score_gate(feats, params, gate_noise)
-            t.backward(nc.sum_all(gate.gate))
+            t.backward(nc.sum_(gate.gate, None))
         assert params["sel.mlp0.w"].grad is not None
         assert np.abs(params["sel.mlp0.w"].grad).max() > 0
 
@@ -216,7 +216,7 @@ def test_select_patches_rejects_mismatched_semantics():
     with pytest.raises(ValidationError, match="semantics do not match"):
         select_patches(gop, params, semantics=sem[:2])
     with pytest.raises(ValidationError, match="semantics do not match"):
-        select_patches(gop, params, semantics=[nc.slice_rows(f, 0, 3) for f in sem])
+        select_patches(gop, params, semantics=[nc.slice_(f, 0, 3, 0) for f in sem])
 
 
 def test_select_patches_train_mode_jitters_and_backprops():
@@ -225,7 +225,7 @@ def test_select_patches_train_mode_jitters_and_backprops():
     params.zero_grad()
     with nc.tape() as t:
         result = select_patches(gop, params, mode="train", seed=3)
-        total = nc.sum_all(nc.concat_rows(result.gates))
+        total = nc.sum_(nc.concat(result.gates, 0), None)
         t.backward(total)
     for tix, (raw, shifted) in enumerate(zip(result.scores, result.shifted_scores)):
         assert not np.allclose(raw, shifted), f"frame {tix+1} got no noise"

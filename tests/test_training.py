@@ -163,8 +163,8 @@ def test_error_constraint_gradcheck():
               Tensor(rng.standard_normal((1, 16)))) for _ in range(2)]
 
     def build_loss():
-        return nc.sum_all(error_constraint_loss(pairs, params,
-                                                noise_samples=3, seed=5))
+        return nc.sum_(error_constraint_loss(pairs, params,
+                                             noise_samples=3, seed=5), None)
 
     errs = nc.grad_check_params(
         build_loss, params,
@@ -183,7 +183,7 @@ def test_adam_minimizes_quadratic():
         params.zero_grad()
         with nc.tape() as t:
             diff = nc.sub(params["x"], Tensor(target))
-            loss = nc.sum_all(nc.mul(diff, diff))
+            loss = nc.sum_(nc.mul(diff, diff), None)
             t.backward(loss)
         opt.step(lr=0.1)
     assert np.allclose(params["x"].data, target, atol=1e-3)
@@ -196,7 +196,7 @@ def test_adam_skips_parameters_without_gradients():
     opt = Adam(params, weight_decay=5e-4)
     params.zero_grad()
     with nc.tape() as t:
-        loss = nc.sum_all(nc.mul(params["used"], params["used"]))
+        loss = nc.sum_(nc.mul(params["used"], params["used"]), None)
         t.backward(loss)
     opt.step(lr=0.1)
     assert np.array_equal(params["unused"].data, np.ones((1, 2)) * 7.0)

@@ -191,5 +191,8 @@ def test_synth_validation():
         SynthSpec(identity_count=1, clips_per_identity=1, height=30)
     with pytest.raises(ValidationError):
         SynthSpec(identity_count=1, clips_per_identity=1, background="plasma")
+    for amplitude in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="motion_amplitude must be finite and >= 0"):
+            SynthSpec(identity_count=1, clips_per_identity=1, motion_amplitude=amplitude)
     with pytest.raises(ValidationError):
         synth_clip(_spec(), identity=99, clip_seed=0)
