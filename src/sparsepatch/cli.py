@@ -37,13 +37,14 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .gopcodec import PATCH_DIM, decode_gop, encode_gop, read_gop, write_gop
+from .gopcodec import decode_gop, encode_gop, read_gop, write_gop
 from .numcore import ParamSet, Tensor
 from .psformer import (
     PsformerConfig,
     dense_forward,
     init_psformer_params,
     psformer_forward,
+    psformer_param_shapes,
 )
 from .selector import (
     gate_features,
@@ -51,6 +52,7 @@ from .selector import (
     progressive_residual,
     score_gate,
     select_patches,
+    selector_param_shapes,
     shallow_3dcnn,
 )
 from .training import (
@@ -65,6 +67,7 @@ from .training import (
 from .videoio import PATCH, SynthSpec, read_rawvid, synth_clip, write_rawvid
 
 GRADCHECK_TOL = 1e-4
+SWEEP_MAX_THRESHOLDS = 1000
 
 # every recognized config key with its type and default; unknown keys are
 # rejected so typos fail loudly instead of silently using a default. The
@@ -161,25 +164,25 @@ def _resolve_seed(args, cfg: dict | None = None) -> int:
 def _load_or_init_params(args, model: PsformerConfig, seed: int) -> ParamSet:
     if getattr(args, "params", None):
         params = ParamSet.load_npz(args.params)
-        # each model flag against the parameters that carry it, where the
-        # checkpoint holds them: embed.w has --dim columns, warp.q.w one
-        # head's width, and the layer{l}.* blocks number --layers
-        if "embed.w" in params:
-            got = params["embed.w"].shape
-            if got != (PATCH_DIM, model.dim):
-                raise ValidationError(
-                    f"checkpoint embed.w is {got}, model wants ({PATCH_DIM}, {model.dim})")
-        if "warp.q.w" in params:
-            width = params["warp.q.w"].shape[1]
-            if width != model.head_dim:
-                raise ValidationError(
-                    f"checkpoint head width is {width} (warp.q.w), model wants "
-                    f"{model.head_dim} ({model.dim} dim over {model.heads} heads)")
+        # the layer{l}.* blocks number --layers; the shapes below check
+        # --dim and --heads (warp.q.w has one head's width)
         blocks = {name.partition(".")[0] for name in params.names()}
         layers = sorted(int(b[5:]) for b in blocks if b[:5] == "layer" and b[5:].isdigit())
         if layers and layers != list(range(model.layers)):
             raise ValidationError(
                 f"checkpoint holds layers {layers}, model wants {model.layers}")
+        # every parameter of the model: present if the command reads it
+        # (select reads only sel.*), and at the model's shape if present
+        for name, want in {**psformer_param_shapes(model), **selector_param_shapes()}.items():
+            if name not in params:
+                if args.command == "select" and not name.startswith("sel."):
+                    continue
+                raise ValidationError(f"checkpoint lacks {name}, which {args.command} reads")
+            got = params[name].shape
+            if name == "frame":  # a longer frame table also serves shorter clips
+                want = (max(got[0], want[0]), want[1])
+            if got != want:
+                raise ValidationError(f"checkpoint {name} is {got}, model wants {want}")
         return params
     params = init_psformer_params(model, seed=seed)
     init_selector_params(seed=seed + 1, params=params)
@@ -350,8 +353,6 @@ def _print_cost_table(report) -> None:
     for stage in STAGES:
         print(f"{stage:<16} {report.breakdown.get(stage, 0.0):>12.4f}")
     print(f"{'total':<16} {report.analytic_gmacs:>12.4f}")
-    if report.counted_gmacs is not None:
-        print(f"{'counted':<16} {report.counted_gmacs:>12.4f}")
 
 
 def cmd_macs(args) -> int:
@@ -527,6 +528,9 @@ def cmd_sweep_s(args) -> int:
         raise UsageError("--step must be positive")
     if args.s_to < args.s_from:
         raise UsageError("--to must be >= --from")
+    # the threshold loop below runs while s <= --to + 1e-9
+    if (args.s_to + 1e-9 - args.s_from) / args.s_step >= SWEEP_MAX_THRESHOLDS:
+        raise UsageError(f"--step gives more than {SWEEP_MAX_THRESHOLDS} thresholds")
     cfg = load_config(args.config)
     seed = _resolve_seed(args, cfg)
     spec = _spec_from_config(cfg, seed)

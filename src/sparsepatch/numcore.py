@@ -579,12 +579,10 @@ def neighborhood_rows(x: Tensor, frames: int, height: int, width: int,
     Row ``(t * height + y) * width + x`` of ``x`` holds the C channels of
     cell (t, y, x). The output has one row per centre (t, 2 * yo + offset,
     2 * xo + offset) for yo < height // 2 and xo < width // 2, in
-    (t, yo, xo) order; ``offset`` is 0 or 1. Its 27 * C columns run in
-    (dt, dy, dx, channel) order with each of dt, dy, dx in (-1, 0, 1):
-    tap (dt, dy, dx) fills the C columns from
-    ``(9 * (dt + 1) + 3 * (dy + 1) + dx + 1) * C``, so the dt = -1 taps
-    come first and the centre tap is slot 13. Cells outside the grid read
-    as zero. Backward adds each tap's gradient back into the cells it read.
+    (t, yo, xo) order; ``offset`` is 0 or 1. Its 27 * C columns are the
+    centre's (3, 3, 3, C) window flattened in (dt, dy, dx, channel) order,
+    each of dt, dy, dx running -1, 0, 1. Cells outside the grid read as
+    zero. Backward adds each tap's gradient back into the cells it read.
     """
     _require_2d(x)
     c = x.shape[1]
@@ -593,27 +591,26 @@ def neighborhood_rows(x: Tensor, frames: int, height: int, width: int,
     if offset not in (0, 1):
         raise ShapeError(f"neighborhood offset must be 0 or 1, got {offset}")
     ho, wo = height // 2, width // 2
-    # one zero cell of padding on every side; tap (dt, dy, dx) of centre
-    # (t, yo, xo) sits at padded cell (t + dt, 2 * yo + offset + dy,
-    # 2 * xo + offset + dx) for dt, dy, dx in (0, 1, 2)
-    taps = [(slice(dt, dt + frames),
-             slice(offset + dy, offset + dy + 2 * ho, 2),
-             slice(offset + dx, offset + dx + 2 * wo, 2))
-            for dt in range(3) for dy in range(3) for dx in range(3)]
+
+    def windows(volume):
+        # (frames, ho, wo, 3, 3, 3, C) view of a zero-padded volume: window
+        # (t, yo, xo) starts at padded cell (t, 2 * yo + offset, 2 * xo + offset)
+        view = np.lib.stride_tricks.sliding_window_view(volume, (3, 3, 3), (0, 1, 2),
+                                                        writeable=True)
+        return view[:, offset::2, offset::2][:, :ho, :wo].transpose(0, 1, 2, 4, 5, 6, 3)
+
     padded = np.zeros((frames + 2, height + 2, width + 2, c))
     padded[1:-1, 1:-1, 1:-1] = x.data.reshape(frames, height, width, c)
-    cols = np.empty((frames, ho, wo, len(taps), c))
-    for k, tap in enumerate(taps):
-        cols[:, :, :, k] = padded[tap]
 
     def backward(g):
         gpad = np.zeros((frames + 2, height + 2, width + 2, c))
-        g = g.reshape(frames, ho, wo, len(taps), c)
-        for k, tap in enumerate(taps):
-            gpad[tap] += g[:, :, :, k]
+        gview, g = windows(gpad), g.reshape(frames, ho, wo, 3, 3, 3, c)
+        # taps overlap, so they are added one at a time in column order
+        for dt, dy, dx in np.ndindex(3, 3, 3):
+            gview[:, :, :, dt, dy, dx] += g[:, :, :, dt, dy, dx]
         return (gpad[1:-1, 1:-1, 1:-1].reshape(-1, c),)
 
-    return _record(cols.reshape(-1, len(taps) * c), (x,), backward)
+    return _record(windows(padded).reshape(-1, 27 * c), (x,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -90,42 +90,54 @@ class PsformerConfig:
         return self.grid_h * self.grid_w
 
 
-def init_psformer_params(config: PsformerConfig, seed: int) -> ParamSet:
-    params = ParamSet()
-    d, h = config.dim, warp_hidden(config.dim)
-    dk = config.head_dim
+# linear layers that feed a ReLU or GELU, whose weights get He gain 2
+_ACTIVATED = ("ffn.l1", "pw.l1", "pw.l2", "ev.l1", "gw.l1")
 
-    def lin(name: str, fan_in: int, fan_out: int, gain: float = 1.0):
-        rng = nc.rng_stream(seed, "init", name)
-        params.add(f"{name}.w",
-                   rng.standard_normal((fan_in, fan_out)) * np.sqrt(gain / fan_in))
-        params.add(f"{name}.b", np.zeros((1, fan_out)))
+
+def psformer_param_shapes(config: PsformerConfig) -> dict[str, tuple[int, int]]:
+    """Name and shape of every parameter, in init order. A linear layer
+    ``name`` is a (fan_in, fan_out) ``name.w`` and a (1, fan_out) ``name.b``."""
+    d, h, dk = config.dim, warp_hidden(config.dim), config.head_dim
+    shapes = {}
+
+    def lin(name: str, fan_in: int, fan_out: int):
+        shapes[f"{name}.w"], shapes[f"{name}.b"] = (fan_in, fan_out), (1, fan_out)
 
     lin("embed", PATCH_DIM, d)
-    rng = nc.rng_stream(seed, "init", "pos")
-    params.add("pos", rng.standard_normal((config.patch_count, d)) * 0.02)
-    rng = nc.rng_stream(seed, "init", "frame")
-    params.add("frame", rng.standard_normal((config.max_frames, d)) * 0.02)
+    shapes["pos"], shapes["frame"] = (config.patch_count, d), (config.max_frames, d)
     for l in range(config.layers):
-        params.add(f"layer{l}.ln1.g", np.ones((1, d)))
-        params.add(f"layer{l}.ln1.b", np.zeros((1, d)))
+        shapes[f"layer{l}.ln1.g"] = shapes[f"layer{l}.ln1.b"] = (1, d)
         lin(f"layer{l}.attn.q", d, d)
         lin(f"layer{l}.attn.kv", d, 2 * d)
         lin(f"layer{l}.attn.out", d, d)
-        params.add(f"layer{l}.ln2.g", np.ones((1, d)))
-        params.add(f"layer{l}.ln2.b", np.zeros((1, d)))
-        lin(f"layer{l}.ffn.l1", d, 4 * d, gain=2.0)
+        shapes[f"layer{l}.ln2.g"] = shapes[f"layer{l}.ln2.b"] = (1, d)
+        lin(f"layer{l}.ffn.l1", d, 4 * d)
         lin(f"layer{l}.ffn.l2", 4 * d, d)
-    lin("warp.pw.l1", d + PATCH_DIM, h, gain=2.0)
-    lin("warp.pw.l2", h, h, gain=2.0)
+    lin("warp.pw.l1", d + PATCH_DIM, h)
+    lin("warp.pw.l2", h, h)
     lin("warp.pw.l3", h, d)
     lin("warp.q", d, dk)
     lin("warp.k", d, dk)
     lin("warp.v", d, d)
-    lin("warp.ev.l1", 2 * d, h, gain=2.0)
+    lin("warp.ev.l1", 2 * d, h)
     lin("warp.ev.l2", h, d)
-    lin("warp.gw.l1", 2 * d, h, gain=2.0)
+    lin("warp.gw.l1", 2 * d, h)
     lin("warp.gw.l2", h, d)
+    return shapes
+
+
+def init_psformer_params(config: PsformerConfig, seed: int) -> ParamSet:
+    params = ParamSet()
+    for name, shape in psformer_param_shapes(config).items():
+        layer, _, kind = name.rpartition(".")
+        if kind == "w":
+            gain = 2.0 if layer.endswith(_ACTIVATED) else 1.0
+            rng = nc.rng_stream(seed, "init", layer)
+            params.add(name, rng.standard_normal(shape) * np.sqrt(gain / shape[0]))
+        elif name in ("pos", "frame"):
+            params.add(name, nc.rng_stream(seed, "init", name).standard_normal(shape) * 0.02)
+        else:  # biases and layer-norm shifts start at zero, layer-norm gains at one
+            params.add(name, np.full(shape, 1.0 if kind == "g" else 0.0))
     return params
 
 

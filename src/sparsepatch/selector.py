@@ -33,14 +33,13 @@ from .errors import (
 )
 from .gopcodec import PATCH_DIM, GopClip, decode_gop, sad_nearest
 from .numcore import ParamSet, Tensor
-from .spectral import SaliencyVector, prominent_eigvec
+from .spectral import prominent_eigvec
 from .videoio import PATCH, RawClip
 
 CNN_CHANNELS = (3, 16, 32, 64, 64)
 SEMANTIC_DIM = CNN_CHANNELS[-1]
 FEATURE_DIM = PATCH_DIM + SEMANTIC_DIM + PATCH_DIM  # 1600
 MLP_WIDTHS = (FEATURE_DIM, 256, 64, 1)
-_KERNEL = 27  # 3x3x3 neighborhood
 
 
 # ---------------------------------------------------------------------------
@@ -79,32 +78,30 @@ def init_selector_params(seed: int, params: ParamSet | None = None) -> ParamSet:
     """
     if params is None:
         params = ParamSet()
-    # weight rows follow the (dt, dy, dx, channel) column order documented
-    # on numcore.neighborhood_rows: 9 * cin rows per dt block, dt = -1
-    # first, and the centre tap (0, 0, 0) at slot 13
+    # each conv weight is a (3, 3, 3, cin, cout) window over (dt, dy, dx,
+    # channel), flattened to the column order of numcore.neighborhood_rows
     rng = nc.rng_stream(seed, "init", "sel.conv0")
-    w0 = np.zeros((_KERNEL * CNN_CHANNELS[0], CNN_CHANNELS[1]))
     cin = CNN_CHANNELS[0]
+    w0 = np.zeros((3, 3, 3, cin, CNN_CHANNELS[1]))
     for ch in range(CNN_CHANNELS[1]):
         if ch < _MOTION_CHANNELS:
-            g = rng.standard_normal(9 * cin) * (np.sqrt(2.0 / (27 * cin)) * _MOTION_GAIN)
-            w0[0 * 9 * cin:1 * 9 * cin, ch] = g    # dt = -1
-            w0[1 * 9 * cin:2 * 9 * cin, ch] = -g   # dt = 0
+            g = rng.standard_normal((3, 3, cin)) * (np.sqrt(2.0 / (27 * cin)) * _MOTION_GAIN)
+            w0[0, ..., ch] = g    # dt = -1
+            w0[1, ..., ch] = -g   # dt = 0
         elif ch < _MOTION_CHANNELS + _COLOR_CHANNELS:
-            ab = rng.standard_normal((9, 2)) * (np.sqrt(2.0 / (9 * cin)) * _COLOR_GAIN)
-            opp = np.stack([ab[:, 0], ab[:, 1], -ab[:, 0] - ab[:, 1]], axis=1)
-            w0[9 * cin:2 * 9 * cin, ch] = opp.reshape(-1)
+            ab = rng.standard_normal((3, 3, 2)) * (np.sqrt(2.0 / (9 * cin)) * _COLOR_GAIN)
+            w0[1, ..., ch] = np.concatenate([ab, -ab[..., :1] - ab[..., 1:]], axis=2)
         else:
-            lum = rng.standard_normal(9) * (np.sqrt(2.0 / (9 * cin)) * _GRAY_GAIN)
-            w0[9 * cin:2 * 9 * cin, ch] = np.repeat(lum, cin)
-    params.add("sel.conv0.w", w0)
+            lum = rng.standard_normal((3, 3, 1)) * (np.sqrt(2.0 / (9 * cin)) * _GRAY_GAIN)
+            w0[1, ..., ch] = lum
+    params.add("sel.conv0.w", w0.reshape(-1, CNN_CHANNELS[1]))
     params.add("sel.conv0.b", np.zeros((1, CNN_CHANNELS[1])))
     for i in (1, 2, 3):
         cin, cout = CNN_CHANNELS[i], CNN_CHANNELS[i + 1]
         rng = nc.rng_stream(seed, "init", f"sel.conv{i}")
-        w = np.zeros((_KERNEL * cin, cout))
-        # center tap only (slot 13, see above)
-        w[13 * cin:14 * cin, :] = rng.standard_normal((cin, cout)) * np.sqrt(2.0 / cin)
+        w = np.zeros((3, 3, 3, cin, cout))
+        w[1, 1, 1] = rng.standard_normal((cin, cout)) * np.sqrt(2.0 / cin)  # centre tap
+        w = w.reshape(-1, cout)
         b = np.zeros((1, cout))
         if i == 3:
             w[:, :_BIAS_CHANNELS] *= _BIAS_W_SCALE
@@ -119,6 +116,17 @@ def init_selector_params(seed: int, params: ParamSet | None = None) -> ParamSet:
                    rng.standard_normal((fan_in, fan_out)) * np.sqrt(gain / fan_in))
         params.add(f"sel.mlp{i}.b", np.zeros((1, fan_out)))
     return params
+
+
+def selector_param_shapes() -> dict[str, tuple[int, int]]:
+    """Name and shape of every parameter: each conv's (27 * cin, cout)
+    window weight and each gate-MLP layer's weight, with a (1, cout) bias."""
+    shapes = {}
+    for kind, widths, taps in (("conv", CNN_CHANNELS, 27), ("mlp", MLP_WIDTHS, 1)):
+        for i, (cin, cout) in enumerate(zip(widths, widths[1:])):
+            shapes[f"sel.{kind}{i}.w"] = (taps * cin, cout)
+            shapes[f"sel.{kind}{i}.b"] = (1, cout)
+    return shapes
 
 
 def shallow_3dcnn(clip: RawClip, params: ParamSet) -> list[Tensor]:
@@ -141,16 +149,16 @@ def shallow_3dcnn(clip: RawClip, params: ParamSet) -> list[Tensor]:
     return [nc.slice_(x, ti * n, (ti + 1) * n, 0) for ti in range(t)]
 
 
-def patch_semantics(f_map: Tensor, saliency: SaliencyVector) -> Tensor:
+def patch_semantics(f_map: Tensor, saliency: np.ndarray) -> Tensor:
     """Scale each patch's feature row by its saliency score."""
-    if f_map.shape[0] != saliency.values.shape[0]:
+    if f_map.shape[0] != saliency.shape[0]:
         raise ValidationError(
-            f"saliency length {saliency.values.shape[0]} != patch count {f_map.shape[0]}")
-    weights = Tensor(saliency.values.reshape(-1, 1))
+            f"saliency length {saliency.shape[0]} != patch count {f_map.shape[0]}")
+    weights = Tensor(saliency.reshape(-1, 1))
     return nc.mul(f_map, weights)
 
 
-def gate_features(residual: np.ndarray, f_map: Tensor, saliency: SaliencyVector,
+def gate_features(residual: np.ndarray, f_map: Tensor, saliency: np.ndarray,
                   progressive: np.ndarray) -> Tensor:
     """One P-frame's (N, FEATURE_DIM) gate input: the codec residual / 255,
     the saliency-scaled semantics, and the progressive residual / 255."""
@@ -180,10 +188,9 @@ def progressive_residual(patches: np.ndarray,
 
 @dataclass
 class GateDecision:
-    """Gate outputs for one P-frame: raw scores, jittered scores, decisions."""
+    """Gate outputs for one P-frame: raw scores and decisions."""
 
     score: Tensor          # (N, 1) raw MLP output
-    shifted: Tensor        # (N, 1) score + noise in training, alias otherwise
     hard: np.ndarray       # (N,) uint8 keep decisions
     gate: Tensor           # (N, 1) multiplier carrying straight-through grads
 
@@ -206,7 +213,7 @@ def score_gate(features: Tensor, params: ParamSet,
         shifted = nc.add(score, Tensor(noise))
     gate = nc.hard_gate(shifted)
     hard = (shifted.data[:, 0] > 0.0).astype(np.uint8)
-    return GateDecision(score=score, shifted=shifted, hard=hard, gate=gate)
+    return GateDecision(score=score, hard=hard, gate=gate)
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +238,7 @@ class SelectionResult:
     mode: str
     selected: list[np.ndarray]
     gates: list[Tensor]
-    scores: list[np.ndarray]
-    shifted_scores: list[np.ndarray]
-    saliency: list[SaliencyVector]
+    saliency: list[np.ndarray]
     pool: np.ndarray
 
     @property
@@ -289,9 +294,7 @@ def select_patches(gop: GopClip, params: ParamSet, mode: str = "infer",
     pool = gop.i_frame.patches.copy()
     selected: list[np.ndarray] = []
     gates: list[Tensor] = []
-    scores: list[np.ndarray] = []
-    shifted_scores: list[np.ndarray] = []
-    saliencies: list[SaliencyVector] = []
+    saliencies: list[np.ndarray] = []
 
     for t in range(1, gop.frames):
         f_map = semantics[t]
@@ -300,7 +303,7 @@ def select_patches(gop: GopClip, params: ParamSet, mode: str = "infer",
             try:
                 sal = prominent_eigvec(f_map.data)
             except (DegenerateFeatureError, DegenerateGraphError):
-                sal = SaliencyVector(values=np.zeros(n), eigenvalue=0.0)
+                sal = np.zeros(n)
                 nc.note_uncounted("saliency_fallbacks", 1)
 
         recon = gop.frame_patches(t)
@@ -316,11 +319,8 @@ def select_patches(gop: GopClip, params: ParamSet, mode: str = "infer",
         pool = np.concatenate([pool, recon[keep]])
         selected.append(keep.astype(np.int64))
         gates.append(gate.gate)
-        scores.append(gate.score.data[:, 0].copy())
-        shifted_scores.append(gate.shifted.data[:, 0].copy())
         saliencies.append(sal)
 
     return SelectionResult(
         frames=gop.frames, grid_h=gop.i_frame.grid_h, grid_w=gop.i_frame.grid_w,
-        mode=mode, selected=selected, gates=gates, scores=scores,
-        shifted_scores=shifted_scores, saliency=saliencies, pool=pool)
+        mode=mode, selected=selected, gates=gates, saliency=saliencies, pool=pool)

@@ -14,8 +14,6 @@ the active MAC counter, and ``sym_eig`` tallies each decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateFeatureError, DegenerateGraphError, ValidationError
@@ -72,16 +70,9 @@ def normalized_laplacian(a: np.ndarray) -> np.ndarray:
     return 0.5 * (lap + lap.T)
 
 
-@dataclass
-class SaliencyVector:
-    """Oriented Laplacian eigenvector: positive entries mark foreground."""
-
-    values: np.ndarray
-    eigenvalue: float
-
-
-def prominent_eigvec(f) -> SaliencyVector:
-    """Eigenvector at the smallest informative Laplacian eigenvalue.
+def prominent_eigvec(f) -> np.ndarray:
+    """Unit eigenvector at the smallest informative Laplacian eigenvalue,
+    oriented so that its positive entries, the smaller side, mark foreground.
 
     Raises DegenerateFeatureError when no eigenvalue clears the noise
     floor (1e-8 of the largest) or when the candidate is not separated
@@ -103,16 +94,9 @@ def prominent_eigvec(f) -> SaliencyVector:
         raise DegenerateFeatureError(
             f"smallest informative eigenvalue {lam:.6g} is not isolated")
     y = eigenvectors[:, k].copy()
-
-    positive = int((y > 0).sum())
-    negative = int((y < 0).sum())
-    flipped = False
-    if positive > negative:
-        flipped = True
-    elif positive == negative:
-        nonzero = np.nonzero(y)[0]
-        if nonzero.size and y[nonzero[0]] < 0:
-            flipped = True
-    if flipped:
+    # the smaller side is positive; on a tie, the first nonzero entry is
+    positive, negative = int((y > 0).sum()), int((y < 0).sum())
+    nonzero = np.flatnonzero(y)
+    if positive > negative or (positive == negative and nonzero.size and y[nonzero[0]] < 0):
         y = -y
-    return SaliencyVector(values=y, eigenvalue=lam)
+    return y

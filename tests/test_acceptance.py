@@ -145,7 +145,7 @@ def test_c05_saliency_finds_movers_on_distractor_backgrounds():
             except SparsepatchError:
                 ious.append(0.0)
                 continue
-            pred = sal.values.reshape(-1) > 0.0
+            pred = sal > 0.0
             union = np.logical_or(pred, truth).sum()
             inter = np.logical_and(pred, truth).sum()
             ious.append(inter / union if union else 1.0)

@@ -355,13 +355,36 @@ def test_exit_2_on_non_finite_float_flags(argv, flag, tmp_path, capsys):
     assert captured.out == "" and not out.exists()
 
 
-def _checkpoint(path, layers, heads):
+def _checkpoint(path, layers, heads, grid_w=4, max_frames=3):
     model = PsformerConfig(dim=16, layers=layers, heads=heads, grid_h=2,
-                           grid_w=4, max_frames=3)
+                           grid_w=grid_w, max_frames=max_frames)
     params = init_psformer_params(model, seed=0)
     init_selector_params(seed=1, params=params)
     params.save_npz(path)
     return path
+
+
+def _spy_compute(monkeypatch):
+    """A list that records each matmul and MAC tally made from now on."""
+    calls = []
+    matmul, count_macs = nc.matmul, nc.count_macs
+    monkeypatch.setattr(nc, "matmul", lambda *a: calls.append("matmul") or matmul(*a))
+    monkeypatch.setattr(nc, "count_macs", lambda *a: calls.append("macs") or count_macs(*a))
+    return calls
+
+
+def _run_on_checkpoint(command, ckpt, gop, cfg):
+    """Exit code of ``command`` with checkpoint ``ckpt`` for the 16-dim,
+    1-layer, 2-head model: select and forward serve ``gop``, sweep-s
+    reads its clips from the config ``cfg``. A refused run writes nothing."""
+    out = ckpt.parent / "out"
+    if command == "sweep-s":
+        argv = ["sweep-s", "--config", str(cfg)]
+    else:
+        argv = [command, "--gop", str(gop), *MODEL_FLAGS]
+    code = run_cli(*argv, "--params", str(ckpt), "--out", str(out))
+    assert code != 5 or not out.exists()
+    return code
 
 
 @pytest.mark.parametrize("command", ["select", "forward", "sweep-s"])
@@ -370,14 +393,11 @@ def test_exit_5_on_checkpoint_that_does_not_fit_the_model(pipeline, command,
     # each model flag is checked against the parameters that carry it,
     # before a single matmul
     tmp_path, cfg, _, gop = pipeline
-    calls = []
-    matmul, count_macs = nc.matmul, nc.count_macs
-    monkeypatch.setattr(nc, "matmul", lambda *a: calls.append("matmul") or matmul(*a))
-    monkeypatch.setattr(nc, "count_macs", lambda *a: calls.append("macs") or count_macs(*a))
+    calls = _spy_compute(monkeypatch)
     cases = (  # checkpoint (layers, heads), flags, message
         ((2, 2), ["--layers", "1", "--heads", "2"], "holds layers [0, 1], model wants 1"),
-        ((2, 2), ["--layers", "2", "--heads", "4"], "head width is 8 (warp.q.w), model wants 4"),
-        ((1, 4), ["--layers", "1", "--heads", "2"], "head width is 4 (warp.q.w), model wants 8"),
+        ((2, 2), ["--layers", "2", "--heads", "4"], "warp.q.w is (16, 8), model wants (16, 4)"),
+        ((1, 4), ["--layers", "1", "--heads", "2"], "warp.q.w is (16, 4), model wants (16, 8)"),
         ((1, 2), ["--layers", "3", "--heads", "2"], "holds layers [0], model wants 3"),
     )
     for (layers, heads), flags, message in cases:
@@ -394,6 +414,95 @@ def test_exit_5_on_checkpoint_that_does_not_fit_the_model(pipeline, command,
         assert message in capsys.readouterr().err
         assert not out.exists()
     assert calls == []
+
+
+@pytest.mark.parametrize("command", ["select", "forward", "sweep-s"])
+def test_exit_5_on_checkpoint_without_a_parameter_the_command_reads(
+        pipeline, command, monkeypatch, capsys):
+    # select reads only sel.*; forward and sweep-s read every parameter
+    tmp_path, cfg, _, gop = pipeline
+    full = nc.ParamSet.load_npz(_checkpoint(tmp_path / "full.npz", 1, 2))
+    dropped = ["sel.conv0.w", "sel.mlp2.b"]
+    if command != "select":
+        dropped += ["embed.w", "pos", "frame", "layer0.ffn.l2.b", "warp.gw.l1.w"]
+    calls = _spy_compute(monkeypatch)
+    for name in dropped:
+        params = nc.ParamSet()
+        for other, tensor in full.items():
+            if other != name:
+                params.add(other, tensor.data)
+        params.save_npz(tmp_path / "ckpt.npz")
+        assert _run_on_checkpoint(command, tmp_path / "ckpt.npz", gop, cfg) == 5
+        assert f"checkpoint lacks {name}, which {command} reads" in capsys.readouterr().err
+    assert calls == []
+    if command == "select":
+        selector_only = init_selector_params(seed=1)
+        selector_only.save_npz(tmp_path / "sel.npz")
+        assert _run_on_checkpoint(command, tmp_path / "sel.npz", gop, cfg) == 0
+        capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["select", "forward", "sweep-s"])
+def test_exit_5_on_checkpoint_for_another_patch_grid(pipeline, command,
+                                                     monkeypatch, capsys):
+    # pos has one row per patch of the grid; a checkpoint for a 2x8 grid
+    # on the 2x4 clip, and one for a 2x4 grid on a 2x8 clip, are refused
+    tmp_path, cfg, _, gop = pipeline
+    wide_cfg = tmp_path / "wide.cfg"
+    wide_cfg.write_text(SMALL_CFG + "width = 128\n")
+    spec = SynthSpec(identity_count=2, clips_per_identity=1, height=32,
+                     width=128, frames=3, background="textured",
+                     motion_amplitude=2.0, seed=3)
+    wide_gop = tmp_path / "wide.gop1"
+    write_gop(encode_gop(synth_clip(spec, identity=0, clip_seed=0)), wide_gop)
+    calls = _spy_compute(monkeypatch)
+    for ckpt_w, clip_gop, clip_cfg, rows in ((8, gop, cfg, (16, 8)),
+                                             (4, wide_gop, wide_cfg, (8, 16))):
+        ckpt = _checkpoint(tmp_path / f"w{ckpt_w}.npz", 1, 2, grid_w=ckpt_w)
+        assert _run_on_checkpoint(command, ckpt, clip_gop, clip_cfg) == 5
+        assert (f"checkpoint pos is ({rows[0]}, 16), model wants ({rows[1]}, 16)"
+                in capsys.readouterr().err)
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", ["select", "forward", "sweep-s"])
+def test_exit_5_on_checkpoint_with_fewer_frame_rows_than_the_clip(
+        pipeline, command, monkeypatch, capsys):
+    tmp_path, cfg, _, gop = pipeline
+    calls = _spy_compute(monkeypatch)
+    ckpt = _checkpoint(tmp_path / "f2.npz", 1, 2, max_frames=2)
+    assert _run_on_checkpoint(command, ckpt, gop, cfg) == 5
+    assert "checkpoint frame is (2, 16), model wants (3, 16)" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_checkpoint_with_more_frame_rows_than_the_clip_serves(pipeline, capsys):
+    tmp_path, cfg, _, gop = pipeline
+    ckpt = _checkpoint(tmp_path / "f5.npz", 1, 2, max_frames=5)
+    assert _run_on_checkpoint("forward", ckpt, gop, cfg) == 0
+    capsys.readouterr()
+
+
+def test_exit_2_on_sweep_with_too_many_thresholds(tmp_path, monkeypatch, capsys):
+    # capped with the other range checks, before the config is read or any
+    # threshold list is built; a sweep of exactly the cap passes them
+    class ReachedConfig(Exception):
+        pass
+
+    def load_config(path):
+        raise ReachedConfig
+
+    monkeypatch.setattr(cli, "load_config", load_config)
+    out = tmp_path / "x.csv"
+    assert run_cli("sweep-s", "--from", "0", "--to", "1", "--step", "1e-9",
+                   "--out", str(out)) == 2
+    assert (f"--step gives more than {cli.SWEEP_MAX_THRESHOLDS} thresholds"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    step = 1.0 / (cli.SWEEP_MAX_THRESHOLDS - 1)
+    with pytest.raises(ReachedConfig):
+        run_cli("sweep-s", "--from", "0", "--to", "1", "--step", str(step),
+                "--out", str(out))
 
 
 def test_exit_2_on_bad_sweep_range(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, imports no
-private name from another package module, and every public top-level
-function or class of the package has a user.
+private name from another package module, every public top-level
+function or class of the package has a user, and every dataclass field
+of the package has a reader.
 
 Checked with the standard library's ``ast``: a name bound by an import
 counts as used when it is read anywhere in the module or listed in its
@@ -8,7 +9,9 @@ counts as used when it is read anywhere in the module or listed in its
 that defines it, so another module must not import it. A public
 definition counts as used when a name or attribute of that spelling
 appears in package or benchmark code outside its own definition; tests
-do not count.
+do not count. A dataclass field counts as read when an attribute of its
+spelling is loaded in package or benchmark code; a constructor keyword
+only writes it, and tests do not count.
 
 The package's defaulted parameters are counted too, and the count is
 pinned: a change that adds or removes a default updates
@@ -27,13 +30,17 @@ BENCHMARK = sorted((REPO / "perfbench").glob("*.py"))
 
 # parameters with a default value across the package's functions,
 # methods, nested functions and lambdas
-DEFAULTED_PARAMETERS = 21
+DEFAULTED_PARAMETERS = 20
 
 # public definitions kept without a caller in package or benchmark code
 UNREFERENCED_OK = {
     "soft_gate_value": "the surrogate that hard_gate's straight-through "
                        "gradient is tested against",
 }
+
+# "module.Class.field" dataclass fields kept without a reader in package
+# or benchmark code, each with its reason
+UNREAD_FIELDS_OK: dict[str, str] = {}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -92,6 +99,28 @@ def unreferenced_definitions(package: dict[str, str],
                   if name not in used)
 
 
+def _is_dataclass(decorator) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+
+def unread_fields(package: dict[str, str], others: list[str]) -> list[str]:
+    """``module.Class.field`` for each dataclass field of ``package``
+    (module name to source) whose name is loaded as an attribute nowhere
+    in the package or the ``others`` sources."""
+    fields, read = [], set()
+    for module, source in package.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+                fields += [(f"{module}.{node.name}.{s.target.id}", s.target.id)
+                           for s in node.body
+                           if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+    for source in [*package.values(), *others]:
+        read |= {node.attr for node in ast.walk(ast.parse(source))
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(field for field, name in fields if name not in read)
+
+
 def defaulted_parameters(source: str) -> list[str]:
     """``function(parameter)`` for each parameter, positional or
     keyword-only, that has a default value."""
@@ -145,6 +174,24 @@ def test_checker_flags_unreferenced_definitions():
         "a: Dead", "a: recursive", "b: caller", "b: typed"]
 
 
+def test_checker_flags_unread_dataclass_fields():
+    package = {
+        "a": ("import dataclasses\n"
+              "from dataclasses import dataclass\n"
+              "@dataclass\nclass P:\n    read: int\n    kwarg_only: int\n"
+              "    written: int\n"
+              "@dataclasses.dataclass(frozen=True)\nclass Q:\n    far: int\n"
+              "class Plain:\n    loose: int\n"
+              "def make(p):\n    p.written = 1\n"
+              "    return P(read=1, kwarg_only=2, written=3)\n"),
+        "b": "def use(p):\n    return p.read\n",
+    }
+    assert unread_fields(package, ["q.far\n"]) == [
+        "a.P.kwarg_only", "a.P.written"]
+    assert unread_fields(package, []) == [
+        "a.P.kwarg_only", "a.P.written", "a.Q.far"]
+
+
 def test_checker_counts_defaulted_parameters():
     source = ("def f(a, b=1, *args, c, d=2, **kw):\n"
               "    g = lambda x=0, y=1: x\n"
@@ -177,6 +224,13 @@ def test_every_public_definition_has_a_user():
         [path.read_text() for path in BENCHMARK])
     # an allowlisted name that gains a user leaves the list too
     assert {entry.split(": ")[1] for entry in found} == set(UNREFERENCED_OK), found
+
+
+def test_every_dataclass_field_has_a_reader():
+    found = unread_fields({path.stem: path.read_text() for path in MODULES},
+                          [path.read_text() for path in BENCHMARK])
+    # an allowlisted field that gains a reader leaves the list too
+    assert set(found) == set(UNREAD_FIELDS_OK), found
 
 
 def test_defaulted_parameter_count_is_pinned():

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,6 +206,23 @@ def test_neighborhood_rows_matches_loop_gather(frames, height, width, channels, 
         t.backward(nc.sum_(nc.mul(cols, nc.Tensor(g)), None))
     assert np.array_equal(cols.data, want)
     assert np.allclose(x.grad, want_grad, rtol=0.0, atol=1e-12)
+
+
+def test_recorded_neighborhood_rows_keeps_only_its_output_alive():
+    # the backward reads no forward buffer, so once the forward returns the
+    # tape holds the output and a small closure, not the padded volume
+    frames, height, width, c = 4, 32, 32, 8
+    rng = np.random.Generator(np.random.PCG64(3))
+    x = nc.Tensor(rng.standard_normal((frames * height * width, c)), requires_grad=True)
+    padded_bytes = (frames + 2) * (height + 2) * (width + 2) * c * 8
+    with nc.tape():
+        tracemalloc.start()
+        try:
+            cols = nc.neighborhood_rows(x, frames, height, width, 1)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert cols.data.nbytes <= held <= cols.data.nbytes + padded_bytes // 8
 
 
 def test_neighborhood_rows_rejects_bad_grid_or_offset():

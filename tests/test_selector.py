@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sparsepatch import numcore as nc
+from sparsepatch import selector
 from sparsepatch.errors import (
     DegenerateFeatureError,
     DegenerateGraphError,
@@ -19,9 +20,10 @@ from sparsepatch.selector import (
     progressive_residual,
     score_gate,
     select_patches,
+    selector_param_shapes,
     shallow_3dcnn,
 )
-from sparsepatch.spectral import SaliencyVector, prominent_eigvec
+from sparsepatch.spectral import prominent_eigvec
 from sparsepatch.videoio import RawClip, SynthSpec, synth_clip
 
 
@@ -91,13 +93,18 @@ def test_cnn_gradients_reach_first_layer():
     assert err < 1e-4
 
 
+def test_selector_param_shapes_match_the_init():
+    # the checkpoint door reads the shapes without drawing an init
+    params = init_selector_params(seed=0)
+    assert {name: t.shape for name, t in params.items()} == selector_param_shapes()
+
+
 def test_patch_semantics_scales_rows():
     f = Tensor([[2.0, 4.0], [1.0, -3.0]])
-    sal = SaliencyVector(values=np.array([0.5, -1.0]), eigenvalue=0.3)
-    s = patch_semantics(f, sal)
+    s = patch_semantics(f, np.array([0.5, -1.0]))
     assert s.data.tolist() == [[1.0, 2.0], [-1.0, 3.0]]
     with pytest.raises(ValidationError):
-        patch_semantics(f, SaliencyVector(values=np.zeros(3), eigenvalue=0.1))
+        patch_semantics(f, np.zeros(3))
 
 
 def test_progressive_residual_exact_zero_on_duplicates():
@@ -129,14 +136,13 @@ def test_score_gate_train_vs_infer():
 
     trained = score_gate(feats, params, noise)
     assert isinstance(trained, GateDecision)
-    assert np.allclose(trained.shifted.data, trained.score.data + noise)
-    assert np.array_equal(trained.hard, (trained.shifted.data[:, 0] > 0).astype(np.uint8))
+    assert np.array_equal(trained.hard, (trained.score.data + noise > 0)[:, 0].astype(np.uint8))
+    assert not np.array_equal(trained.hard, (trained.score.data[:, 0] > 0).astype(np.uint8))
     assert np.array_equal(trained.gate.data[:, 0], trained.hard.astype(np.float64))
 
     inferred = score_gate(feats, params)
     assert np.array_equal(inferred.hard, (inferred.score.data[:, 0] > 0).astype(np.uint8))
     assert np.array_equal(inferred.gate.data[:, 0], inferred.hard.astype(np.float64))
-    assert inferred.shifted is inferred.score
     assert not inferred.gate.requires_grad  # no tape, nothing recorded
 
     with pytest.raises(ValidationError):
@@ -182,8 +188,8 @@ def test_select_patches_end_to_end():
     n = result.patch_count
     assert result.frames == 4
     assert len(result.selected) == 3
-    for keep, score in zip(result.selected, result.scores):
-        assert np.array_equal(keep, np.nonzero(score > 0)[0])
+    for keep, gate in zip(result.selected, result.gates):
+        assert np.array_equal(keep, np.nonzero(gate.data[:, 0])[0])
         assert np.all(np.diff(keep) > 0)
     assert result.pool.shape[0] == n + sum(result.kept_counts)
     assert 0.0 <= result.kept_fraction <= 1.0
@@ -191,8 +197,8 @@ def test_select_patches_end_to_end():
     assert summary["kept_per_frame"] == result.kept_counts
 
     again = select_patches(gop, params, mode="infer", seed=0)
-    for a, b in zip(result.scores, again.scores):
-        assert np.array_equal(a, b)
+    assert all(np.array_equal(a, b) for a, b in zip(result.selected, again.selected))
+    assert all(np.array_equal(a.data, b.data) for a, b in zip(result.gates, again.gates))
 
 
 def test_select_patches_pool_is_iframe_then_kept_patches_in_frame_order():
@@ -219,25 +225,31 @@ def test_select_patches_rejects_mismatched_semantics():
         select_patches(gop, params, semantics=[nc.slice_(f, 0, 3, 0) for f in sem])
 
 
-def test_select_patches_train_mode_jitters_and_backprops():
+def test_select_patches_train_mode_jitters_and_backprops(monkeypatch):
     clip, gop = _synth_gop(seed=8)
     params = init_selector_params(seed=2)
+    noises = []
+    gate = selector.score_gate
+    monkeypatch.setattr(selector, "score_gate",
+                        lambda f, p, noise: noises.append(noise) or gate(f, p, noise))
     params.zero_grad()
     with nc.tape() as t:
         result = select_patches(gop, params, mode="train", seed=3)
         total = nc.sum_(nc.concat(result.gates, 0), None)
         t.backward(total)
-    for tix, (raw, shifted) in enumerate(zip(result.scores, result.shifted_scores)):
-        assert not np.allclose(raw, shifted), f"frame {tix+1} got no noise"
+    assert len(noises) == gop.frames - 1
+    for tix, noise in enumerate(noises):
+        assert noise is not None and noise.any(), f"frame {tix+1} got no noise"
     assert params["sel.conv0.w"].grad is not None
     assert params["sel.mlp2.w"].grad is not None
 
-    replay = select_patches(gop, params, mode="train", seed=3)
-    for a, b in zip(result.shifted_scores, replay.shifted_scores):
-        assert np.array_equal(a, b)
-    other = select_patches(gop, params, mode="train", seed=4)
-    assert any(not np.array_equal(a, b)
-               for a, b in zip(result.shifted_scores, other.shifted_scores))
+    def same(a, b):
+        return (all(np.array_equal(x, y) for x, y in zip(a.selected, b.selected))
+                and all(np.array_equal(x.data, y.data) for x, y in zip(a.gates, b.gates)))
+
+    assert same(result, select_patches(gop, params, mode="train", seed=3))
+    assert not same(result, select_patches(gop, params, mode="train", seed=4))
+    assert not same(result, select_patches(gop, params, mode="infer"))
 
 
 def test_select_patches_single_frame_clip():
@@ -262,7 +274,7 @@ def test_select_patches_degenerate_features_fall_back():
     with nc.mac_counting(counter):
         result = select_patches(gop, params)
     assert counter.uncounted["saliency_fallbacks"] == 2
-    assert all(not s.values.any() for s in result.saliency)
+    assert all(not s.any() for s in result.saliency)
     assert len(result.selected) == 2
 
 
@@ -279,7 +291,7 @@ def test_select_patches_zero_features_fall_back_without_eigendecomposition():
         result = select_patches(gop, params)
     assert counter.uncounted["saliency_fallbacks"] == 2
     assert "eig_decompositions" not in counter.uncounted
-    assert all(not s.values.any() for s in result.saliency)
+    assert all(not s.any() for s in result.saliency)
 
 
 def test_select_patches_takes_no_fallback_on_noise():
@@ -339,7 +351,7 @@ def test_untrained_saliency_finds_the_walker():
         sem = shallow_3dcnn(clip, params)
         for t in range(1, clip.frames):
             sal = prominent_eigvec(sem[t].data)
-            pred = sal.values.reshape(-1) > 0.0
+            pred = sal > 0.0
             truth = clip.masks[t].reshape(-1).astype(bool)
             union = np.logical_or(pred, truth).sum()
             ious.append(np.logical_and(pred, truth).sum() / union if union else 1.0)

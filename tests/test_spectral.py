@@ -12,7 +12,6 @@ from sparsepatch.errors import (
 )
 from sparsepatch.numcore import MacCounter, Tensor, mac_counting
 from sparsepatch.spectral import (
-    SaliencyVector,
     affinity,
     normalized_laplacian,
     prominent_eigvec,
@@ -80,9 +79,10 @@ def test_two_identical_patches_split_canonically():
     # after the tie-break (equal positive/negative counts, first entry +)
     f = np.ones((2, 3))
     sal = prominent_eigvec(f)
-    assert sal.eigenvalue == pytest.approx(1.0, abs=1e-9)
+    lap = normalized_laplacian(affinity(f))
+    assert sal @ lap @ sal == pytest.approx(1.0, abs=1e-9)
     r = 1.0 / math.sqrt(2.0)
-    assert np.allclose(sal.values, [r, -r], atol=1e-9)
+    assert np.allclose(sal, [r, -r], atol=1e-9)
 
 
 def test_constant_features_are_degenerate_at_n3():
@@ -102,11 +102,11 @@ def test_minority_cluster_is_positive():
     f = np.stack([base_a + rng.normal(0, 0.02, 4) for _ in range(6)]
                  + [base_b + rng.normal(0, 0.02, 4) for _ in range(2)])
     sal = prominent_eigvec(f)
-    pos = int((sal.values > 0).sum())
-    neg = int((sal.values < 0).sum())
+    pos = int((sal > 0).sum())
+    neg = int((sal < 0).sum())
     assert pos <= neg
     # the two minority patches should be the positive ones
-    assert set(np.nonzero(sal.values > 0)[0]) == {6, 7}
+    assert set(np.nonzero(sal > 0)[0]) == {6, 7}
 
 
 @settings(max_examples=25, deadline=None)
@@ -118,16 +118,18 @@ def test_saliency_is_unit_eigenvector(n, c, seed):
         sal = prominent_eigvec(f)
     except (DegenerateFeatureError, DegenerateGraphError):
         return
-    assert isinstance(sal, SaliencyVector)
-    assert np.linalg.norm(sal.values) == pytest.approx(1.0, abs=1e-9)
+    assert np.linalg.norm(sal) == pytest.approx(1.0, abs=1e-9)
     lap = normalized_laplacian(affinity(f))
-    residual = lap @ sal.values - sal.eigenvalue * sal.values
-    assert np.linalg.norm(residual) < 1e-8
-    assert (sal.values > 0).sum() <= (sal.values < 0).sum()
+    # a unit eigenvector's eigenvalue is its Rayleigh quotient
+    lam = sal @ lap @ sal
+    assert np.linalg.norm(lap @ sal - lam * sal) < 1e-8
+    spectrum = np.linalg.eigvalsh(lap)
+    assert lam == pytest.approx(spectrum[spectrum > 1e-8 * spectrum[-1]][0], abs=1e-9)
+    assert (sal > 0).sum() <= (sal < 0).sum()
 
 
 def test_saliency_returns_plain_numpy():
     f = Tensor(np.abs(np.random.Generator(np.random.PCG64(3)).standard_normal((5, 3))) + 0.2,
                requires_grad=True)
     sal = prominent_eigvec(f)
-    assert isinstance(sal.values, np.ndarray)
+    assert isinstance(sal, np.ndarray)
