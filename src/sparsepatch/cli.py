@@ -44,7 +44,7 @@ from .psformer import (
     dense_forward,
     init_psformer_params,
     psformer_forward,
-    psformer_param_shapes,
+    psformer_param_table,
 )
 from .selector import (
     gate_features,
@@ -52,7 +52,6 @@ from .selector import (
     progressive_residual,
     score_gate,
     select_patches,
-    selector_param_shapes,
     shallow_3dcnn,
 )
 from .training import (
@@ -173,7 +172,9 @@ def _load_or_init_params(args, model: PsformerConfig, seed: int) -> ParamSet:
                 f"checkpoint holds layers {layers}, model wants {model.layers}")
         # every parameter of the model: present if the command reads it
         # (select reads only sel.*), and at the model's shape if present
-        for name, want in {**psformer_param_shapes(model), **selector_param_shapes()}.items():
+        shapes = {name: shape for name, (shape, _) in psformer_param_table(model).items()}
+        shapes.update((name, t.shape) for name, t in init_selector_params(seed=0).items())
+        for name, want in shapes.items():
             if name not in params:
                 if args.command == "select" and not name.startswith("sel."):
                     continue

@@ -90,54 +90,51 @@ class PsformerConfig:
         return self.grid_h * self.grid_w
 
 
-# linear layers that feed a ReLU or GELU, whose weights get He gain 2
-_ACTIVATED = ("ffn.l1", "pw.l1", "pw.l2", "ev.l1", "gw.l1")
-
-
-def psformer_param_shapes(config: PsformerConfig) -> dict[str, tuple[int, int]]:
-    """Name and shape of every parameter, in init order. A linear layer
-    ``name`` is a (fan_in, fan_out) ``name.w`` and a (1, fan_out) ``name.b``."""
+def psformer_param_table(config: PsformerConfig) -> dict[str, tuple[tuple[int, int], float]]:
+    """Name, shape and init spread of every parameter, in init order. One
+    with a spread starts as a seeded normal draw times it, from the stream of
+    its name (``name.w`` from that of ``name``); the rest start at zero, and
+    layer-norm gains ``.g`` at one. A linear layer ``name`` is a (fan_in,
+    fan_out) ``name.w`` with He spread sqrt(gain / fan_in), gain 2 where a
+    ReLU or GELU follows, and a (1, fan_out) ``name.b``."""
     d, h, dk = config.dim, warp_hidden(config.dim), config.head_dim
-    shapes = {}
+    table = {}
 
-    def lin(name: str, fan_in: int, fan_out: int):
-        shapes[f"{name}.w"], shapes[f"{name}.b"] = (fan_in, fan_out), (1, fan_out)
+    def lin(name: str, fan_in: int, fan_out: int, gain: float):
+        table[f"{name}.w"] = (fan_in, fan_out), np.sqrt(gain / fan_in)
+        table[f"{name}.b"] = (1, fan_out), 0.0
 
-    lin("embed", PATCH_DIM, d)
-    shapes["pos"], shapes["frame"] = (config.patch_count, d), (config.max_frames, d)
+    lin("embed", PATCH_DIM, d, 1.0)
+    table["pos"], table["frame"] = ((config.patch_count, d), 0.02), ((config.max_frames, d), 0.02)
     for l in range(config.layers):
-        shapes[f"layer{l}.ln1.g"] = shapes[f"layer{l}.ln1.b"] = (1, d)
-        lin(f"layer{l}.attn.q", d, d)
-        lin(f"layer{l}.attn.kv", d, 2 * d)
-        lin(f"layer{l}.attn.out", d, d)
-        shapes[f"layer{l}.ln2.g"] = shapes[f"layer{l}.ln2.b"] = (1, d)
-        lin(f"layer{l}.ffn.l1", d, 4 * d)
-        lin(f"layer{l}.ffn.l2", 4 * d, d)
-    lin("warp.pw.l1", d + PATCH_DIM, h)
-    lin("warp.pw.l2", h, h)
-    lin("warp.pw.l3", h, d)
-    lin("warp.q", d, dk)
-    lin("warp.k", d, dk)
-    lin("warp.v", d, d)
-    lin("warp.ev.l1", 2 * d, h)
-    lin("warp.ev.l2", h, d)
-    lin("warp.gw.l1", 2 * d, h)
-    lin("warp.gw.l2", h, d)
-    return shapes
+        table[f"layer{l}.ln1.g"] = table[f"layer{l}.ln1.b"] = (1, d), 0.0
+        lin(f"layer{l}.attn.q", d, d, 1.0)
+        lin(f"layer{l}.attn.kv", d, 2 * d, 1.0)
+        lin(f"layer{l}.attn.out", d, d, 1.0)
+        table[f"layer{l}.ln2.g"] = table[f"layer{l}.ln2.b"] = (1, d), 0.0
+        lin(f"layer{l}.ffn.l1", d, 4 * d, 2.0)
+        lin(f"layer{l}.ffn.l2", 4 * d, d, 1.0)
+    lin("warp.pw.l1", d + PATCH_DIM, h, 2.0)
+    lin("warp.pw.l2", h, h, 2.0)
+    lin("warp.pw.l3", h, d, 1.0)
+    lin("warp.q", d, dk, 1.0)
+    lin("warp.k", d, dk, 1.0)
+    lin("warp.v", d, d, 1.0)
+    lin("warp.ev.l1", 2 * d, h, 2.0)
+    lin("warp.ev.l2", h, d, 1.0)
+    lin("warp.gw.l1", 2 * d, h, 2.0)
+    lin("warp.gw.l2", h, d, 1.0)
+    return table
 
 
 def init_psformer_params(config: PsformerConfig, seed: int) -> ParamSet:
     params = ParamSet()
-    for name, shape in psformer_param_shapes(config).items():
-        layer, _, kind = name.rpartition(".")
-        if kind == "w":
-            gain = 2.0 if layer.endswith(_ACTIVATED) else 1.0
-            rng = nc.rng_stream(seed, "init", layer)
-            params.add(name, rng.standard_normal(shape) * np.sqrt(gain / shape[0]))
-        elif name in ("pos", "frame"):
-            params.add(name, nc.rng_stream(seed, "init", name).standard_normal(shape) * 0.02)
-        else:  # biases and layer-norm shifts start at zero, layer-norm gains at one
-            params.add(name, np.full(shape, 1.0 if kind == "g" else 0.0))
+    for name, (shape, spread) in psformer_param_table(config).items():
+        if spread:
+            rng = nc.rng_stream(seed, "init", name.removesuffix(".w"))
+            params.add(name, rng.standard_normal(shape) * spread)
+        else:
+            params.add(name, np.full(shape, 1.0 if name.endswith(".g") else 0.0))
     return params
 
 

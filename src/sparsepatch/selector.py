@@ -118,17 +118,6 @@ def init_selector_params(seed: int, params: ParamSet | None = None) -> ParamSet:
     return params
 
 
-def selector_param_shapes() -> dict[str, tuple[int, int]]:
-    """Name and shape of every parameter: each conv's (27 * cin, cout)
-    window weight and each gate-MLP layer's weight, with a (1, cout) bias."""
-    shapes = {}
-    for kind, widths, taps in (("conv", CNN_CHANNELS, 27), ("mlp", MLP_WIDTHS, 1)):
-        for i, (cin, cout) in enumerate(zip(widths, widths[1:])):
-            shapes[f"sel.{kind}{i}.w"] = (taps * cin, cout)
-            shapes[f"sel.{kind}{i}.b"] = (1, cout)
-    return shapes
-
-
 def shallow_3dcnn(clip: RawClip, params: ParamSet) -> list[Tensor]:
     """Four 3x3x3 conv+ReLU layers, spatial stride 2 each, temporal stride 1.
 

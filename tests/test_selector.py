@@ -20,7 +20,6 @@ from sparsepatch.selector import (
     progressive_residual,
     score_gate,
     select_patches,
-    selector_param_shapes,
     shallow_3dcnn,
 )
 from sparsepatch.spectral import prominent_eigvec
@@ -91,12 +90,6 @@ def test_cnn_gradients_reach_first_layer():
         lambda _t: nc.mean(shallow_3dcnn(clip, params)[1], None),
         params["sel.conv0.w"], max_coords=6, seed=0)
     assert err < 1e-4
-
-
-def test_selector_param_shapes_match_the_init():
-    # the checkpoint door reads the shapes without drawing an init
-    params = init_selector_params(seed=0)
-    assert {name: t.shape for name, t in params.items()} == selector_param_shapes()
 
 
 def test_patch_semantics_scales_rows():
@@ -181,14 +174,25 @@ def _synth_gop(t=4, hw=64, seed=6, background="textured"):
     return clip, encode_gop(clip)
 
 
-def test_select_patches_end_to_end():
+def test_select_patches_end_to_end(monkeypatch):
     clip, gop = _synth_gop()
     params = init_selector_params(seed=11)
+    calls = []
+    real_gate = selector.score_gate
+
+    def spy(features, params, noise):
+        calls.append((noise, real_gate(features, params, noise)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(selector, "score_gate", spy)
     result = select_patches(gop, params, mode="infer", seed=0)
     n = result.patch_count
     assert result.frames == 4
     assert len(result.selected) == 3
-    for keep, gate in zip(result.selected, result.gates):
+    # infer mode gates the raw scores: no noise, keep exactly score > 0
+    assert len(calls) == 3 and all(noise is None for noise, _ in calls)
+    for keep, gate, (_, decision) in zip(result.selected, result.gates, calls):
+        assert np.array_equal(keep, np.nonzero(decision.score.data[:, 0] > 0)[0])
         assert np.array_equal(keep, np.nonzero(gate.data[:, 0])[0])
         assert np.all(np.diff(keep) > 0)
     assert result.pool.shape[0] == n + sum(result.kept_counts)
