@@ -130,7 +130,7 @@ class GopClip:
         if (gh, gw) != (self.i_frame.grid_h, self.i_frame.grid_w):
             raise ValidationError("I-frame grid does not match clip dimensions")
         n = self.i_frame.count
-        m, r = self.motion, self.residual
+        i, m, r = self.i_frame.patches, self.motion, self.residual
         if not isinstance(m, np.ndarray) or m.dtype != np.int32 or m.ndim != 2 \
                 or m.shape[1] != n:
             raise ValidationError(f"motion must be int32 (T-1, {n})")
@@ -141,6 +141,9 @@ class GopClip:
             raise ValidationError("motion index outside the I-frame grid")
         if r.size and (r.min() < -255 or r.max() > 255):
             raise ValidationError("residual outside [-255, 255]")
+        # the file stores the I-frame as bytes
+        if i.min(initial=0) < 0 or i.max(initial=0) > 255:
+            raise ValidationError("I-frame patches outside [0, 255]")
 
     @property
     def frames(self) -> int:

@@ -28,7 +28,9 @@ Design notes:
   work, reductions, softmax, normalization and gathers count zero, and
   the analytic cost model relies on that convention. Work outside the
   tape tallies itself where it runs, through ``count_macs`` and
-  ``note_uncounted``.
+  ``note_uncounted``. MACs are charged per product row: a stage has one
+  label for all rows, or one label per row, and then each row's MACs
+  go to its own label.
 * Backward state that the forward result does not need (an activation's
   derivative, attention probabilities) is built only while a tape
   records the op.
@@ -188,19 +190,31 @@ class MacCounter:
         self.total: int = 0
         self.by_stage: dict[str, int] = {}
         self.uncounted: dict[str, int] = {}
-        self._stage_stack: list[str] = ["other"]
+        # per stage: its labels, and the index of each row's label, or
+        # None when one label covers every row
+        self._stage_stack: list = [(["other"], None)]
 
-    def add(self, macs: int) -> None:
-        label = self._stage_stack[-1]
-        self.total += macs
-        self.by_stage[label] = self.by_stage.get(label, 0) + macs
+    def add(self, per_row: int, rows) -> None:
+        """Charge ``per_row`` MACs for each of a product's ``rows``."""
+        labels, index = self._stage_stack[-1]
+        counts = [len(rows)] if index is None else np.bincount(index[rows], minlength=len(labels))
+        for label, count in zip(labels, counts):
+            macs = per_row * int(count)
+            self.total += macs
+            self.by_stage[label] = self.by_stage.get(label, 0) + macs
 
     def note_uncounted(self, kind: str, amount: int) -> None:
         self.uncounted[kind] = self.uncounted.get(kind, 0) + amount
 
     @contextmanager
-    def stage(self, label: str):
-        self._stage_stack.append(label)
+    def stage(self, label):
+        """Charge MACs inside the block to ``label``, or, given one label
+        per row, each product row's MACs to the label at its index."""
+        if isinstance(label, str):
+            self._stage_stack.append(([label], None))
+        else:
+            labels, index = np.unique(label, return_inverse=True)
+            self._stage_stack.append((labels.tolist(), index))
         try:
             yield
         finally:
@@ -223,19 +237,20 @@ def active_counter() -> MacCounter | None:
     return _COUNTER_STACK[-1] if _COUNTER_STACK else None
 
 
-def stage(label: str):
-    """Charge MACs inside the block to ``label`` on the active counter;
-    does nothing when no counter is active."""
+def stage(label):
+    """``MacCounter.stage`` on the active counter; does nothing when no
+    counter is active."""
     counter = active_counter()
     return counter.stage(label) if counter is not None else nullcontext()
 
 
-def count_macs(macs: int) -> None:
-    """Charge ``macs`` to the active counter's current stage; does nothing
-    when no counter is active. Called by the code that does the work."""
+def count_macs(per_row: int, rows) -> None:
+    """Charge ``per_row`` MACs for each of a product's ``rows`` (its row
+    indices) to the active counter's current stage; does nothing when no
+    counter is active. Called by the code that does the work."""
     counter = active_counter()
     if counter is not None:
-        counter.add(macs)
+        counter.add(per_row, rows)
 
 
 def note_uncounted(kind: str, amount: int) -> None:
@@ -255,7 +270,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     _require_2d(a, b)
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul mismatch: {a.shape} @ {b.shape}")
-    count_macs(a.shape[0] * a.shape[1] * b.shape[1])
+    count_macs(a.shape[1] * b.shape[1], range(a.shape[0]))
     out_data = a.data @ b.data
 
     def backward(g):
@@ -426,7 +441,7 @@ def multihead_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         qs = _split_heads(q.data[rows], heads)
         ks = _split_heads(k.data[keys], heads)
         vs = _split_heads(v.data[keys], heads)
-        count_macs(heads * qs.shape[1] * ks.shape[1] * (dk + dv))
+        count_macs(heads * ks.shape[1] * (dk + dv), rows)
         p = np.matmul(qs, ks.transpose(0, 2, 1)) * c
         p -= p.max(axis=2, keepdims=True)
         np.exp(p, out=p)

@@ -25,12 +25,13 @@ keys/values only: queries, projections, and the feed-forward run on the
 frame's own tokens, which is what keeps the cost of an extra aux token
 at 2*d^2 MACs instead of a full token's 12*d^2.
 
-Each layer runs all of its P-frames as one stacked pass: the routing
-and warp MLPs, the refinement, the projections and the feed-forward
-each take the rows of every P-frame at once, while attention and
-pooling stay within each frame (``numcore.multihead_attention`` and
-``numcore.segment_mean`` over per-frame row segments). The MAC count
-is the same as frame by frame.
+Each layer runs all of its frames as one stacked pass: one block takes
+the first frame's tokens and the P-frames' kept tokens, and the routing
+and warp MLPs and the refinement take the rows of every P-frame at
+once, while attention and pooling stay within each frame
+(``numcore.multihead_attention`` and ``numcore.segment_mean`` over
+per-frame row segments). The block charges each row's MACs to its
+frame's stage, so the count is the same as frame by frame.
 """
 
 from __future__ import annotations
@@ -156,47 +157,42 @@ def predict_context(ev_input: Tensor, gw_prev: Tensor, params: ParamSet) -> Tens
     return _linear(hidden, params, "warp.gw.l2")
 
 
-def msa_block(main: Tensor, aux: Tensor | None, params: ParamSet,
-              layer: int, config: PsformerConfig,
-              frames: list[tuple[int, int]] | None = None) -> Tensor:
+def msa_block(main: Tensor, aux: Tensor, params: ParamSet, layer: int,
+              config: PsformerConfig, frames: list[tuple[int, int, str]]) -> Tensor:
     """One pre-norm attention + feed-forward block over stacked frames.
 
     ``main`` rows are the frames' own tokens: they query, attend, and
-    pass through the FFN, with residual connections. ``aux`` rows only
-    extend the key/value set. ``frames`` lists each frame's (main rows,
-    aux rows) in stacking order, both stacks in that order; by default
-    every row belongs to one frame. Normalization, projections and the
+    pass through the FFN, with residual connections. ``aux`` rows, of
+    which there may be none, only extend the key/value set. ``frames``
+    lists each frame's (main rows, aux rows, MAC stage) in stacking
+    order, both stacks in that order. Normalization, projections and the
     FFN run once over all rows; a frame's tokens attend only to its own
-    main and aux rows.
+    main and aux rows, and every row's MACs go to its frame's stage.
     """
     if main.shape[1] != config.dim:
         raise ShapeError(f"token width {main.shape[1]} != dim {config.dim}")
-    n_aux = 0 if aux is None else aux.shape[0]
-    if frames is None:
-        frames = [(main.shape[0], n_aux)]
-    if sum(m for m, _ in frames) != main.shape[0] or sum(a for _, a in frames) != n_aux:
+    sizes, aux_sizes, stages = zip(*frames)
+    if sum(sizes) != main.shape[0] or sum(aux_sizes) != aux.shape[0]:
         raise ShapeError(f"frames {frames} do not split {main.shape[0]} main "
-                         f"and {n_aux} aux rows")
+                         f"and {aux.shape[0]} aux rows")
     p = f"layer{layer}"
-    normed = nc.layer_norm(main, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
-    if aux is not None:
-        aux_normed = nc.layer_norm(aux, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
-        kv_src = nc.concat([normed, aux_normed], 0)
-    else:
-        kv_src = normed
-    q = _linear(normed, params, f"{p}.attn.q")
-    kv = _linear(kv_src, params, f"{p}.attn.kv")
-    k = nc.slice_(kv, 0, config.dim, 1)
-    v = nc.slice_(kv, config.dim, 2 * config.dim, 1)
     segments = []
     m0, a0 = 0, main.shape[0]
-    for m, a in frames:
+    for m, a in zip(sizes, aux_sizes):
         segments.append((np.arange(m0, m0 + m), np.r_[m0:m0 + m, a0:a0 + a]))
         m0, a0 = m0 + m, a0 + a
-    attn = nc.multihead_attention(q, k, v, config.heads, segments)
-    main = nc.add(main, _linear(attn, params, f"{p}.attn.out"))
-    normed2 = nc.layer_norm(main, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
-    ffn = _linear(nc.gelu(_linear(normed2, params, f"{p}.ffn.l1")), params, f"{p}.ffn.l2")
+    # every product inside takes main rows, then (key/value) aux rows
+    with nc.stage(np.repeat(stages * 2, sizes + aux_sizes)):
+        normed = nc.layer_norm(main, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
+        aux_normed = nc.layer_norm(aux, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
+        q = _linear(normed, params, f"{p}.attn.q")
+        kv = _linear(nc.concat([normed, aux_normed], 0), params, f"{p}.attn.kv")
+        k = nc.slice_(kv, 0, config.dim, 1)
+        v = nc.slice_(kv, config.dim, 2 * config.dim, 1)
+        attn = nc.multihead_attention(q, k, v, config.heads, segments)
+        main = nc.add(main, _linear(attn, params, f"{p}.attn.out"))
+        normed2 = nc.layer_norm(main, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
+        ffn = _linear(nc.gelu(_linear(normed2, params, f"{p}.ffn.l1")), params, f"{p}.ffn.l2")
     return nc.add(main, ffn)
 
 
@@ -256,9 +252,9 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
     zero token rows: it skips the attention block, and its context
     starts from the first frame's.
 
-    Every layer runs its P-frames as one stacked pass: routing, warp,
-    refinement, pooling and the attention block each take the rows of
-    all P-frames at once, while attention and pooling stay per frame.
+    Every layer runs its frames as one stacked pass: one attention block
+    takes every frame's tokens, and routing, warp, refinement and pooling
+    the rows of all P-frames, while attention and pooling stay per frame.
     """
     gh, gw = selection.grid_h, selection.grid_w
     n = gh * gw
@@ -277,15 +273,14 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
     all_idx = np.arange(n)
     with nc.stage("embedding"):
         x_i = _embed_patches(gop.i_frame.patches, params, all_idx, 0)
-    c0 = nc.mean(x_i, 0)
 
     # P-frame f (frame f + 1) owns rows offsets[f]:offsets[f + 1] of the
-    # stacked kept tokens x_p; `full` lists the P-frames with kept rows
+    # token stack x, after the first frame's n; `full` lists the non-empty ones
     p_count = t_total - 1
     kept = selection.selected
     unsel = [np.setdiff1d(all_idx, sel) for sel in kept]
     sizes = np.array([sel.size for sel in kept], dtype=np.intp)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    offsets = n + np.concatenate([[0], np.cumsum(sizes)])
     full = np.flatnonzero(sizes)
     # warp inputs of the skipped patches: motion sources, scaled residuals
     motion = [gop.motion[f][unsel[f]] for f in range(p_count)]
@@ -300,10 +295,7 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
                   for f in range(p_count)]
     first = np.zeros(p_count, dtype=np.intp)  # every P-frame reads row 0
 
-    # the context each P-frame carries: the mean of its kept tokens, or
-    # the first frame's (row 0 of the parts) when it has none
-    x_p = Tensor(np.zeros((0, config.dim)))
-    parts = [c0]
+    x = x_i
     if full.size:
         with nc.stage("embedding"):
             x_p = _embed_patches(
@@ -312,17 +304,24 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
         gates = nc.gather_rows(nc.concat([selection.gates[f] for f in full], 0),
                                np.concatenate([j * n + kept[f] for j, f in enumerate(full)]))
         x_p = nc.mul(x_p, gates)  # straight-through path into the selector
-        parts.append(nc.segment_mean(x_p, sizes[full]))
+        x = nc.concat([x_i, x_p], 0)
+    # the context each P-frame carries: the mean of its kept tokens, or
+    # the first frame's (row 0 of the frame means) when it has none
     slot = np.zeros(p_count, dtype=np.intp)
     slot[full] = 1 + np.arange(full.size)
-    cp_prev = nc.gather_rows(nc.concat(parts, 0), slot)
+    cp_prev = nc.gather_rows(nc.segment_mean(x, [n, *sizes[full]]), slot)
 
     routing: list[RoutingEntry] = []
     context_pairs = []
-    ci_prev = c0
     for layer in range(config.layers):
+        # at layer 0 the previous first-frame context is the current one
         ci_cur = nc.mean(x_i, 0)
+        ci_prev = context_pairs[-1][0] if layer else ci_cur
         context_pairs.append((ci_cur, ci_prev))
+        # a zero-row frame has nothing to attend; its aux key/value
+        # projection would count MACs the cost model does not price
+        frames = [(n, 0, "i_frame_msa")]
+        aux = Tensor(np.zeros((0, config.dim)))
         if p_count:
             with nc.stage("global_warp"):
                 cp_coarse = predict_context(
@@ -350,7 +349,7 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
                         x_i, np.concatenate([motion[f] for f in opened]),
                         Tensor(np.concatenate([residual[f] for f in opened])),
                         params, _warp_kv(x_i, params))
-                warped_at = x_p.shape[0] + np.cumsum([0] + [motion[f].size for f in opened])
+                warped_at = x.shape[0] + np.cumsum([0] + [motion[f].size for f in opened])
                 grid_rows = []
                 for j, f in enumerate(opened):
                     local = local_rows[f]
@@ -359,25 +358,19 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
                     grid_rows += [rows, rows]
                     carry[f] = p_count + OPEN_AUX * j
                     aux_rows[f] = list(range(carry[f], carry[f] + OPEN_AUX))
-                grid = nc.gather_rows(nc.concat([x_p, p_tilde], 0), np.concatenate(grid_rows))
+                grid = nc.gather_rows(nc.concat([x, p_tilde], 0), np.concatenate(grid_rows))
                 parts.append(nc.segment_mean(grid, ([n] + cell_sizes) * opened.size))
             sources = nc.concat(parts, 0)
-            # a zero-row frame has nothing to attend; its aux key/value
-            # projection would count MACs the cost model does not price
-            if full.size:
-                aux = nc.gather_rows(sources, np.concatenate([aux_rows[f] for f in full]))
-                with nc.stage("p_frame_msa"):
-                    x_p = msa_block(x_p, aux, params, layer, config,
-                                    frames=[(sizes[f], len(aux_rows[f])) for f in full])
+            aux = nc.gather_rows(sources, [r for f in full for r in aux_rows[f]])
+            frames += [(sizes[f], len(aux_rows[f]), "p_frame_msa") for f in full]
             cp_prev = nc.gather_rows(sources, carry)
-        with nc.stage("i_frame_msa"):
-            x_i = msa_block(x_i, None, params, layer, config)
-        ci_prev = ci_cur
+        x = msa_block(x, aux, params, layer, config, frames)
+        x_i = nc.slice_(x, 0, n, 0)
 
     # reinstate every skipped patch once from the final first-frame tokens
     total = nc.sum_(x_i, 0)
     if p_count:
-        total = nc.add(total, nc.sum_(x_p, 0))
+        total = nc.add(total, nc.sum_(nc.slice_(x, n, x.shape[0], 0), 0))
         with nc.stage("patchwise_warp"):
             kv = _warp_kv(x_i, params)
             # with every patch kept, a zero-row refinement would still
@@ -424,7 +417,7 @@ def dense_forward(gop: GopClip, params: ParamSet,
     Used for the first training stage; each frame attends over its own
     full token set plus one aux token holding the frame's current mean,
     so the context operators see realistic inputs from the start. Each
-    layer runs all P-frames as one stacked block.
+    layer runs all frames as one stacked block.
     """
     gh, gw = config.grid_h, config.grid_w
     n = gh * gw
@@ -435,27 +428,16 @@ def dense_forward(gop: GopClip, params: ParamSet,
         raise ValidationError(
             f"clip has {t_total} frames, config allows {config.max_frames}")
     all_idx = np.arange(n)
-    p_count = t_total - 1
     with nc.stage("embedding"):
-        x_i = _embed_patches(gop.frame_patches(0), params, all_idx, 0)
-        if p_count:
-            x_p = _embed_patches(
-                np.concatenate([gop.frame_patches(t) for t in range(1, t_total)]),
-                params, np.tile(all_idx, p_count), np.repeat(np.arange(1, t_total), n))
+        x = _embed_patches(np.concatenate([gop.frame_patches(t) for t in range(t_total)]),
+                           params, np.tile(all_idx, t_total), np.repeat(np.arange(t_total), n))
+    frames = [(n, 1, "i_frame_msa")] + [(n, 1, "p_frame_msa")] * (t_total - 1)
     context_pairs = []
-    ci_prev = nc.mean(x_i, 0)
     for layer in range(config.layers):
-        ci_cur = nc.mean(x_i, 0)
-        context_pairs.append((ci_cur, ci_prev))
-        with nc.stage("i_frame_msa"):
-            x_i = msa_block(x_i, ci_cur, params, layer, config)
-        if p_count:
-            with nc.stage("p_frame_msa"):
-                x_p = msa_block(x_p, nc.segment_mean(x_p, [n] * p_count),
-                                params, layer, config, frames=[(n, 1)] * p_count)
-        ci_prev = ci_cur
-    total = nc.sum_(x_i, 0)
-    if p_count:
-        total = nc.add(total, nc.sum_(x_p, 0))
-    feature = nc.scale(total, 1.0 / (n * t_total))
-    return PsformerResult(feature=feature, context_pairs=context_pairs)
+        # every frame's aux token is its mean; the first frame's is its
+        # context, and at layer 0 also the previous one
+        means = nc.segment_mean(x, [n] * t_total)
+        ci_cur = nc.slice_(means, 0, 1, 0)
+        context_pairs.append((ci_cur, context_pairs[-1][0] if layer else ci_cur))
+        x = msa_block(x, means, params, layer, config, frames)
+    return PsformerResult(feature=nc.mean(x, 0), context_pairs=context_pairs)

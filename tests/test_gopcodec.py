@@ -265,3 +265,8 @@ def test_gopclip_validation():
     with pytest.raises(ValidationError):
         GopClip(i_frame=grid, motion=motion, residual=residual,
                 height=32, width=32)
+    # write_gop stores the I-frame as bytes, so 300 or -5 would not read back
+    for value in (300, -5):
+        bad = PatchGrid(patches=np.full((2, 768), value, dtype=np.int16), grid_h=1, grid_w=2)
+        with pytest.raises(ValidationError, match=r"I-frame patches outside \[0, 255\]"):
+            GopClip(i_frame=bad, motion=motion, residual=residual, height=16, width=32)

@@ -308,6 +308,24 @@ def test_mac_counter_counts_matmuls_only():
     assert counter.total == 48
 
 
+def test_row_labelled_stage_charges_each_row_to_its_label():
+    a = nc.Tensor(np.ones((4, 3)))
+    b = nc.Tensor(np.ones((3, 5)))
+    q, k, v = nc.Tensor(np.ones((4, 4))), nc.Tensor(np.ones((5, 4))), nc.Tensor(np.ones((5, 6)))
+    # two heads, dk = 2, dv = 3: a query row costs 2 * keys * 5 MACs
+    segments = [(np.array([0, 1]), np.array([0, 1, 4])),
+                (np.array([2, 3]), np.array([1, 2, 3, 4]))]
+    plain, rowwise = nc.MacCounter(), nc.MacCounter()
+    for counter, label in ((plain, "all"), (rowwise, ["x", "x", "y", "x"])):
+        with nc.mac_counting(counter), counter.stage(label):
+            nc.matmul(a, b)
+            nc.multihead_attention(q, k, v, 2, segments)
+    # matmul: 15 per row; attention: 30 per row of segment 0, 40 of segment 1
+    assert rowwise.by_stage == {"x": 3 * 15 + 2 * 30 + 40, "y": 15 + 40}
+    assert plain.by_stage == {"all": 200}
+    assert rowwise.total == plain.total == 200
+
+
 def test_sym_eig_known_matrix():
     w, v = nc.sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
     assert np.allclose(w, [1.0, 3.0], atol=1e-12)

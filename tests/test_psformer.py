@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from sparsepatch import numcore as nc
+from sparsepatch import psformer
 from sparsepatch.errors import ValidationError
 from sparsepatch.gopcodec import encode_gop
 from sparsepatch.numcore import ParamSet, Tensor
@@ -80,11 +83,12 @@ def test_msa_block_matches_numpy_oracle():
     rng = np.random.Generator(np.random.PCG64(4))
     main = rng.standard_normal((7, cfg.dim))
     aux = rng.standard_normal((3, cfg.dim))
-    got = msa_block(Tensor(main), Tensor(aux), params, 1, cfg)
+    got = msa_block(Tensor(main), Tensor(aux), params, 1, cfg, [(7, 3, "block")])
     want = _np_msa_block(main, aux, params, 1, cfg)
     assert got.shape == (7, cfg.dim)
     assert np.allclose(got.data, want, atol=1e-10)
-    got_no_aux = msa_block(Tensor(main), None, params, 0, cfg)
+    got_no_aux = msa_block(Tensor(main), Tensor(np.zeros((0, cfg.dim))), params, 0, cfg,
+                           [(7, 0, "block")])
     want_no_aux = _np_msa_block(main, None, params, 0, cfg)
     assert np.allclose(got_no_aux.data, want_no_aux, atol=1e-10)
 
@@ -95,8 +99,9 @@ def test_aux_tokens_change_output_but_not_shape():
     rng = np.random.Generator(np.random.PCG64(5))
     main = Tensor(rng.standard_normal((5, cfg.dim)))
     aux = Tensor(rng.standard_normal((2, cfg.dim)))
-    with_aux = msa_block(main, aux, params, 0, cfg)
-    without = msa_block(main, None, params, 0, cfg)
+    with_aux = msa_block(main, aux, params, 0, cfg, [(5, 2, "block")])
+    without = msa_block(main, Tensor(np.zeros((0, cfg.dim))), params, 0, cfg,
+                        [(5, 0, "block")])
     assert with_aux.shape == without.shape == (5, cfg.dim)
     assert not np.allclose(with_aux.data, without.data)
 
@@ -141,7 +146,8 @@ def test_feature_single_frame_equals_token_mean():
     from sparsepatch.psformer import _embed_patches
     x = _embed_patches(gop.i_frame.patches, params, np.arange(16), 0)
     for l in range(cfg.layers):
-        x = msa_block(x, None, params, l, cfg)
+        x = msa_block(x, Tensor(np.zeros((0, cfg.dim))), params, l, cfg,
+                      [(16, 0, "i_frame_msa")])
     assert np.allclose(res.feature.data, x.data.mean(axis=0, keepdims=True),
                        atol=1e-10)
 
@@ -292,18 +298,45 @@ def test_stacked_msa_block_equals_per_frame_calls():
     cfg = _toy_config()
     params = init_psformer_params(cfg, seed=12)
     rng = np.random.Generator(np.random.PCG64(13))
-    frames = [(4, 1), (6, 9), (3, 2)]  # (main rows, aux rows) per frame
-    mains = [rng.standard_normal((m, cfg.dim)) for m, _ in frames]
-    auxes = [rng.standard_normal((a, cfg.dim)) for _, a in frames]
+    # (main rows, aux rows, stage) per frame
+    frames = [(4, 1, "first"), (6, 9, "rest"), (3, 2, "rest"), (5, 0, "first")]
+    mains = [rng.standard_normal((m, cfg.dim)) for m, _, _ in frames]
+    auxes = [rng.standard_normal((a, cfg.dim)) for _, a, _ in frames]
     single, stacked = nc.MacCounter(), nc.MacCounter()
     with nc.mac_counting(single):
-        want = [msa_block(Tensor(m), Tensor(a), params, 1, cfg).data
-                for m, a in zip(mains, auxes)]
+        want = [msa_block(Tensor(m), Tensor(a), params, 1, cfg, [frame]).data
+                for m, a, frame in zip(mains, auxes, frames)]
     with nc.mac_counting(stacked):
         got = msa_block(Tensor(np.vstack(mains)), Tensor(np.vstack(auxes)),
-                        params, 1, cfg, frames=frames)
+                        params, 1, cfg, frames)
     assert np.abs(got.data - np.vstack(want)).max() < 1e-12
+    assert stacked.by_stage == single.by_stage
+    assert set(stacked.by_stage) == {"first", "rest"}
     assert stacked.total == single.total
+
+
+@pytest.mark.parametrize("threshold", [3.0, -1.0, None])
+def test_every_layer_runs_one_block(threshold, monkeypatch):
+    # the first frame and the P-frames share one block call per layer,
+    # also when a P-frame keeps nothing and when the clip has one frame;
+    # threshold None runs the dense pass
+    cfg = _toy_config(layers=3)
+    params = init_psformer_params(cfg, seed=15)
+    calls = []
+    block = psformer.msa_block
+    monkeypatch.setattr(psformer, "msa_block",
+                        lambda *a, **kw: calls.append(1) or block(*a, **kw))
+    gop, sel = _toy_inputs(frames=4)
+    sel = replace(sel, selected=[sel.selected[0], np.array([], dtype=np.intp),
+                                 *sel.selected[2:]])
+    single = _toy_inputs(frames=1)
+    for gop, sel in ((gop, sel), single):
+        calls.clear()
+        if threshold is None:
+            dense_forward(gop, params, cfg)
+        else:
+            psformer_forward(gop, sel, params, cfg, threshold=threshold)
+        assert len(calls) == cfg.layers
 
 
 @pytest.mark.parametrize("threshold", [3.0, -1.0])
