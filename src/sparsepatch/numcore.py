@@ -195,7 +195,8 @@ class MacCounter:
         self._stage_stack: list = [(["other"], None)]
 
     def add(self, per_row: int, rows) -> None:
-        """Charge ``per_row`` MACs for each of a product's ``rows``."""
+        """Charge ``per_row`` MACs for each of a product's ``rows``, an
+        integer array of row indices."""
         labels, index = self._stage_stack[-1]
         counts = [len(rows)] if index is None else np.bincount(index[rows], minlength=len(labels))
         for label, count in zip(labels, counts):
@@ -245,9 +246,10 @@ def stage(label):
 
 
 def count_macs(per_row: int, rows) -> None:
-    """Charge ``per_row`` MACs for each of a product's ``rows`` (its row
-    indices) to the active counter's current stage; does nothing when no
-    counter is active. Called by the code that does the work."""
+    """Charge ``per_row`` MACs for each of a product's ``rows`` (an
+    integer array of its row indices) to the active counter's current
+    stage; does nothing when no counter is active. Called by the code
+    that does the work."""
     counter = active_counter()
     if counter is not None:
         counter.add(per_row, rows)
@@ -270,7 +272,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     _require_2d(a, b)
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul mismatch: {a.shape} @ {b.shape}")
-    count_macs(a.shape[1] * b.shape[1], range(a.shape[0]))
+    count_macs(a.shape[1] * b.shape[1], np.arange(a.shape[0]))
     out_data = a.data @ b.data
 
     def backward(g):
@@ -850,8 +852,7 @@ def grad_check(f, x: Tensor, eps: float = 1e-5,
 
 
 def grad_check_params(build_loss, params: ParamSet, names: list[str],
-                      eps: float = 1e-5, max_coords: int = 6,
-                      seed: int = 0) -> dict[str, float]:
+                      eps: float, max_coords: int, seed: int) -> dict[str, float]:
     """Run grad_check against each named parameter of a model.
 
     ``build_loss`` takes no arguments and reruns the forward pass against

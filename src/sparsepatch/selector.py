@@ -180,8 +180,7 @@ class GateDecision:
     """Gate outputs for one P-frame: raw scores and decisions."""
 
     score: Tensor          # (N, 1) raw MLP output
-    hard: np.ndarray       # (N,) uint8 keep decisions
-    gate: Tensor           # (N, 1) multiplier carrying straight-through grads
+    gate: Tensor           # (N, 1) 0/1 keep decisions carrying straight-through grads
 
 
 def score_gate(features: Tensor, params: ParamSet,
@@ -200,9 +199,7 @@ def score_gate(features: Tensor, params: ParamSet,
         if noise.shape != score.shape:
             raise ValidationError(f"gate noise must be {score.shape}, got {noise.shape}")
         shifted = nc.add(score, Tensor(noise))
-    gate = nc.hard_gate(shifted)
-    hard = (shifted.data[:, 0] > 0.0).astype(np.uint8)
-    return GateDecision(score=score, hard=hard, gate=gate)
+    return GateDecision(score=score, gate=nc.hard_gate(shifted))
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +301,7 @@ def select_patches(gop: GopClip, params: ParamSet, mode: str = "infer",
         with nc.stage("selector_mlp"):
             gate = score_gate(feats, params, noise)
 
-        keep = np.nonzero(gate.hard)[0]
+        keep = np.flatnonzero(gate.gate.data)
         pool = np.concatenate([pool, recon[keep]])
         selected.append(keep.astype(np.int64))
         gates.append(gate.gate)

@@ -7,7 +7,9 @@ warping, routing) and adds a ranking penalty that teaches the context
 reconstruction cost to grow with the amount of noise injected into the
 context it reconstructs, which is what makes the cost usable as a
 routing signal. The penalty and the router share one predictor,
-``psformer.predict_context``, so they price the same reconstruction.
+``psformer.predict_context``, so they price the same reconstruction:
+the router over one row per P-frame, the penalty over one row per
+(layer, noise level), each in a single stacked pass.
 
 Identity supervision uses a linear classifier head (cross entropy) plus
 a batch-hard triplet loss on the clip features. Batches follow the P x K
@@ -140,31 +142,33 @@ def error_constraint_loss(context_pairs, params: ParamSet,
 
     For each layer's (current, previous) context pair, blend the current
     context with standard Gaussian noise at ``noise_samples`` sorted
-    mixing levels, push each blend through ``psformer.predict_context``
-    (the predictor whose cost routes the sparse forward), and penalize
-    every sample pair whose reconstruction cost fails to increase with
-    the mixing level.
+    mixing levels, and penalize every sample pair whose reconstruction
+    cost fails to increase with the mixing level. Every (layer, level)
+    is one row of a single pass through ``psformer.predict_context``
+    (the predictor whose cost routes the sparse forward), so the op
+    count does not depend on the number of layers or levels.
     """
     if noise_samples < 2:
         raise ValidationError("noise_samples must be >= 2")
-    total = None
-    for layer, (c_cur, c_prev) in enumerate(context_pairs):
-        rng = nc.rng_stream(seed, "errloss", layer)
-        alphas = np.sort(rng.uniform(0.0, 1.0, size=noise_samples))
-        costs = []
-        for alpha in alphas:
-            noise = Tensor(rng.standard_normal((1, c_cur.shape[1])))
-            mixed = nc.add(nc.scale(c_cur, 1.0 - float(alpha)),
-                           nc.scale(noise, float(alpha)))
-            recon = predict_context(nc.concat([mixed, c_prev], 1), c_prev, params)
-            costs.append(nc.cosine_distance(recon, c_cur))
-        for i in range(noise_samples):
-            for j in range(i + 1, noise_samples):
-                term = nc.relu(nc.sub(costs[i], costs[j]))
-                total = term if total is None else nc.add(total, term)
-    if total is None:
+    if not context_pairs:
         return Tensor(np.zeros((1, 1)))
-    return total
+    layers, s = len(context_pairs), noise_samples
+    alphas, noise = [], []
+    for layer, (c_cur, _) in enumerate(context_pairs):
+        rng = nc.rng_stream(seed, "errloss", layer)
+        alphas.append(np.sort(rng.uniform(0.0, 1.0, size=s)))
+        noise.append(rng.standard_normal((s, c_cur.shape[1])))
+    alpha = np.concatenate(alphas)[:, None]
+    # row layer * s + k is layer's k-th mixing level
+    rows = np.repeat(np.arange(layers), s)
+    cur = nc.gather_rows(nc.concat([c for c, _ in context_pairs], 0), rows)
+    prev = nc.gather_rows(nc.concat([p for _, p in context_pairs], 0), rows)
+    mixed = nc.add(nc.mul(cur, Tensor(1.0 - alpha)), Tensor(alpha * np.vstack(noise)))
+    costs = nc.cosine_distance(predict_context(nc.concat([mixed, prev], 1), prev, params), cur)
+    i, j = np.triu_indices(s, 1)
+    first = np.arange(0, layers * s, s)[:, None]
+    gap = nc.sub(nc.gather_rows(costs, first + i), nc.gather_rows(costs, first + j))
+    return nc.sum_(nc.relu(gap), None)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +377,7 @@ def two_stage_train(spec: SynthSpec, config: TrainConfig,
                 loss = nc.add(l_cent, l_tri)
                 if err_terms:
                     l_err = nc.scale(
-                        _sum_tensors(err_terms),
+                        nc.sum_(nc.concat(err_terms, 0), None),
                         config.error_weight / len(err_terms))
                     loss = nc.add(loss, l_err)
                     sums["err"] += float(l_err.data[0, 0])
@@ -404,13 +408,6 @@ def two_stage_train(spec: SynthSpec, config: TrainConfig,
         log.append(row)
 
     return TrainResult(params=params, log=log)
-
-
-def _sum_tensors(terms: list[Tensor]) -> Tensor:
-    total = terms[0]
-    for t in terms[1:]:
-        total = nc.add(total, t)
-    return total
 
 
 def log_to_csv(log: list[dict]) -> str:

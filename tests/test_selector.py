@@ -129,13 +129,11 @@ def test_score_gate_train_vs_infer():
 
     trained = score_gate(feats, params, noise)
     assert isinstance(trained, GateDecision)
-    assert np.array_equal(trained.hard, (trained.score.data + noise > 0)[:, 0].astype(np.uint8))
-    assert not np.array_equal(trained.hard, (trained.score.data[:, 0] > 0).astype(np.uint8))
-    assert np.array_equal(trained.gate.data[:, 0], trained.hard.astype(np.float64))
+    assert np.array_equal(trained.gate.data, (trained.score.data + noise > 0).astype(np.float64))
+    assert not np.array_equal(trained.gate.data, (trained.score.data > 0).astype(np.float64))
 
     inferred = score_gate(feats, params)
-    assert np.array_equal(inferred.hard, (inferred.score.data[:, 0] > 0).astype(np.uint8))
-    assert np.array_equal(inferred.gate.data[:, 0], inferred.hard.astype(np.float64))
+    assert np.array_equal(inferred.gate.data, (inferred.score.data > 0).astype(np.float64))
     assert not inferred.gate.requires_grad  # no tape, nothing recorded
 
     with pytest.raises(ValidationError):

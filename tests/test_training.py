@@ -174,6 +174,33 @@ def test_error_constraint_gradcheck():
         assert err < 1e-4, f"{name}: {err}"
 
 
+def test_error_constraint_tape_does_not_grow_with_layers_or_samples(monkeypatch):
+    # every (layer, noise level) is one row of a single predictor pass, so
+    # the loss records as many ops for 1 layer x 2 levels as for 4 x 16
+    params, _ = _warp_params(16, seed=6)
+    rng = np.random.Generator(np.random.PCG64(10))
+    calls = []
+
+    def spy(module, name):
+        inner = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args: calls.append(name) or inner(*args))
+
+    spy(training, "predict_context")
+    spy(nc, "cosine_distance")
+    entries = []
+    for layers, s in ((1, 2), (4, 16)):
+        pairs = [(Tensor(rng.standard_normal((1, 16)), requires_grad=True),
+                  Tensor(rng.standard_normal((1, 16)), requires_grad=True))
+                 for _ in range(layers)]
+        calls.clear()
+        with nc.tape() as t:
+            error_constraint_loss(pairs, params, noise_samples=s, seed=3)
+        assert sorted(calls) == ["cosine_distance", "predict_context"]
+        entries.append(len(t))
+    assert entries[0] == entries[1]
+
+
 def test_adam_minimizes_quadratic():
     params = ParamSet()
     params.add("x", np.array([[5.0, -3.0]]))
