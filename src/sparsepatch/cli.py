@@ -420,7 +420,7 @@ def _gradcheck_selector(seed: int) -> list[tuple[str, float]]:
     progressive = [
         progressive_residual(
             gop.frame_patches(t),
-            reference.pool[:n + sum(reference.kept_counts[:t - 1])])[0]
+            reference.pool[:n + sum(reference.kept_counts[:t - 1])])
         for t in range(1, gop.frames)]
 
     def build_loss():

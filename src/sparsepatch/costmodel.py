@@ -204,7 +204,7 @@ def estimate_vit(geom: Geometry) -> CostReport:
 
 
 def estimate_ours(geom: Geometry, kept_fraction: float, gate_open_rate: float,
-                  include_selection: bool = True) -> CostReport:
+                  include_selection: bool) -> CostReport:
     """Selective pipeline cost at a uniform kept fraction and open rate.
 
     ``kept_fraction`` applies to every P-frame and ``gate_open_rate`` to
@@ -275,9 +275,8 @@ _BISECT_STEPS = 80
 
 
 def bisect_kept_fraction(geom: Geometry, target_gmacs: float,
-                         gate_open_rate: float = 0.0,
-                         bounds: tuple[float, float] = (0.0, 1.0),
-                         include_selection: bool = True) -> tuple[float, CostReport]:
+                         gate_open_rate: float, bounds: tuple[float, float],
+                         include_selection: bool) -> tuple[float, CostReport]:
     """Uniform kept_fraction whose estimate is closest to the target.
 
     The estimate is strictly increasing in the fraction, so bisection

@@ -218,7 +218,7 @@ def read_gop(path) -> GopClip:
         raise ParseError("truncated residual section", offset=len(data))
     residual = np.frombuffer(data, dtype="<i2", count=count_r, offset=pos)
     residual = residual.reshape(frames - 1, n, PATCH_DIM).astype(np.int16)
-    if residual.size and (np.abs(residual).max() > 255):
+    if residual.size and (residual.min() < -255 or residual.max() > 255):
         raise ParseError("residual outside [-255, 255]", offset=pos)
     residual_pos = pos
     pos += 2 * count_r

@@ -196,18 +196,14 @@ def msa_block(main: Tensor, aux: Tensor, params: ParamSet, layer: int,
     return nc.add(main, ffn)
 
 
-def _embed_patches(patches: np.ndarray, params: ParamSet,
-                   pos_idx: np.ndarray, frame_idx) -> Tensor:
-    """Linear patch embedding plus positional and frame terms.
-
-    ``frame_idx`` is one frame index for every row, or one per row.
-    """
-    x = Tensor(patches.astype(np.float64) / 255.0 - 0.5)
-    tok = _linear(x, params, "embed")
-    pos = nc.gather_rows(params["pos"], pos_idx)
-    tok = nc.add(tok, pos)
-    fr = nc.gather_rows(params["frame"], frame_idx)
-    return nc.add(tok, fr)
+def _embed_frames(gop: GopClip, params: ParamSet, rows: list[np.ndarray]) -> Tensor:
+    """Linear embedding plus positional and frame terms of the patches
+    ``rows[t]`` of each frame t, stacked in frame order."""
+    patches = np.concatenate([gop.frame_patches(t)[r] for t, r in enumerate(rows)])
+    tok = _linear(Tensor(patches.astype(np.float64) / 255.0 - 0.5), params, "embed")
+    tok = nc.add(tok, nc.gather_rows(params["pos"], np.concatenate(rows)))
+    frame = np.repeat(np.arange(len(rows)), [r.size for r in rows])
+    return nc.add(tok, nc.gather_rows(params["frame"], frame))
 
 
 def _pool_cells(gh: int, gw: int) -> list[np.ndarray]:
@@ -252,9 +248,15 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
     zero token rows: it skips the attention block, and its context
     starts from the first frame's.
 
-    Every layer runs its frames as one stacked pass: one attention block
-    takes every frame's tokens, and routing, warp, refinement and pooling
-    the rows of all P-frames, while attention and pooling stay per frame.
+    The token stack is one embedding call: every patch of the first
+    frame, then each P-frame's kept patches in ascending order, each row
+    scaled by its straight-through gate (1 on the first frame). The
+    skipped patches are one (P-frames x patches) mask; their motion
+    sources and residuals are read once, frame-major, and a layer warps
+    the rows of the frames it opens. Every layer runs its frames as one
+    stacked pass: one attention block takes every frame's tokens, and
+    routing, warp, refinement and pooling the rows of all P-frames, while
+    attention and pooling stay per frame.
     """
     gh, gw = selection.grid_h, selection.grid_w
     n = gh * gw
@@ -270,41 +272,36 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
     if selection.frames != t_total:
         raise ValidationError("selection and gop frame counts disagree")
 
-    all_idx = np.arange(n)
-    with nc.stage("embedding"):
-        x_i = _embed_patches(gop.i_frame.patches, params, all_idx, 0)
-
-    # P-frame f (frame f + 1) owns rows offsets[f]:offsets[f + 1] of the
-    # token stack x, after the first frame's n; `full` lists the non-empty ones
+    # x stacks the patches rows[t] of each frame t; `full` lists the
+    # P-frames with rows
     p_count = t_total - 1
-    kept = selection.selected
-    unsel = [np.setdiff1d(all_idx, sel) for sel in kept]
-    sizes = np.array([sel.size for sel in kept], dtype=np.intp)
-    offsets = n + np.concatenate([[0], np.cumsum(sizes)])
+    rows = [np.arange(n), *selection.selected]
+    sizes = np.array([r.size for r in rows[1:]], dtype=np.intp)
     full = np.flatnonzero(sizes)
-    # warp inputs of the skipped patches: motion sources, scaled residuals
-    motion = [gop.motion[f][unsel[f]] for f in range(p_count)]
-    residual = [gop.residual[f][unsel[f]].astype(np.float64) / 255.0
-                for f in range(p_count)]
-    # per P-frame, the local row of every grid position in cell order,
-    # rows counted over its stacked [kept; skipped] tokens
+    with nc.stage("embedding"):
+        x = _embed_frames(gop, params, rows)
+    # row t * n + p of the gates is patch p of frame t; the straight-through
+    # path into the selector gives first-frame rows 1
+    grid_index = np.concatenate([t * n + r for t, r in enumerate(rows)])
+    gates = nc.concat([Tensor(np.ones((n, 1))), *selection.gates], 0)
+    x = nc.mul(x, nc.gather_rows(gates, grid_index))
+    x_i = nc.slice_(x, 0, n, 0)
+    # x_row[t, p]: the row of x holding patch p of frame t, -1 if skipped
+    x_row = np.full((t_total, n), -1)
+    x_row.flat[grid_index] = np.arange(x.shape[0])
+    skip = x_row[1:] < 0
+    # warp inputs of the skipped patches, frame-major with ascending
+    # patches: motion sources, scaled residuals
+    motion = gop.motion[skip]
+    residual = gop.residual[skip].astype(np.float64) / 255.0
+    # per P-frame and grid position: the row of x holding it when kept,
+    # its rank among the frame's skipped patches otherwise
+    at = np.where(skip, np.cumsum(skip, 1) - 1, x_row[1:])
     cells = _pool_cells(gh, gw)
     cell_sizes = [cell.size for cell in cells]
     cell_order = np.concatenate(cells)
-    local_rows = [np.argsort(np.concatenate([kept[f], unsel[f]]))[cell_order]
-                  for f in range(p_count)]
     first = np.zeros(p_count, dtype=np.intp)  # every P-frame reads row 0
 
-    x = x_i
-    if full.size:
-        with nc.stage("embedding"):
-            x_p = _embed_patches(
-                np.concatenate([gop.frame_patches(f + 1)[kept[f]] for f in full]),
-                params, np.concatenate(kept), np.repeat(np.arange(1, t_total), sizes))
-        gates = nc.gather_rows(nc.concat([selection.gates[f] for f in full], 0),
-                               np.concatenate([j * n + kept[f] for j, f in enumerate(full)]))
-        x_p = nc.mul(x_p, gates)  # straight-through path into the selector
-        x = nc.concat([x_i, x_p], 0)
     # the context each P-frame carries: the mean of its kept tokens, or
     # the first frame's (row 0 of the frame means) when it has none
     slot = np.zeros(p_count, dtype=np.intp)
@@ -342,27 +339,28 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
             # the whole grid and over each pooling cell
             parts = [cp_coarse]
             carry = np.arange(p_count)
-            aux_rows = [[f] for f in range(p_count)]
+            carry[opened] = p_count + OPEN_AUX * np.arange(opened.size)
+            aux_count = np.where(is_open, OPEN_AUX, CLOSED_AUX)
             if opened.size:
+                warp = np.repeat(is_open, n - sizes)
                 with nc.stage("patchwise_warp"):
                     p_tilde = _refine_unselected(
-                        x_i, np.concatenate([motion[f] for f in opened]),
-                        Tensor(np.concatenate([residual[f] for f in opened])),
-                        params, _warp_kv(x_i, params))
-                warped_at = x.shape[0] + np.cumsum([0] + [motion[f].size for f in opened])
-                grid_rows = []
-                for j, f in enumerate(opened):
-                    local = local_rows[f]
-                    rows = np.where(local < sizes[f], offsets[f] + local,
-                                    warped_at[j] + local - sizes[f])
-                    grid_rows += [rows, rows]
-                    carry[f] = p_count + OPEN_AUX * j
-                    aux_rows[f] = list(range(carry[f], carry[f] + OPEN_AUX))
-                grid = nc.gather_rows(nc.concat([x, p_tilde], 0), np.concatenate(grid_rows))
+                        x_i, motion[warp], Tensor(residual[warp]), params,
+                        _warp_kv(x_i, params))
+                # an opened frame's warped rows follow x and those of the
+                # frames opened before it; each frame's grid is gathered
+                # twice, in cell order, for the whole-grid and cell means
+                warped = n - sizes[opened]
+                warped_at = x.shape[0] + np.cumsum(warped) - warped
+                grid_rows = np.where(skip[opened], warped_at[:, None] + at[opened],
+                                     at[opened])[:, cell_order]
+                grid = nc.gather_rows(nc.concat([x, p_tilde], 0),
+                                      np.repeat(grid_rows, 2, axis=0).ravel())
                 parts.append(nc.segment_mean(grid, ([n] + cell_sizes) * opened.size))
             sources = nc.concat(parts, 0)
-            aux = nc.gather_rows(sources, [r for f in full for r in aux_rows[f]])
-            frames += [(sizes[f], len(aux_rows[f]), "p_frame_msa") for f in full]
+            attends = (np.arange(OPEN_AUX) < aux_count[:, None]) & (sizes > 0)[:, None]
+            aux = nc.gather_rows(sources, (carry[:, None] + np.arange(OPEN_AUX))[attends])
+            frames += [(sizes[f], aux_count[f], "p_frame_msa") for f in full]
             cp_prev = nc.gather_rows(sources, carry)
         x = msa_block(x, aux, params, layer, config, frames)
         x_i = nc.slice_(x, 0, n, 0)
@@ -375,10 +373,8 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
             kv = _warp_kv(x_i, params)
             # with every patch kept, a zero-row refinement would still
             # hand the warp parameters zero gradients
-            if sizes.sum() < p_count * n:
-                p_tilde = _refine_unselected(
-                    x_i, np.concatenate(motion), Tensor(np.concatenate(residual)),
-                    params, kv)
+            if motion.size:
+                p_tilde = _refine_unselected(x_i, motion, Tensor(residual), params, kv)
                 total = nc.add(total, nc.sum_(p_tilde, 0))
     feature = nc.scale(total, 1.0 / (n * t_total))
     return PsformerResult(feature=feature, context_pairs=context_pairs,
@@ -427,10 +423,8 @@ def dense_forward(gop: GopClip, params: ParamSet,
     if t_total > config.max_frames:
         raise ValidationError(
             f"clip has {t_total} frames, config allows {config.max_frames}")
-    all_idx = np.arange(n)
     with nc.stage("embedding"):
-        x = _embed_patches(np.concatenate([gop.frame_patches(t) for t in range(t_total)]),
-                           params, np.tile(all_idx, t_total), np.repeat(np.arange(t_total), n))
+        x = _embed_frames(gop, params, [np.arange(n)] * t_total)
     frames = [(n, 1, "i_frame_msa")] + [(n, 1, "p_frame_msa")] * (t_total - 1)
     context_pairs = []
     for layer in range(config.layers):

@@ -161,13 +161,12 @@ def gate_features(residual: np.ndarray, f_map: Tensor, saliency: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def progressive_residual(patches: np.ndarray,
-                         pool: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def progressive_residual(patches: np.ndarray, pool: np.ndarray) -> np.ndarray:
     """Signed (M, dim) differences of the int16 ``patches`` to each row's
-    L1-nearest pool row (earliest on ties), and those rows' indices.
-    Both hold pixel values in [0, 255], the domain ``sad_nearest`` takes."""
+    L1-nearest pool row (earliest on ties). Both hold pixel values in
+    [0, 255], the domain ``sad_nearest`` takes."""
     idx, _ = sad_nearest(patches, pool)
-    return patches - pool[idx], idx
+    return patches - pool[idx]
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +292,7 @@ def select_patches(gop: GopClip, params: ParamSet, mode: str = "infer",
                 nc.note_uncounted("saliency_fallbacks", 1)
 
         recon = gop.frame_patches(t)
-        prog, _ = progressive_residual(recon, pool)
+        prog = progressive_residual(recon, pool)
         feats = gate_features(gop.residual[t - 1], f_map, sal, prog)
         noise = None
         if mode == "train":

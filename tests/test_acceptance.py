@@ -63,7 +63,8 @@ def test_c01_transformer_cost_anchor():
 def test_c02_sparse_cost_reaches_target():
     fraction, report = bisect_kept_fraction(Geometry(), 23.5,
                                             gate_open_rate=0.0,
-                                            bounds=(0.15, 0.35))
+                                            bounds=(0.15, 0.35),
+                                            include_selection=True)
     rel = abs(report.analytic_gmacs - 23.5) / 23.5
     ok = 0.15 <= fraction <= 0.35 and rel < 0.05
     assert _line(2, ok, f"kept_fraction {fraction:.6f} (open_rate 0.0) gives "
@@ -163,7 +164,7 @@ def test_c06_duplicate_patches_have_zero_progressive_residual():
         n = int(rng.integers(1, 65))
         pool = rng.integers(0, 256, size=(n, 768)).astype(np.int16)
         dup = int(rng.integers(0, n))
-        res, _ = progressive_residual(pool[dup:dup + 1], pool)
+        res = progressive_residual(pool[dup:dup + 1], pool)
         worst = max(worst, int(np.abs(res).max()))
     ok = worst == 0
     assert _line(6, ok, f"1000 duplicated patches all return an exactly "

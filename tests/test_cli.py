@@ -168,6 +168,19 @@ def test_exit_3_on_gop_reconstructing_outside_byte_range(pipeline, capsys):
         assert "outside [0, 255]" in capsys.readouterr().err
 
 
+def test_exit_3_on_gop_residual_of_int16_min(pipeline, capsys):
+    tmp_path, _, _, gop_path = pipeline
+    blob = bytearray(gop_path.read_bytes())
+    residual_off = len(blob) - 2 * read_gop(gop_path).residual.size
+    blob[residual_off:residual_off + 2] = (-32768).to_bytes(2, "little", signed=True)
+    bad = tmp_path / "int16min.gop1"
+    bad.write_bytes(bytes(blob))
+    code = run_cli("select", "--gop", str(bad), *MODEL_FLAGS,
+                   "--out", str(tmp_path / "x.json"))
+    assert code == 3
+    assert f"residual outside [-255, 255] (byte offset {residual_off})" in capsys.readouterr().err
+
+
 def test_exit_4_on_nonfinite_params(pipeline, capsys):
     tmp_path, _, _, gop = pipeline
     cfg = PsformerConfig(dim=16, layers=1, heads=2, grid_h=2, grid_w=4,

@@ -60,20 +60,21 @@ def test_vit_superlinear_in_patches():
 
 
 def test_breakdown_sums_to_total():
-    for rep in (estimate_vit(VIT_B), estimate_ours(VIT_B, 0.2, 0.3)):
+    for rep in (estimate_vit(VIT_B),
+                estimate_ours(VIT_B, 0.2, 0.3, include_selection=True)):
         assert sum(rep.breakdown.values()) == pytest.approx(
             rep.analytic_gmacs, rel=1e-12)
         assert set(rep.breakdown) == set(STAGES)
 
 
 def test_ours_full_keep_closed_exceeds_vit():
-    ours = estimate_ours(VIT_B, 1.0, 0.0)
+    ours = estimate_ours(VIT_B, 1.0, 0.0, include_selection=True)
     vit = estimate_vit(VIT_B)
     assert ours.analytic_gmacs >= vit.analytic_gmacs
 
 
 def test_ours_zero_keep_transformer_term_is_one_frame():
-    ours = estimate_ours(VIT_B, 0.0, 0.0)
+    ours = estimate_ours(VIT_B, 0.0, 0.0, include_selection=True)
     vit = estimate_vit(VIT_B)
     transformer = (ours.breakdown["embedding"] + ours.breakdown["i_frame_msa"]
                    + ours.breakdown["p_frame_msa"])
@@ -95,40 +96,41 @@ def test_ours_monotone_in_rates():
     for _ in range(20):
         f1, f2 = sorted(rng.uniform(0, 1, 2))
         g1, g2 = sorted(rng.uniform(0, 1, 2))
-        a = estimate_ours(geom, f1, g1).analytic_gmacs
-        b = estimate_ours(geom, f2, g1).analytic_gmacs
-        c = estimate_ours(geom, f1, g2).analytic_gmacs
+        a = estimate_ours(geom, f1, g1, include_selection=True).analytic_gmacs
+        b = estimate_ours(geom, f2, g1, include_selection=True).analytic_gmacs
+        c = estimate_ours(geom, f1, g2, include_selection=True).analytic_gmacs
         assert a <= b + 1e-12
         assert a <= c + 1e-12
 
 
 def test_ours_validates_rates():
     with pytest.raises(ValidationError):
-        estimate_ours(VIT_B, 1.2, 0.0)
+        estimate_ours(VIT_B, 1.2, 0.0, include_selection=True)
     with pytest.raises(ValidationError):
-        estimate_ours(VIT_B, 0.5, -0.1)
+        estimate_ours(VIT_B, 0.5, -0.1, include_selection=True)
 
 
 def test_paper_cost_reduction_anchor():
-    f, rep = bisect_kept_fraction(VIT_B, 23.5, bounds=(0.15, 0.35))
+    f, rep = bisect_kept_fraction(VIT_B, 23.5, gate_open_rate=0.0,
+                                  bounds=(0.15, 0.35), include_selection=True)
     assert 0.15 <= f <= 0.35
     assert abs(rep.analytic_gmacs - 23.5) / 23.5 < 0.05
     # excluding the selection network the target is hit exactly, interior
-    f2, rep2 = bisect_kept_fraction(VIT_B, 23.5, bounds=(0.15, 0.35),
-                                    include_selection=False)
+    f2, rep2 = bisect_kept_fraction(VIT_B, 23.5, gate_open_rate=0.0,
+                                    bounds=(0.15, 0.35), include_selection=False)
     assert 0.15 < f2 < 0.35
     assert rep2.analytic_gmacs == pytest.approx(23.5, abs=1e-6)
 
 
 def test_bisection_clamps_and_validates():
-    lo_f, _ = bisect_kept_fraction(VIT_B, 1.0, bounds=(0.2, 0.8))
+    lo_f, _ = bisect_kept_fraction(VIT_B, 1.0, 0.0, (0.2, 0.8), True)
     assert lo_f == 0.2
-    hi_f, _ = bisect_kept_fraction(VIT_B, 1e6, bounds=(0.2, 0.8))
+    hi_f, _ = bisect_kept_fraction(VIT_B, 1e6, 0.0, (0.2, 0.8), True)
     assert hi_f == 0.8
     with pytest.raises(ValidationError):
-        bisect_kept_fraction(VIT_B, -5.0)
+        bisect_kept_fraction(VIT_B, -5.0, 0.0, (0.0, 1.0), True)
     with pytest.raises(ValidationError):
-        bisect_kept_fraction(VIT_B, 23.5, bounds=(0.9, 0.1))
+        bisect_kept_fraction(VIT_B, 23.5, 0.0, (0.9, 0.1), True)
 
 
 def _toy_run(threshold, empty_frame=None):
@@ -214,7 +216,7 @@ def test_msa_macs_zero_rows_is_free():
 
 
 def test_report_json_fields():
-    rep = estimate_ours(VIT_B, 0.2, 0.1)
+    rep = estimate_ours(VIT_B, 0.2, 0.1, include_selection=True)
     data = json.loads(json.dumps(rep.to_json_dict()))
     assert set(data) == {"analytic_gmacs", "counted_gmacs", "breakdown",
                          "inputs", "uncounted"}

@@ -250,6 +250,16 @@ def test_gop_parse_errors(tmp_path):
     with pytest.raises(ParseError, match="motion index"):
         read_gop(bad)
 
+    # out-of-range residuals; np.abs leaves int16's -32768 negative
+    residual_off = motion_off + 4 * 2  # past the P-frame's two motion entries
+    for value in (-32768, -256, 256):
+        hacked = bytearray(blob)
+        hacked[residual_off:residual_off + 2] = value.to_bytes(2, "little", signed=True)
+        bad.write_bytes(bytes(hacked))
+        with pytest.raises(ParseError, match=r"residual outside \[-255, 255\]") as err:
+            read_gop(bad)
+        assert err.value.offset == residual_off
+
 
 def test_gopclip_validation():
     grid = patchify(np.zeros((16, 32, 3), dtype=np.uint8))

@@ -143,8 +143,8 @@ def test_feature_single_frame_equals_token_mean():
     res = psformer_forward(gop, sel, params, cfg, threshold=0.5)
     assert res.routing == []
     # independent recomputation: embed, run layers, mean
-    from sparsepatch.psformer import _embed_patches
-    x = _embed_patches(gop.i_frame.patches, params, np.arange(16), 0)
+    from sparsepatch.psformer import _embed_frames
+    x = _embed_frames(gop, params, [np.arange(16)])
     for l in range(cfg.layers):
         x = msa_block(x, Tensor(np.zeros((0, cfg.dim))), params, l, cfg,
                       [(16, 0, "i_frame_msa")])
@@ -313,6 +313,20 @@ def test_stacked_msa_block_equals_per_frame_calls():
     assert stacked.by_stage == single.by_stage
     assert set(stacked.by_stage) == {"first", "rest"}
     assert stacked.total == single.total
+
+
+def test_one_embedding_product_per_clip(monkeypatch):
+    # the first frame and the kept P-frame patches are embedded together
+    cfg = _toy_config()
+    params = init_psformer_params(cfg, seed=15)
+    gop, sel = _toy_inputs(frames=4)
+    assert sum(sel.kept_counts) > 0
+    names = []
+    linear = psformer._linear
+    monkeypatch.setattr(psformer, "_linear",
+                        lambda x, p, name: names.append(name) or linear(x, p, name))
+    psformer_forward(gop, sel, params, cfg, threshold=0.5)
+    assert names.count("embed") == 1
 
 
 @pytest.mark.parametrize("threshold", [3.0, -1.0, None])
