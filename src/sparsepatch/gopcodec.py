@@ -75,18 +75,27 @@ def unpatchify(grid: PatchGrid) -> np.ndarray:
 # SAD search
 # ---------------------------------------------------------------------------
 
-# bytes of one block's int16 |q - k| temporary, rows x keys x dim x 2
-# (a sweep in CHANGES.md picked it)
+# bytes of one query block's temporaries: half for its (rows, keys) tables,
+# half for one chunk of surviving pairs (a sweep in CHANGES.md picked it)
 _SAD_BLOCK_BYTES = 1 << 19
 
 
 def sad_nearest(queries: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exhaustive L1 nearest key per query row; first minimum wins ties.
+    """L1 nearest key per query row; first minimum wins ties.
 
     Rows hold pixels in [0, 255] as uint8 or int16; other dtypes are
-    refused before any work. |q - k| is exact in int16 and its sums in
-    int32. Query rows go in blocks of at least one row whose one
-    temporary fits ``_SAD_BLOCK_BYTES``. Returns int32 (indices, sums).
+    refused before any work. The search is exact and pruned by successive
+    elimination, |sum(q) - sum(k)| <= SAD(q, k). Each query's candidate is
+    the key with the smallest such bound (the first on ties), and its SAD
+    is the bar. Another key is compared only if its bound is below the
+    bar, or equals it at a lower index than the candidate's: a later key
+    can at best tie the bar, and the first minimum wins that tie. |q - k|
+    is exact in int16 and its sums in int32. Query rows go in blocks whose
+    (rows, keys) tables fit half of ``_SAD_BLOCK_BYTES``, and a block's
+    surviving pairs are compared in chunks that fit the other half.
+    Returns int32 (indices, sums). ``sad_compares`` tallies the pixel
+    compares of an exhaustive search, queries x keys x dim, and
+    ``sad_evaluated`` the ones made.
     """
     q = np.asarray(queries)
     k = np.asarray(keys)
@@ -97,17 +106,49 @@ def sad_nearest(queries: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.n
         raise ValidationError(f"incompatible SAD shapes {q.shape} vs {k.shape}")
     if k.shape[0] == 0:
         raise ValidationError("SAD search needs at least one key")
-    note_uncounted("sad_compares", q.shape[0] * k.shape[0] * q.shape[1])
-    rows = max(1, _SAD_BLOCK_BYTES // max(1, 2 * k.size))
-    idx = np.empty(q.shape[0], dtype=np.int32)
-    best = np.empty(q.shape[0], dtype=np.int32)
-    for lo in range(0, q.shape[0], rows):
-        diff = np.subtract(q[lo:lo + rows, None, :], k, dtype=np.int16)
-        sad = np.abs(diff, out=diff).sum(axis=2, dtype=np.int32)
-        del diff  # freed before the next block's is allocated
-        idx[lo:lo + rows] = sad.argmin(axis=1)
-        best[lo:lo + rows] = sad.min(axis=1)
+    nq, nk, dim = q.shape[0], k.shape[0], q.shape[1]
+    note_uncounted("sad_compares", nq * nk * dim)
+    k_sums = k.sum(axis=1, dtype=np.int32)
+    half = _SAD_BLOCK_BYTES // 2
+    # a query row takes at most 32 table bytes a key, plus its candidate's
+    # gathered row and difference; a pair, both gathered rows and theirs
+    rows = max(1, half // (32 * nk + (k.itemsize + 2) * dim))
+    pairs = max(1, half // ((q.itemsize + k.itemsize + 2) * dim))
+    idx = np.empty(nq, dtype=np.int32)
+    best = np.empty(nq, dtype=np.int32)
+    evaluated = 0
+    for lo in range(0, nq, rows):
+        block = slice(lo, lo + rows)
+        idx[block], best[block], count = _nearest_in_block(q[block], k, k_sums, pairs)
+        evaluated += count
+    note_uncounted("sad_evaluated", evaluated * dim)
     return idx, best
+
+
+def _nearest_in_block(q: np.ndarray, k: np.ndarray, k_sums: np.ndarray,
+                      pairs: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """``sad_nearest`` for one block of query rows, comparing ``pairs``
+    (query, key) pairs at a time; also returns how many it compared."""
+    at = np.arange(q.shape[0])
+    bound = np.abs(np.subtract.outer(q.sum(axis=1, dtype=np.int32), k_sums))
+    cand = bound.argmin(axis=1)
+    bar = _row_sads(q, k[cand])[:, None]
+    live = (bound < bar) | ((bound == bar) & (np.arange(k.shape[0]) < cand[:, None]))
+    live[at, cand] = False
+    sad = np.full(bound.shape, np.iinfo(np.int32).max, dtype=np.int32)
+    sad[at, cand] = bar[:, 0]
+    qi, ki = np.nonzero(live)
+    for lo in range(0, qi.size, pairs):
+        qc, kc = qi[lo:lo + pairs], ki[lo:lo + pairs]
+        sad[qc, kc] = _row_sads(q[qc], k[kc])
+    idx = sad.argmin(axis=1)
+    return idx, sad[at, idx], at.size + qi.size
+
+
+def _row_sads(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """int32 L1 distance of each row of ``a`` to the same row of ``b``."""
+    diff = np.subtract(a, b, dtype=np.int16)
+    return np.abs(diff, out=diff).sum(axis=1, dtype=np.int32)
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +202,9 @@ class GopClip:
 def encode_gop(clip: RawClip) -> GopClip:
     """Motion-compensate every P-frame against the I-frame, keeping exact
     residuals. One ``sad_nearest`` call searches all P-frame patches
-    against the I-frame's, on int16 pixels in [0, 255], in blocks of
-    bounded size. Labels and masks are not part of the encoded stream."""
+    against the I-frame's, on int16 pixels in [0, 255]: exact, pruned by
+    the patch-sum bound, and the earliest I-frame patch on ties. Labels
+    and masks are not part of the encoded stream."""
     t, h, w, _ = clip.pixels.shape
     # frames stacked vertically patchify to each frame's patches in turn
     patches = patchify(clip.pixels.reshape(t * h, w, 3)).patches
@@ -184,12 +226,13 @@ def decode_gop(gop: GopClip) -> RawClip:
 
 
 def write_gop(gop: GopClip, path) -> None:
-    blob = bytearray()
-    blob += pack_header(_MAGIC, gop.height, gop.width, gop.frames)
-    blob += gop.i_frame.patches.astype(np.uint8).tobytes()
-    blob += gop.motion.astype("<i4").tobytes()
-    blob += gop.residual.astype("<i2").tobytes()
-    Path(path).write_bytes(bytes(blob))
+    """Write each section straight from its array; only a change of dtype
+    or a non-C-order layout copies."""
+    with open(path, "wb") as f:
+        f.write(pack_header(_MAGIC, gop.height, gop.width, gop.frames))
+        f.write(gop.i_frame.patches.astype(np.uint8, order="C"))
+        f.write(gop.motion.astype("<i4", order="C", copy=False))
+        f.write(gop.residual.astype("<i2", order="C", copy=False))
 
 
 def read_gop(path) -> GopClip:

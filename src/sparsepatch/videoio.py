@@ -140,14 +140,15 @@ def parse_header(data: bytes, magic: bytes) -> tuple[int, int, int, int]:
 
 
 def write_rawvid(clip: RawClip, path) -> None:
-    blob = bytearray()
-    blob += pack_header(_MAGIC, clip.height, clip.width, clip.frames)
-    blob += clip.pixels.tobytes()
-    if clip.masks is not None:
-        blob += b"MASK" + clip.masks.tobytes()
-    if clip.identity is not None:
-        blob += b"IDNT" + struct.pack("<I", int(clip.identity))
-    Path(path).write_bytes(bytes(blob))
+    """Write each section straight from its array, as ``write_gop`` does."""
+    with open(path, "wb") as f:
+        f.write(pack_header(_MAGIC, clip.height, clip.width, clip.frames))
+        f.write(np.ascontiguousarray(clip.pixels))
+        if clip.masks is not None:
+            f.write(b"MASK")
+            f.write(np.ascontiguousarray(clip.masks))
+        if clip.identity is not None:
+            f.write(b"IDNT" + struct.pack("<I", int(clip.identity)))
 
 
 def read_rawvid(path) -> RawClip:

@@ -596,7 +596,8 @@ def test_forward_reports_costs_and_routing(pipeline, capsys):
     assert len(payload["feature"]) == 16
     assert payload["counted_macs"] == sum(payload["macs_by_stage"].values())
     assert len(payload["routing"]) == 2  # 1 layer x 2 P-frames
-    assert set(payload["uncounted"]) == {"eig_decompositions", "sad_compares"}
+    assert set(payload["uncounted"]) == {"eig_decompositions", "sad_compares",
+                                        "sad_evaluated"}
     assert 0.0 <= payload["open_rate"] <= 1.0
 
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -125,6 +126,93 @@ def test_sad_nearest_peak_memory_stays_within_one_block():
         tracemalloc.stop()
     bound = gopcodec._SAD_BLOCK_BYTES + queries.nbytes + keys.nbytes + (64 << 10)
     assert peak <= bound, (peak, bound)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), alphabet=st.integers(1, 3),
+       shape=st.tuples(st.integers(0, 12), st.integers(1, 12), st.integers(1, 6)),
+       dtypes=st.sampled_from([(np.uint8, np.uint8), (np.int16, np.int16),
+                               (np.uint8, np.int16), (np.int16, np.uint8)]),
+       block_bytes=st.sampled_from([1, 4096, gopcodec._SAD_BLOCK_BYTES]))
+def test_sad_nearest_matches_oracle_on_tie_heavy_rows(seed, alphabet, shape, dtypes,
+                                                      block_bytes):
+    # few distinct values, repeated rows, column permutations (equal sums,
+    # other content) and rows raised in some pixels (bound equal to SAD)
+    # make bound ties, bar ties and SAD ties common; a 1-byte budget makes
+    # every block one row and every chunk one pair
+    nq, nk, dim = shape
+    rng = np.random.Generator(np.random.PCG64(seed))
+    values = np.sort(rng.choice(256, size=alphabet, replace=False))
+    keys = values[rng.integers(0, alphabet, size=(nk, dim))]
+    queries = values[rng.integers(0, alphabet, size=(nq, dim))]
+    for rows in (keys, queries):
+        for i in range(1, len(rows)):
+            src = keys[rng.integers(0, min(i, nk))]
+            pick = rng.integers(0, 4)
+            if pick == 1:
+                rows[i] = src
+            elif pick == 2:
+                rows[i] = rng.permutation(src)
+            elif pick == 3:
+                rows[i] = np.where(rng.random(dim) < 0.3, values[-1], src)
+    q_dtype, k_dtype = dtypes
+    with mock.patch.object(gopcodec, "_SAD_BLOCK_BYTES", block_bytes):
+        idx, best = sad_nearest(queries.astype(q_dtype), keys.astype(k_dtype))
+    want_idx, want_best = _sad_oracle(queries, keys)
+    assert idx.dtype == best.dtype == np.int32
+    assert np.array_equal(idx, want_idx)
+    assert np.array_equal(best, want_best)
+
+
+def test_sad_nearest_smallest_bound_key_is_not_always_nearest():
+    q = np.full((1, 4), 10, dtype=np.uint8)
+    keys = np.array([[40, 0, 0, 0],       # sum 40: bound 0, SAD 60
+                     [11, 11, 11, 11]],   # sum 44: bound 4, SAD 4
+                    dtype=np.uint8)
+    idx, best = sad_nearest(q, keys)
+    assert (idx[0], best[0]) == (1, 4)
+
+
+def test_sad_nearest_earlier_key_tying_the_bar_wins():
+    # key 1 has the smallest bound (0) and SAD 8, the bar. Key 0 lies above
+    # the query in every pixel, so its bound equals its SAD: both 8, the
+    # bar. It must be compared and win the tie; key 2, the same pixels at
+    # a later index, can at best tie and is never compared.
+    q = np.full((1, 4), 10, dtype=np.int16)
+    keys = np.array([[12, 12, 12, 12],
+                     [14, 6, 10, 10],
+                     [12, 12, 12, 12]], dtype=np.int16)
+    counter = nc.MacCounter()
+    with nc.mac_counting(counter):
+        idx, best = sad_nearest(q, keys)
+    assert (idx[0], best[0]) == (0, 8)
+    assert counter.uncounted == {"sad_compares": 3 * 4, "sad_evaluated": 2 * 4}
+
+
+def _vitb_geometry_clip(background):
+    spec = SynthSpec(identity_count=2, clips_per_identity=1, height=128, width=256,
+                     frames=8, background=background, motion_amplitude=6.0, seed=5)
+    return synth_clip(spec, identity=1, clip_seed=0)
+
+
+def test_encode_motion_on_uniform_background_is_the_first_argmin():
+    # a uniform background repeats one patch, so most searches are ties
+    clip = _vitb_geometry_clip("uniform")
+    gop = encode_gop(clip)
+    i_pix = patchify(clip.pixels[0]).patches.astype(np.float64)
+    for t in range(1, clip.frames):
+        p_pix = patchify(clip.pixels[t]).patches.astype(np.float64)
+        d = cdist(p_pix, i_pix, "cityblock")
+        assert np.array_equal(gop.motion[t - 1], d.argmin(axis=1))
+
+
+def test_encode_compares_under_a_quarter_of_the_pairs_on_a_textured_clip():
+    counter = nc.MacCounter()
+    with nc.mac_counting(counter):
+        encode_gop(_vitb_geometry_clip("textured"))
+    compares = counter.uncounted["sad_compares"]
+    assert compares == 7 * 128 * 128 * 768
+    assert 0 < counter.uncounted["sad_evaluated"] < 0.25 * compares
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.int32])
