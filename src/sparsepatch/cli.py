@@ -128,17 +128,22 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+# config key -> SynthSpec field, also the keys of the synth manifest's spec
+_SPEC_FIELDS = {
+    "identities": "identity_count",
+    "clips_per_identity": "clips_per_identity",
+    "height": "height",
+    "width": "width",
+    "frames": "frames",
+    "background": "background",
+    "motion_amplitude": "motion_amplitude",
+    "seed": "seed",
+}
+
+
 def _spec_from_config(cfg: dict, seed: int) -> SynthSpec:
-    return SynthSpec(
-        identity_count=cfg["identities"],
-        clips_per_identity=cfg["clips_per_identity"],
-        height=cfg["height"],
-        width=cfg["width"],
-        frames=cfg["frames"],
-        background=cfg["background"],
-        motion_amplitude=cfg["motion_amplitude"],
-        seed=seed,
-    )
+    values = {**cfg, "seed": seed}
+    return SynthSpec(**{field: values[key] for key, field in _SPEC_FIELDS.items()})
 
 
 def _model_from_config(cfg: dict) -> PsformerConfig:
@@ -222,16 +227,7 @@ def cmd_synth(args) -> int:
                 "sha256": hashlib.sha256((out / name).read_bytes()).hexdigest(),
             })
     manifest = {
-        "spec": {
-            "identities": spec.identity_count,
-            "clips_per_identity": spec.clips_per_identity,
-            "height": spec.height,
-            "width": spec.width,
-            "frames": spec.frames,
-            "background": spec.background,
-            "motion_amplitude": spec.motion_amplitude,
-            "seed": spec.seed,
-        },
+        "spec": {key: getattr(spec, field) for key, field in _SPEC_FIELDS.items()},
         "files": files,
     }
     (out / "manifest.json").write_text(_canonical_json(manifest))
@@ -263,7 +259,7 @@ def _load_gop_model(args):
     model = PsformerConfig(
         dim=args.dim, layers=args.layers, heads=args.heads,
         grid_h=gop.i_frame.grid_h, grid_w=gop.i_frame.grid_w,
-        max_frames=max(gop.frames, 1))
+        max_frames=gop.frames)
     seed = _resolve_seed(args)
     return gop, model, seed, _load_or_init_params(args, model, seed)
 
@@ -288,7 +284,7 @@ def cmd_forward(args) -> int:
     with nc.mac_counting(counter):
         if args.dense:
             res = dense_forward(gop, params, model)
-            kept = [model.patch_count] * max(gop.frames - 1, 0)
+            kept = [model.patch_count] * (gop.frames - 1)
         else:
             selection = select_patches(gop, params, mode="infer", seed=seed)
             res = psformer_forward(gop, selection, params, model,
@@ -529,36 +525,34 @@ def cmd_sweep_s(args) -> int:
         raise UsageError("--step must be positive")
     if args.s_to < args.s_from:
         raise UsageError("--to must be >= --from")
-    # the threshold loop below runs while s <= --to + 1e-9
-    if (args.s_to + 1e-9 - args.s_from) / args.s_step >= SWEEP_MAX_THRESHOLDS:
+    # thresholds --from, --from + --step, ... while at most --to + 1e-9
+    steps = (args.s_to + 1e-9 - args.s_from) / args.s_step
+    if steps >= SWEEP_MAX_THRESHOLDS:
         raise UsageError(f"--step gives more than {SWEEP_MAX_THRESHOLDS} thresholds")
+    thresholds = [round(args.s_from + i * args.s_step, 10) for i in range(int(steps) + 1)]
     cfg = load_config(args.config)
     seed = _resolve_seed(args, cfg)
     spec = _spec_from_config(cfg, seed)
+    # evaluate on the last heldout_clips clips of each identity
+    heldout = cfg["heldout_clips"]
+    if heldout > spec.clips_per_identity:
+        raise ValidationError(f"heldout_clips {heldout} exceeds "
+                              f"clips_per_identity {spec.clips_per_identity}")
+    if spec.identity_count * heldout < 2:
+        raise ValidationError("sweep needs at least two held-out clips")
     model = _model_from_config(cfg)
     params = _load_or_init_params(args, model, seed)
-    geom = Geometry(height=spec.height, width=spec.width, frames=spec.frames,
-                    dim=model.dim, layers=model.layers, heads=model.heads)
 
-    # evaluate on the held-out clips of the configured dataset
-    first_heldout = spec.clips_per_identity - cfg["heldout_clips"]
     clips = []
     for ident in range(spec.identity_count):
-        for clip_idx in range(first_heldout, spec.clips_per_identity):
+        for clip_idx in range(spec.clips_per_identity - heldout, spec.clips_per_identity):
             raw = synth_clip(spec, identity=ident, clip_seed=clip_idx)
             clips.append((encode_gop(raw), ident))
-    if len(clips) < 2:
-        raise ValidationError("sweep needs at least two held-out clips")
 
     selections = [
         (gop, ident, select_patches(gop, params, mode="infer", seed=seed))
         for gop, ident in clips
     ]
-    thresholds = []
-    s = args.s_from
-    while s <= args.s_to + 1e-9:
-        thresholds.append(round(s, 10))
-        s += args.s_step
 
     lines = ["s,open_rate,gmacs,heldout_rank1"]
     for s in thresholds:

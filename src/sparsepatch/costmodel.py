@@ -217,7 +217,7 @@ def estimate_ours(geom: Geometry, kept_fraction: float, gate_open_rate: float,
                        ("gate_open_rate", gate_open_rate)):
         if not 0.0 <= rate <= 1.0:
             raise ValidationError(f"{name} {rate} outside [0, 1]")
-    kept = [kept_fraction * geom.patch_count] * max(geom.frames - 1, 0)
+    kept = [kept_fraction * geom.patch_count] * (geom.frames - 1)
     weights = [[gate_open_rate] * len(kept)] * geom.layers
     breakdown = _pipeline_macs(geom, kept, weights, include_selection)
     return _report(breakdown, {"kept_fraction": float(kept_fraction),
@@ -234,7 +234,7 @@ def exact_cost(geom: Geometry, kept_counts: list[int],
     the exact accounting the runtime counter should reproduce MAC for MAC.
     """
     n, l, t = geom.patch_count, geom.layers, geom.frames
-    if len(kept_counts) != max(t - 1, 0):
+    if len(kept_counts) != t - 1:
         raise ValidationError(f"need {t - 1} kept counts, got {len(kept_counts)}")
     for k in kept_counts:
         if not 0 <= k <= n:

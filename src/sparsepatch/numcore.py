@@ -8,14 +8,14 @@ Design notes:
   in ``add``/``mul``).
 * The recording ops, each with its own backward: ``matmul`` and
   ``multihead_attention``; the elementwise ``add``, ``sub``, ``mul``,
-  ``scale``, ``add_const``, ``relu``, ``gelu``, ``exp_``, ``log_``,
-  ``sqrt_``, ``reciprocal`` and ``hard_gate``; ``sum_``, ``concat`` and
-  ``slice_``, which take the axis as a required argument (0, 1, or for
-  ``sum_`` also None); and ``transpose``, ``segment_mean``,
-  ``gather_rows``, ``gather_labels`` and ``neighborhood_rows``. A row
-  maximum or minimum is ``gather_labels`` at the row's argmax or argmin.
-  ``mean``, ``layer_norm``, ``cosine_distance`` and ``linear`` compose
-  them.
+  ``relu``, ``gelu``, ``exp_``, ``log_``, ``sqrt_``, ``reciprocal`` and
+  ``hard_gate``; ``sum_``, ``concat`` and ``slice_``, which take the
+  axis as a required argument (0, 1, or for ``sum_`` also None); and
+  ``transpose``, ``segment_mean``, ``gather_rows``, ``gather_labels``
+  and ``neighborhood_rows``. A row maximum or minimum is
+  ``gather_labels`` at the row's argmax or argmin. ``scale`` and
+  ``add_const`` (``mul`` and ``add`` by a constant), ``mean``,
+  ``layer_norm``, ``cosine_distance`` and ``linear`` compose them.
 * Recording is explicit: ops only build a backward graph while a Tape is
   active (see the ``tape()`` context manager). Outside a tape the same
   functions are plain numpy computations, which is what inference and
@@ -321,25 +321,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
     return _record(a.data * b.data, (a, b), backward)
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    _require_2d(x)
-    c = float(c)
-
-    def backward(g):
-        return (g * c,)
-
-    return _record(x.data * c, (x,), backward)
-
-
-def add_const(x: Tensor, c: float) -> Tensor:
-    _require_2d(x)
-
-    def backward(g):
-        return (g,)
-
-    return _record(x.data + float(c), (x,), backward)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -665,6 +646,14 @@ def hard_gate(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # composites
 # ---------------------------------------------------------------------------
+
+
+def scale(x: Tensor, c: float) -> Tensor:
+    return mul(x, Tensor(c))
+
+
+def add_const(x: Tensor, c: float) -> Tensor:
+    return add(x, Tensor(c))
 
 
 _LN_EPS = 1e-6

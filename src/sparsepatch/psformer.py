@@ -183,10 +183,10 @@ def msa_block(main: Tensor, aux: Tensor, params: ParamSet, layer: int,
         m0, a0 = m0 + m, a0 + a
     # every product inside takes main rows, then (key/value) aux rows
     with nc.stage(np.repeat(stages * 2, sizes + aux_sizes)):
-        normed = nc.layer_norm(main, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
-        aux_normed = nc.layer_norm(aux, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
-        q = _linear(normed, params, f"{p}.attn.q")
-        kv = _linear(nc.concat([normed, aux_normed], 0), params, f"{p}.attn.kv")
+        normed = nc.layer_norm(nc.concat([main, aux], 0),
+                               params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
+        q = _linear(nc.slice_(normed, 0, main.shape[0], 0), params, f"{p}.attn.q")
+        kv = _linear(normed, params, f"{p}.attn.kv")
         k = nc.slice_(kv, 0, config.dim, 1)
         v = nc.slice_(kv, config.dim, 2 * config.dim, 1)
         attn = nc.multihead_attention(q, k, v, config.heads, segments)

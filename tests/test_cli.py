@@ -518,6 +518,26 @@ def test_exit_2_on_sweep_with_too_many_thresholds(tmp_path, monkeypatch, capsys)
                 "--out", str(out))
 
 
+@pytest.mark.parametrize("split, message", [
+    ("clips_per_identity = 1\nheldout_clips = 3\n",
+     "heldout_clips 3 exceeds clips_per_identity 1"),
+    ("identities = 1\nheldout_clips = 1\n", "sweep needs at least two held-out clips"),
+], ids=["more_than_each_identity_has", "fewer_than_two_in_all"])
+def test_exit_5_on_sweep_with_a_bad_heldout_split(tmp_path, split, message,
+                                                  monkeypatch, capsys):
+    # refused before a clip is rendered or the parameters are loaded
+    cfg = tmp_path / "split.cfg"
+    cfg.write_text(SMALL_CFG + split)
+    calls = []
+    monkeypatch.setattr(cli, "synth_clip", lambda *a, **kw: calls.append("synth"))
+    monkeypatch.setattr(cli, "_load_or_init_params", lambda *a: calls.append("params"))
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep-s", "--config", str(cfg), "--out", str(out)) == 5
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    assert calls == []
+
+
 def test_exit_2_on_bad_sweep_range(tmp_path, capsys):
     code = run_cli("sweep-s", "--from", "0.9", "--to", "0.4",
                    "--out", str(tmp_path / "x.csv"))

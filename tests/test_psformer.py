@@ -315,6 +315,22 @@ def test_stacked_msa_block_equals_per_frame_calls():
     assert stacked.total == single.total
 
 
+def test_msa_block_normalizes_main_and_aux_rows_as_one_stack(monkeypatch):
+    # ln1 runs once over the main and key/value-only aux rows together,
+    # ln2 once over the main rows
+    cfg = _toy_config()
+    params = init_psformer_params(cfg, seed=16)
+    rng = np.random.Generator(np.random.PCG64(17))
+    shapes = []
+    layer_norm = nc.layer_norm
+    monkeypatch.setattr(nc, "layer_norm",
+                        lambda x, g, b: shapes.append(x.shape) or layer_norm(x, g, b))
+    msa_block(Tensor(rng.standard_normal((5, cfg.dim))),
+              Tensor(rng.standard_normal((3, cfg.dim))), params, 0, cfg,
+              [(2, 1, "first"), (3, 2, "rest")])
+    assert shapes == [(8, cfg.dim), (5, cfg.dim)]
+
+
 def test_one_embedding_product_per_clip(monkeypatch):
     # the first frame and the kept P-frame patches are embedded together
     cfg = _toy_config()
