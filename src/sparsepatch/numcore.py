@@ -6,16 +6,22 @@ Design notes:
   (1, 1). Ops raise ShapeError on anything else, which keeps gradient
   bookkeeping trivial (no implicit rank games beyond row/column broadcast
   in ``add``/``mul``).
-* The recording ops, each with its own backward: ``matmul`` and
-  ``multihead_attention``; the elementwise ``add``, ``sub``, ``mul``,
-  ``relu``, ``gelu``, ``exp_``, ``log_``, ``sqrt_``, ``reciprocal`` and
-  ``hard_gate``; ``sum_``, ``concat`` and ``slice_``, which take the
-  axis as a required argument (0, 1, or for ``sum_`` also None); and
-  ``transpose``, ``segment_mean``, ``gather_rows``, ``gather_labels``
-  and ``neighborhood_rows``. A row maximum or minimum is
-  ``gather_labels`` at the row's argmax or argmin. ``scale`` and
-  ``add_const`` (``mul`` and ``add`` by a constant), ``mean``,
-  ``layer_norm``, ``cosine_distance`` and ``linear`` compose them.
+* The recording ops, each with its own backward: ``matmul`` (with an
+  optional bias row, a linear layer) and ``multihead_attention``; the
+  elementwise ``add``, ``sub``, ``mul``, ``relu``, ``gelu``, ``exp_``,
+  ``log_``, ``sqrt_``, ``reciprocal`` and ``hard_gate``; ``layer_norm``;
+  ``sum_``, ``concat`` and ``slice_``, which take the axis as a required
+  argument (0, 1, or for ``sum_`` also None); and ``transpose``,
+  ``segment_mean``, ``gather_rows``, ``gather_labels`` and
+  ``neighborhood_rows``. A row maximum or minimum is ``gather_labels``
+  at the row's argmax or argmin. ``scale`` and ``add_const`` (``mul``
+  and ``add`` by a constant), ``mean`` and ``cosine_distance`` compose
+  them.
+* Fused ops write into the buffers they allocate: ``matmul`` adds its
+  bias into the fresh product, ``layer_norm`` keeps one normalized copy
+  and one output, and ``gelu`` builds its output in one buffer. Each
+  op's output is finite-checked; ``layer_norm`` checks its variance too,
+  where the op chain it replaced would have overflowed first.
 * Recording is explicit: ops only build a backward graph while a Tape is
   active (see the ``tape()`` context manager). Outside a tape the same
   functions are plain numpy computations, which is what inference and
@@ -33,7 +39,8 @@ Design notes:
   go to its own label.
 * Backward state that the forward result does not need (an activation's
   derivative, attention probabilities) is built only while a tape
-  records the op.
+  records the op. ``matmul``, whose input gradients are products too,
+  forms one only for an operand that records a gradient.
 """
 
 from __future__ import annotations
@@ -134,13 +141,18 @@ def _taping(parents: tuple) -> bool:
     return bool(_TAPE_STACK) and any(p.requires_grad for p in parents)
 
 
-def _record(out_data: np.ndarray, parents: tuple, backward) -> Tensor:
-    """Finalize an op: finite-check the result and register it if taping."""
+def _check_finite(values: np.ndarray) -> None:
+    """Raise NumericalError unless every entry is finite."""
     # A finite sum implies all entries are finite; the slow path only runs
     # when the fast reduction itself overflowed on legal large values.
-    total = float(out_data.sum())
-    if not math.isfinite(total) and not np.isfinite(out_data).all():
+    total = float(values.sum())
+    if not math.isfinite(total) and not np.isfinite(values).all():
         raise NumericalError("operation produced non-finite values")
+
+
+def _record(out_data: np.ndarray, parents: tuple, backward) -> Tensor:
+    """Finalize an op: finite-check the result and register it if taping."""
+    _check_finite(out_data)
     needs = _taping(parents)
     out = Tensor.__new__(Tensor)
     out.data = out_data
@@ -268,17 +280,27 @@ def note_uncounted(kind: str, amount: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    _require_2d(a, b)
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """``a @ b``, plus the (1, n) row ``bias`` when given: a linear layer.
+    The bias is added in place into the fresh product, and backward forms
+    an operand's gradient only when that operand records one."""
+    parents = (a, b) if bias is None else (a, b, bias)
+    _require_2d(*parents)
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul mismatch: {a.shape} @ {b.shape}")
+    if bias is not None and bias.shape != (1, b.shape[1]):
+        raise ShapeError(f"bias {bias.shape} does not fit a product of width {b.shape[1]}")
     count_macs(a.shape[1] * b.shape[1], np.arange(a.shape[0]))
     out_data = a.data @ b.data
+    if bias is not None:
+        out_data += bias.data
 
     def backward(g):
-        return g @ b.data.T, a.data.T @ g
+        grads = (g @ b.data.T if a.requires_grad else None,
+                 a.data.T @ g if b.requires_grad else None)
+        return grads if bias is None else (*grads, g.sum(axis=0, keepdims=True))
 
-    return _record(out_data, (a, b), backward)
+    return _record(out_data, parents, backward)
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -334,15 +356,21 @@ def relu(x: Tensor) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact Gaussian-error-linear unit, y = x * Phi(x)."""
+    """Exact Gaussian-error-linear unit, y = x * Phi(x). Phi is built in
+    one buffer, which becomes the output unless a tape keeps it for the
+    backward."""
     _require_2d(x)
-    cdf = 0.5 * (1.0 + erf(x.data / math.sqrt(2.0)))
+    cdf = x.data / math.sqrt(2.0)
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
 
     def backward(g):
         pdf = np.exp(-0.5 * x.data * x.data) / math.sqrt(2.0 * math.pi)
         return (g * (cdf + x.data * pdf),)
 
-    return _record(x.data * cdf, (x,), backward)
+    out = x.data * cdf if _taping((x,)) else np.multiply(cdf, x.data, out=cdf)
+    return _record(out, (x,), backward)
 
 
 def exp_(x: Tensor) -> Tensor:
@@ -385,6 +413,37 @@ def reciprocal(x: Tensor) -> Tensor:
         return (-g * y * y,)
 
     return _record(y, (x,), backward)
+
+
+_LN_EPS = 1e-6
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Per-row normalization with learned (1, d) scale and shift:
+    (x - mean) / sqrt(var + eps) * gamma + beta, with var the row mean of
+    squared deviations. The variance is finite-checked as well as the
+    output, since an overflowed one would normalize its row to zero."""
+    _require_2d(x, gamma, beta)
+    d = x.shape[1]
+    if gamma.shape != (1, d) or beta.shape != (1, d):
+        raise ShapeError(f"layer_norm of width {d} got gamma {gamma.shape}, beta {beta.shape}")
+    xhat = x.data - x.data.sum(axis=1, keepdims=True) * (1.0 / d)
+    out = np.multiply(xhat, xhat)
+    var = out.sum(axis=1, keepdims=True) * (1.0 / d)
+    _check_finite(var)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
+    xhat *= inv
+    np.multiply(xhat, gamma.data, out=out)
+    out += beta.data
+
+    def backward(g):
+        gxhat = g * gamma.data
+        gx = gxhat - gxhat.mean(axis=1, keepdims=True)
+        gx -= xhat * (gxhat * xhat).mean(axis=1, keepdims=True)
+        gx *= inv
+        return gx, (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True)
+
+    return _record(out, (x, gamma, beta), backward)
 
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
@@ -571,16 +630,18 @@ def gather_labels(x: Tensor, labels) -> Tensor:
 
 
 def neighborhood_rows(x: Tensor, frames: int, height: int, width: int,
-                      offset: int) -> Tensor:
+                      offset: int, centres: range | None = None) -> Tensor:
     """3x3x3 neighborhoods of a video grid in im2col form, spatial stride 2.
 
     Row ``(t * height + y) * width + x`` of ``x`` holds the C channels of
     cell (t, y, x). The output has one row per centre (t, 2 * yo + offset,
-    2 * xo + offset) for yo < height // 2 and xo < width // 2, in
-    (t, yo, xo) order; ``offset`` is 0 or 1. Its 27 * C columns are the
-    centre's (3, 3, 3, C) window flattened in (dt, dy, dx, channel) order,
-    each of dt, dy, dx running -1, 0, 1. Cells outside the grid read as
-    zero. Backward adds each tap's gradient back into the cells it read.
+    2 * xo + offset) for t in ``centres`` (every frame by default), yo <
+    height // 2 and xo < width // 2, in (t, yo, xo) order; ``offset`` is 0
+    or 1. Its 27 * C columns are the centre's (3, 3, 3, C) window
+    flattened in (dt, dy, dx, channel) order, each of dt, dy, dx running
+    -1, 0, 1. Cells outside the grid read as zero; only the frames the
+    windows reach are padded. Backward adds each tap's gradient back into
+    the cells it read.
     """
     _require_2d(x)
     c = x.shape[1]
@@ -588,25 +649,35 @@ def neighborhood_rows(x: Tensor, frames: int, height: int, width: int,
         raise ShapeError(f"{x.shape[0]} rows do not fill a {frames}x{height}x{width} grid")
     if offset not in (0, 1):
         raise ShapeError(f"neighborhood offset must be 0 or 1, got {offset}")
+    centres = range(frames) if centres is None else centres
+    if centres.step != 1 or not 0 <= centres.start < centres.stop <= frames:
+        raise ShapeError(f"centre frames {centres} are not a run within {frames} frames")
     ho, wo = height // 2, width // 2
+    # padded frame k is clip frame centres.start - 1 + k; clip frames lo:hi
+    # are the ones the windows read
+    lo, hi = max(centres.start - 1, 0), min(centres.stop + 1, frames)
+    inner = (slice(lo - centres.start + 1, hi - centres.start + 1), slice(1, -1), slice(1, -1))
+    pad_shape = (len(centres) + 2, height + 2, width + 2, c)
 
     def windows(volume):
-        # (frames, ho, wo, 3, 3, 3, C) view of a zero-padded volume: window
+        # (centres, ho, wo, 3, 3, 3, C) view of a zero-padded volume: window
         # (t, yo, xo) starts at padded cell (t, 2 * yo + offset, 2 * xo + offset)
         view = np.lib.stride_tricks.sliding_window_view(volume, (3, 3, 3), (0, 1, 2),
                                                         writeable=True)
         return view[:, offset::2, offset::2][:, :ho, :wo].transpose(0, 1, 2, 4, 5, 6, 3)
 
-    padded = np.zeros((frames + 2, height + 2, width + 2, c))
-    padded[1:-1, 1:-1, 1:-1] = x.data.reshape(frames, height, width, c)
+    padded = np.zeros(pad_shape)
+    padded[inner] = x.data.reshape(frames, height, width, c)[lo:hi]
 
     def backward(g):
-        gpad = np.zeros((frames + 2, height + 2, width + 2, c))
-        gview, g = windows(gpad), g.reshape(frames, ho, wo, 3, 3, 3, c)
+        gpad = np.zeros(pad_shape)
+        gview, g = windows(gpad), g.reshape(len(centres), ho, wo, 3, 3, 3, c)
         # taps overlap, so they are added one at a time in column order
         for dt, dy, dx in np.ndindex(3, 3, 3):
             gview[:, :, :, dt, dy, dx] += g[:, :, :, dt, dy, dx]
-        return (gpad[1:-1, 1:-1, 1:-1].reshape(-1, c),)
+        gx = np.zeros_like(x.data)
+        gx.reshape(frames, height, width, c)[lo:hi] = gpad[inner]
+        return (gx,)
 
     return _record(windows(padded).reshape(-1, 27 * c), (x,), backward)
 
@@ -656,17 +727,6 @@ def add_const(x: Tensor, c: float) -> Tensor:
     return add(x, Tensor(c))
 
 
-_LN_EPS = 1e-6
-
-
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Per-row normalization with learned scale and shift."""
-    centered = sub(x, mean(x, 1))
-    var = mean(mul(centered, centered), 1)
-    inv = reciprocal(sqrt_(add_const(var, _LN_EPS)))
-    return add(mul(mul(centered, inv), gamma), beta)
-
-
 def cosine_distance(a: Tensor, b: Tensor) -> Tensor:
     """1 - cos(a, b) row by row, as an (m, 1) column; ``b`` may be a
     single (1, d) row shared by every row of ``a``. A zero vector yields
@@ -681,10 +741,6 @@ def cosine_distance(a: Tensor, b: Tensor) -> Tensor:
     dot = sum_(mul(a, b), 1)
     cos = mul(dot, reciprocal(mul(na, nb)))
     return add_const(scale(cos, -1.0), 1.0)
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return add(matmul(x, w), b)
 
 
 # ---------------------------------------------------------------------------

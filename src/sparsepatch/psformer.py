@@ -32,6 +32,11 @@ once, while attention and pooling stay within each frame
 (``numcore.multihead_attention`` and ``numcore.segment_mean`` over
 per-frame row segments). The block charges each row's MACs to its
 frame's stage, so the count is the same as frame by frame.
+
+The forward drops each intermediate once it is read (normalized rows,
+projections, attention output, warped rows and pooling grids), so
+outside a tape a layer holds little beyond its token stack and the
+product in flight.
 """
 
 from __future__ import annotations
@@ -140,7 +145,7 @@ def init_psformer_params(config: PsformerConfig, seed: int) -> ParamSet:
 
 
 def _linear(x: Tensor, params: ParamSet, name: str) -> Tensor:
-    return nc.linear(x, params[f"{name}.w"], params[f"{name}.b"])
+    return nc.matmul(x, params[f"{name}.w"], params[f"{name}.b"])
 
 
 def predict_context(ev_input: Tensor, gw_prev: Tensor, params: ParamSet) -> Tensor:
@@ -181,18 +186,25 @@ def msa_block(main: Tensor, aux: Tensor, params: ParamSet, layer: int,
     for m, a in zip(sizes, aux_sizes):
         segments.append((np.arange(m0, m0 + m), np.r_[m0:m0 + m, a0:a0 + a]))
         m0, a0 = m0 + m, a0 + a
-    # every product inside takes main rows, then (key/value) aux rows
+    # every product inside takes main rows, then (key/value) aux rows;
+    # each intermediate is dropped once read, so outside a tape only the
+    # arrays still ahead of the current product stay alive
     with nc.stage(np.repeat(stages * 2, sizes + aux_sizes)):
         normed = nc.layer_norm(nc.concat([main, aux], 0),
                                params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
         q = _linear(nc.slice_(normed, 0, main.shape[0], 0), params, f"{p}.attn.q")
         kv = _linear(normed, params, f"{p}.attn.kv")
+        del normed
         k = nc.slice_(kv, 0, config.dim, 1)
         v = nc.slice_(kv, config.dim, 2 * config.dim, 1)
+        del kv
         attn = nc.multihead_attention(q, k, v, config.heads, segments)
+        del q, k, v
         main = nc.add(main, _linear(attn, params, f"{p}.attn.out"))
-        normed2 = nc.layer_norm(main, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
-        ffn = _linear(nc.gelu(_linear(normed2, params, f"{p}.ffn.l1")), params, f"{p}.ffn.l2")
+        del attn
+        ffn = _linear(nc.gelu(_linear(
+            nc.layer_norm(main, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"]),
+            params, f"{p}.ffn.l1")), params, f"{p}.ffn.l2")
     return nc.add(main, ffn)
 
 
@@ -291,9 +303,10 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
     x_row.flat[grid_index] = np.arange(x.shape[0])
     skip = x_row[1:] < 0
     # warp inputs of the skipped patches, frame-major with ascending
-    # patches: motion sources, scaled residuals
+    # patches: motion sources, and coded residuals (scaled by 1/255 where
+    # read)
     motion = gop.motion[skip]
-    residual = gop.residual[skip].astype(np.float64) / 255.0
+    residual = gop.residual[skip]
     # per P-frame and grid position: the row of x holding it when kept,
     # its rank among the frame's skipped patches otherwise
     at = np.where(skip, np.cumsum(skip, 1) - 1, x_row[1:])
@@ -345,7 +358,7 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
                 warp = np.repeat(is_open, n - sizes)
                 with nc.stage("patchwise_warp"):
                     p_tilde = _refine_unselected(
-                        x_i, motion[warp], Tensor(residual[warp]), params,
+                        x_i, motion[warp], Tensor(residual[warp] / 255.0), params,
                         _warp_kv(x_i, params))
                 # an opened frame's warped rows follow x and those of the
                 # frames opened before it; each frame's grid is gathered
@@ -356,7 +369,9 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
                                      at[opened])[:, cell_order]
                 grid = nc.gather_rows(nc.concat([x, p_tilde], 0),
                                       np.repeat(grid_rows, 2, axis=0).ravel())
+                del p_tilde
                 parts.append(nc.segment_mean(grid, ([n] + cell_sizes) * opened.size))
+                del grid
             sources = nc.concat(parts, 0)
             attends = (np.arange(OPEN_AUX) < aux_count[:, None]) & (sizes > 0)[:, None]
             aux = nc.gather_rows(sources, (carry[:, None] + np.arange(OPEN_AUX))[attends])
@@ -374,7 +389,7 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
             # with every patch kept, a zero-row refinement would still
             # hand the warp parameters zero gradients
             if motion.size:
-                p_tilde = _refine_unselected(x_i, motion, Tensor(residual), params, kv)
+                p_tilde = _refine_unselected(x_i, motion, Tensor(residual / 255.0), params, kv)
                 total = nc.add(total, nc.sum_(p_tilde, 0))
     feature = nc.scale(total, 1.0 / (n * t_total))
     return PsformerResult(feature=feature, context_pairs=context_pairs,
@@ -395,12 +410,12 @@ def _refine_unselected(x_i: Tensor, motion: np.ndarray, residual: Tensor,
     refinement is one-head attention of every row against the current
     first-frame tokens with their key/value projections ``kv``.
     """
-    src = nc.gather_rows(x_i, motion)
-    inp = nc.concat([src, residual], 1)
+    inp = nc.concat([nc.gather_rows(x_i, motion), residual], 1)
     hidden = nc.relu(_linear(inp, params, "warp.pw.l1"))
+    del inp
     hidden = nc.relu(_linear(hidden, params, "warp.pw.l2"))
-    p_hat = _linear(hidden, params, "warp.pw.l3")
-    q = _linear(p_hat, params, "warp.q")
+    q = _linear(_linear(hidden, params, "warp.pw.l3"), params, "warp.q")
+    del hidden
     k, v = kv
     return nc.multihead_attention(q, k, v, 1,
                                   [(np.arange(q.shape[0]), np.arange(k.shape[0]))])

@@ -16,6 +16,13 @@ the pool so later frames can skip content that was already kept.
 The pool is one int16 array: the I-frame's patches, then each P-frame's
 kept patches in ascending patch index, frame by frame. That row order is
 the tie-break order of the nearest-patch search.
+
+The CNN's memory is bounded by a byte budget, ``_CNN_BLOCK_BYTES``: each
+layer forms its im2col for as many centre frames at a time as fit it,
+and drops each one once its product is formed, so a layer holds its
+input, its output and one block's im2col (with the zero-padded frames
+that block reads). A clip whose layers fit the budget runs every layer
+as one block.
 """
 
 from __future__ import annotations
@@ -49,6 +56,8 @@ MLP_WIDTHS = (FEATURE_DIM, 256, 64, 1)
 # the last layer samples at odd positions so the stacked receptive fields
 # center on 16x16 patch centers (16*v + 8) instead of patch corners
 _LAYER_OFFSETS = (0, 0, 0, 1)
+# im2col bytes a conv layer may hold at once; see shallow_3dcnn
+_CNN_BLOCK_BYTES = 1 << 23
 
 
 # conv0 channel split: backward temporal difference / color-opponent /
@@ -123,6 +132,11 @@ def shallow_3dcnn(clip: RawClip, params: ParamSet) -> list[Tensor]:
 
     Spatial extent shrinks 16x, so the output grid matches the patch grid:
     one (N, 64) map per frame, whose row v describes patch v exactly.
+
+    Each layer runs over blocks of as many centre frames as fit
+    ``_CNN_BLOCK_BYTES`` of im2col (at least one), stacked in frame
+    order. Blocks split only product rows, so the MACs are those of one
+    block.
     """
     t, h, w = clip.frames, clip.height, clip.width
     if h % PATCH or w % PATCH:
@@ -131,9 +145,14 @@ def shallow_3dcnn(clip: RawClip, params: ParamSet) -> list[Tensor]:
     n = (h // PATCH) * (w // PATCH)
     with nc.stage("selection_cnn"):
         for i, offset in enumerate(_LAYER_OFFSETS):
-            cols = nc.neighborhood_rows(x, t, h, w, offset)
-            x = nc.relu(nc.linear(cols, params[f"sel.conv{i}.w"],
-                                  params[f"sel.conv{i}.b"]))
+            weight, bias = params[f"sel.conv{i}.w"], params[f"sel.conv{i}.b"]
+            step = max(1, _CNN_BLOCK_BYTES // ((h // 2) * (w // 2) * weight.shape[0] * 8))
+            # each im2col is only an argument, so it goes once its product is formed
+            blocks = [nc.relu(nc.matmul(
+                nc.neighborhood_rows(x, t, h, w, offset, range(t0, min(t0 + step, t))),
+                weight, bias)) for t0 in range(0, t, step)]
+            x = blocks[0] if len(blocks) == 1 else nc.concat(blocks, 0)
+            del blocks
             h, w = h // 2, w // 2
     return [nc.slice_(x, ti * n, (ti + 1) * n, 0) for ti in range(t)]
 
@@ -189,9 +208,9 @@ def score_gate(features: Tensor, params: ParamSet,
     if features.shape[1] != FEATURE_DIM:
         raise ShapeError(f"gate features must be (N, {FEATURE_DIM}), got {features.shape}")
     h = features
-    h = nc.relu(nc.linear(h, params["sel.mlp0.w"], params["sel.mlp0.b"]))
-    h = nc.relu(nc.linear(h, params["sel.mlp1.w"], params["sel.mlp1.b"]))
-    score = nc.linear(h, params["sel.mlp2.w"], params["sel.mlp2.b"])
+    h = nc.relu(nc.matmul(h, params["sel.mlp0.w"], params["sel.mlp0.b"]))
+    h = nc.relu(nc.matmul(h, params["sel.mlp1.w"], params["sel.mlp1.b"]))
+    score = nc.matmul(h, params["sel.mlp2.w"], params["sel.mlp2.b"])
 
     shifted = score
     if noise is not None:

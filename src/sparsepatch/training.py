@@ -371,7 +371,7 @@ def two_stage_train(spec: SynthSpec, config: TrainConfig,
                             noise_samples=config.noise_samples,
                             seed=step * 131 + slot))
                 f = nc.concat(feats, 0)
-                logits = nc.linear(f, params["cls.w"], params["cls.b"])
+                logits = nc.matmul(f, params["cls.w"], params["cls.b"])
                 l_cent = cross_entropy(logits, labels)
                 l_tri = hard_triplet(f, labels, config.triplet_margin)
                 loss = nc.add(l_cent, l_tri)

@@ -18,7 +18,7 @@ NUMCORE = ROOT / "src" / "sparsepatch" / "numcore.py"
 TABLE = ROOT / "tests" / "test_numcore.py"
 
 # public numcore functions that call ``_record``
-RECORDING_OPS = 20
+RECORDING_OPS = 21
 
 # ops whose backward is deliberately not the derivative of their forward,
 # with the test that checks the backward instead

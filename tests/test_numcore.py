@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsepatch import numcore as nc
+from sparsepatch import psformer
 from sparsepatch.errors import NumericalError, ShapeError, ValidationError
 
 
@@ -46,6 +47,38 @@ def test_nonfinite_rejected():
         nc.log_(x)
 
 
+def test_fused_ops_refuse_what_their_op_chains_refused():
+    # a row of +-1e200 has a finite mean but an infinite variance, which
+    # would normalize it to zeros; a bias add that overflows the product
+    params = nc.ParamSet()
+    params.add("huge.w", [[1e308]])
+    params.add("huge.b", [[1e308]])
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericalError):
+            nc.layer_norm(nc.Tensor([[1e200, -1e200, 1.0], [0.5, 1.0, 2.0]]),
+                          nc.Tensor(np.ones((1, 3))), nc.Tensor(np.zeros((1, 3))))
+        with pytest.raises(NumericalError):
+            psformer._linear(nc.Tensor([[1.0]]), params, "huge")
+
+
+@pytest.mark.parametrize("constant", [0, 1])
+def test_matmul_backward_skips_a_constant_operand(constant):
+    # the product for an operand that records no gradient is never formed
+    a = nc.Tensor(_rand((5, 4), 63), requires_grad=constant != 0)
+    b = nc.Tensor(_rand((4, 3), 64), requires_grad=constant != 1)
+    g = _rand((5, 3), 65)
+    with nc.tape() as t:
+        out = nc.matmul(a, b)
+        grads = t._entries[-1][2](g)
+        t.backward(nc.sum_(nc.mul(out, nc.Tensor(g)), None))
+    assert grads[constant] is None
+    live = (a, b)[1 - constant]
+    want = g @ b.data.T if constant else a.data.T @ g
+    assert np.array_equal(grads[1 - constant], want)
+    assert np.array_equal(live.grad, want)
+    assert (a, b)[constant].grad is None
+
+
 def test_backward_accumulates_on_leaves():
     w = nc.Tensor([[2.0]], requires_grad=True)
     with nc.tape() as t:
@@ -75,6 +108,8 @@ def _op_cases():
     labels = np.array([1, 0, 2, 1])
     gamma = nc.Tensor(_rand((1, 3), 8))
     beta = nc.Tensor(_rand((1, 3), 9))
+    ln_x = nc.Tensor(_rand((4, 3), 61))
+    ln_weight = nc.Tensor(_rand((4, 3), 62))
     # two segments of unequal length, each attending to its own rows plus
     # aux key/value rows 5 and 6-7; two heads, dk = 2, dv = 3
     segments = [(np.array([0, 1]), np.array([0, 1, 5])),
@@ -127,6 +162,12 @@ def _op_cases():
         ("neighborhood", lambda x: nc.mul(nc.neighborhood_rows(x, 2, 3, 5, 1),
                                           nc.Tensor(_rand((4, 54), 52))), _rand((30, 2), 39)),
         ("layer_norm", lambda x: nc.layer_norm(x, gamma, beta), _rand((4, 3), 41)),
+        ("layer_norm_gamma", lambda x: nc.mul(nc.layer_norm(ln_x, x, beta), ln_weight),
+         _rand((1, 3), 56)),
+        ("layer_norm_beta", lambda x: nc.mul(nc.layer_norm(ln_x, gamma, x), ln_weight),
+         _rand((1, 3), 57)),
+        ("matmul_bias", lambda x: nc.mul(nc.matmul(nc.Tensor(_rand((5, 4), 58)), w, x),
+                                         nc.Tensor(_rand((5, 3), 59))), _rand((1, 3), 60)),
         ("cosine_distance", lambda x: nc.cosine_distance(x, nc.Tensor(_rand((1, 5), 26))), _rand((1, 5), 42)),
     ]
 

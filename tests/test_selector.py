@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,66 @@ def test_cnn_gradients_reach_first_layer():
         lambda _t: nc.mean(shallow_3dcnn(clip, params)[1], None),
         params["sel.conv0.w"], max_coords=6, seed=0)
     assert err < 1e-4
+
+
+def _cnn_loss_and_grads(clip, params, weights):
+    """Per-frame maps and every conv parameter's gradient of a weighted sum."""
+    for _, t in params.items():
+        t.grad = None
+    with nc.tape() as tp:
+        sem = shallow_3dcnn(clip, params)
+        tp.backward(nc.sum_(nc.mul(nc.concat(sem, 0), Tensor(weights)), None))
+    grads = {name: t.grad.copy() for name, t in params.items() if name.startswith("sel.conv")}
+    return [f.data for f in sem], grads
+
+
+def test_blocked_cnn_matches_one_block(monkeypatch):
+    # with the budget below one frame's im2col every layer runs frame by
+    # frame; maps and parameter gradients are those of the one-block run
+    clip = _small_clip(t=3, h=32, w=48)
+    params = init_selector_params(seed=4)
+    weights = np.random.Generator(np.random.PCG64(5)).standard_normal((3 * 2 * 3, 64))
+    whole, whole_grads = _cnn_loss_and_grads(clip, params, weights)
+    monkeypatch.setattr(selector, "_CNN_BLOCK_BYTES", 1)
+    ranges = []
+    rows = nc.neighborhood_rows
+    monkeypatch.setattr(nc, "neighborhood_rows",
+                        lambda *a: ranges.append(a[-1]) or rows(*a))
+    blocked, blocked_grads = _cnn_loss_and_grads(clip, params, weights)
+    assert ranges == [range(t, t + 1) for t in range(3)] * 4
+    for got, want in zip(blocked, whole):
+        assert np.abs(got - want).max() <= 1e-12
+    for name, want in whole_grads.items():
+        assert np.abs(blocked_grads[name] - want).max() <= 1e-12, name
+
+
+def _cnn_peak(clip, params):
+    tracemalloc.start()
+    try:
+        shallow_3dcnn(clip, params)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_blocked_cnn_peak_memory_stays_within_predicted_bound(monkeypatch):
+    # a layer holds its input and output, one block's im2col and the
+    # zero-padded frames that block's windows read (one frame per block,
+    # so three); one block of the whole clip needs more
+    t, h, w = 5, 64, 96
+    clip = _small_clip(t=t, h=h, w=w)
+    params = init_selector_params(seed=6)
+    bound = 0
+    for cin, cout in zip(CNN_CHANNELS, CNN_CHANNELS[1:]):
+        ho, wo = h // 2, w // 2
+        bound = max(bound, 8 * (t * h * w * cin + t * ho * wo * cout
+                                + ho * wo * 27 * cin + 3 * (h + 2) * (w + 2) * cin))
+        h, w = ho, wo
+    slack = 64 << 10
+    assert _cnn_peak(clip, params) > bound + slack
+    monkeypatch.setattr(selector, "_CNN_BLOCK_BYTES", 1)
+    peak = _cnn_peak(clip, params)
+    assert peak <= bound + slack, (peak, bound)
 
 
 def test_patch_semantics_scales_rows():
