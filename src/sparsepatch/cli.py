@@ -290,11 +290,8 @@ def cmd_forward(args) -> int:
             res = psformer_forward(gop, selection, params, model,
                                    threshold=args.threshold)
             kept = selection.kept_counts
-    feature = res.feature.data[0]
-    if not np.all(np.isfinite(feature)):
-        raise NumericalError("forward produced non-finite feature values")
     payload = {
-        "feature": [float(v) for v in feature],
+        "feature": [float(v) for v in res.feature.data[0]],
         "dense": bool(args.dense),
         "threshold": args.threshold,
         "seed": seed,

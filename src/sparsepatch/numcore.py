@@ -17,11 +17,15 @@ Design notes:
   at the row's argmax or argmin. ``scale`` and ``add_const`` (``mul``
   and ``add`` by a constant), ``mean`` and ``cosine_distance`` compose
   them.
-* Fused ops write into the buffers they allocate: ``matmul`` adds its
-  bias into the fresh product, ``layer_norm`` keeps one normalized copy
-  and one output, and ``gelu`` builds its output in one buffer. Each
-  op's output is finite-checked; ``layer_norm`` checks its variance too,
-  where the op chain it replaced would have overflowed first.
+* No op writes into an array it did not allocate, forward or backward,
+  so an op's output may be a view of its input: ``slice_`` returns one.
+  ``transpose`` copies, so a product against it takes a fresh array's
+  BLAS path. Fused ops write into the buffers they allocate: ``matmul``
+  adds its bias into the fresh product, ``layer_norm`` keeps one
+  normalized copy and one output, and ``gelu`` builds its output in one
+  buffer. Each op's output is finite-checked; ``layer_norm`` checks its
+  variance too, where the op chain it replaced would have overflowed
+  first.
 * Recording is explicit: ops only build a backward graph while a Tape is
   active (see the ``tape()`` context manager). Outside a tape the same
   functions are plain numpy computations, which is what inference and
@@ -50,7 +54,7 @@ import zlib
 from contextlib import contextmanager, nullcontext
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import ndtr
 
 from .errors import NumericalError, ShapeError, ValidationError
 
@@ -356,14 +360,11 @@ def relu(x: Tensor) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact Gaussian-error-linear unit, y = x * Phi(x). Phi is built in
-    one buffer, which becomes the output unless a tape keeps it for the
-    backward."""
+    """Exact Gaussian-error-linear unit, y = x * Phi(x). Phi is one
+    ``ndtr`` buffer, which becomes the output unless a tape keeps it for
+    the backward."""
     _require_2d(x)
-    cdf = x.data / math.sqrt(2.0)
-    erf(cdf, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
+    cdf = ndtr(x.data)
 
     def backward(g):
         pdf = np.exp(-0.5 * x.data * x.data) / math.sqrt(2.0 * math.pi)
@@ -484,7 +485,8 @@ def multihead_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         ks = _split_heads(k.data[keys], heads)
         vs = _split_heads(v.data[keys], heads)
         count_macs(heads * ks.shape[1] * (dk + dv), rows)
-        p = np.matmul(qs, ks.transpose(0, 2, 1)) * c
+        p = np.matmul(qs, ks.transpose(0, 2, 1))
+        p *= c
         p -= p.max(axis=2, keepdims=True)
         np.exp(p, out=p)
         p /= p.sum(axis=2, keepdims=True)
@@ -523,7 +525,7 @@ def sum_(x: Tensor, axis) -> Tensor:
     _require_axis(axis, (0, 1, None))
 
     def backward(g):
-        return (np.broadcast_to(g, x.shape).copy(),)
+        return (np.broadcast_to(g, x.shape),)
 
     return _record(x.data.sum(axis=axis, keepdims=True), (x,), backward)
 
@@ -592,7 +594,7 @@ def slice_(x: Tensor, start: int, stop: int, axis) -> Tensor:
         gx[span] = g
         return (gx,)
 
-    return _record(x.data[span].copy(), (x,), backward)
+    return _record(x.data[span], (x,), backward)
 
 
 def gather_rows(x: Tensor, idx) -> Tensor:
@@ -607,7 +609,7 @@ def gather_rows(x: Tensor, idx) -> Tensor:
         np.add.at(gx, idx, g)
         return (gx,)
 
-    return _record(x.data[idx].copy(), (x,), backward)
+    return _record(x.data[idx], (x,), backward)
 
 
 def gather_labels(x: Tensor, labels) -> Tensor:
@@ -630,12 +632,12 @@ def gather_labels(x: Tensor, labels) -> Tensor:
 
 
 def neighborhood_rows(x: Tensor, frames: int, height: int, width: int,
-                      offset: int, centres: range | None = None) -> Tensor:
+                      offset: int, centres: range) -> Tensor:
     """3x3x3 neighborhoods of a video grid in im2col form, spatial stride 2.
 
     Row ``(t * height + y) * width + x`` of ``x`` holds the C channels of
     cell (t, y, x). The output has one row per centre (t, 2 * yo + offset,
-    2 * xo + offset) for t in ``centres`` (every frame by default), yo <
+    2 * xo + offset) for t in ``centres``, a run of frames, yo <
     height // 2 and xo < width // 2, in (t, yo, xo) order; ``offset`` is 0
     or 1. Its 27 * C columns are the centre's (3, 3, 3, C) window
     flattened in (dt, dy, dx, channel) order, each of dt, dy, dx running
@@ -649,7 +651,6 @@ def neighborhood_rows(x: Tensor, frames: int, height: int, width: int,
         raise ShapeError(f"{x.shape[0]} rows do not fill a {frames}x{height}x{width} grid")
     if offset not in (0, 1):
         raise ShapeError(f"neighborhood offset must be 0 or 1, got {offset}")
-    centres = range(frames) if centres is None else centres
     if centres.step != 1 or not 0 <= centres.start < centres.stop <= frames:
         raise ShapeError(f"centre frames {centres} are not a run within {frames} frames")
     ho, wo = height // 2, width // 2

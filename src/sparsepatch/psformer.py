@@ -345,14 +345,13 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
                            for f in range(p_count))
             opened = np.flatnonzero(is_open)
 
-            # rows of [cp_coarse; open aux] each P-frame carries on as its
-            # context, and attends over if it has kept rows: its coarse
-            # context when closed; when open, its own context then its
-            # pooled summaries, the means of its [kept; warped] tokens over
-            # the whole grid and over each pooling cell
+            # aux_rows[f]: rows of [cp_coarse; grid means; cell means] P-frame
+            # f carries on as its context (column 0) and attends over if it
+            # has kept rows: its coarse context when closed; when open, its own
+            # context then its pooled summaries, the means of its [kept;
+            # warped] tokens over the whole grid and over each pooling cell
             parts = [cp_coarse]
-            carry = np.arange(p_count)
-            carry[opened] = p_count + OPEN_AUX * np.arange(opened.size)
+            aux_rows = np.repeat(np.arange(p_count)[:, None], OPEN_AUX, 1)
             aux_count = np.where(is_open, OPEN_AUX, CLOSED_AUX)
             if opened.size:
                 warp = np.repeat(is_open, n - sizes)
@@ -362,21 +361,23 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
                         _warp_kv(x_i, params))
                 # an opened frame's warped rows follow x and those of the
                 # frames opened before it; each frame's grid is gathered
-                # twice, in cell order, for the whole-grid and cell means
+                # once, in cell order, for the whole-grid and cell means
                 warped = n - sizes[opened]
                 warped_at = x.shape[0] + np.cumsum(warped) - warped
                 grid_rows = np.where(skip[opened], warped_at[:, None] + at[opened],
                                      at[opened])[:, cell_order]
-                grid = nc.gather_rows(nc.concat([x, p_tilde], 0),
-                                      np.repeat(grid_rows, 2, axis=0).ravel())
+                grid = nc.gather_rows(nc.concat([x, p_tilde], 0), grid_rows.ravel())
                 del p_tilde
-                parts.append(nc.segment_mean(grid, ([n] + cell_sizes) * opened.size))
+                k = opened.size
+                parts += [nc.segment_mean(grid, [n] * k), nc.segment_mean(grid, cell_sizes * k)]
                 del grid
+                aux_rows[opened] = p_count + np.c_[np.arange(k),
+                                                   np.arange(k, k * OPEN_AUX).reshape(k, -1)]
             sources = nc.concat(parts, 0)
             attends = (np.arange(OPEN_AUX) < aux_count[:, None]) & (sizes > 0)[:, None]
-            aux = nc.gather_rows(sources, (carry[:, None] + np.arange(OPEN_AUX))[attends])
+            aux = nc.gather_rows(sources, aux_rows[attends])
             frames += [(sizes[f], aux_count[f], "p_frame_msa") for f in full]
-            cp_prev = nc.gather_rows(sources, carry)
+            cp_prev = nc.gather_rows(sources, aux_rows[:, 0])
         x = msa_block(x, aux, params, layer, config, frames)
         x_i = nc.slice_(x, 0, n, 0)
 

@@ -1,6 +1,7 @@
 """Command-line interface tests: exit codes, determinism, file pipeline."""
 
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -774,10 +775,14 @@ def test_train_is_deterministic(tmp_path, capsys):
 
 
 def test_module_entrypoint_runs(tmp_path):
+    # the subprocess imports this checkout's package, installed or not
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "sparsepatch.cli", "macs", "--baseline",
          "--json"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["analytic_gmacs"] == pytest.approx(89.992986624, abs=1e-9)

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import tracemalloc
 
@@ -159,7 +160,7 @@ def _op_cases():
         ("gather_rows", lambda x: nc.gather_rows(x, idx), _rand((3, 3), 37)),
         ("gather_labels", lambda x: nc.gather_labels(x, labels), _rand((4, 3), 38)),
         # odd 2x3x5 grid, offset 1: taps past the far edges read padding
-        ("neighborhood", lambda x: nc.mul(nc.neighborhood_rows(x, 2, 3, 5, 1),
+        ("neighborhood", lambda x: nc.mul(nc.neighborhood_rows(x, 2, 3, 5, 1, range(2)),
                                           nc.Tensor(_rand((4, 54), 52))), _rand((30, 2), 39)),
         ("layer_norm", lambda x: nc.layer_norm(x, gamma, beta), _rand((4, 3), 41)),
         ("layer_norm_gamma", lambda x: nc.mul(nc.layer_norm(ln_x, x, beta), ln_weight),
@@ -178,6 +179,49 @@ def test_op_gradients(name, op, value):
     x = nc.Tensor(value.copy(), requires_grad=True)
     err = nc.grad_check(lambda t: nc.mean(op(t), None), x)
     assert err < 1e-4, f"{name}: grad error {err:.3e}"
+
+
+@pytest.mark.parametrize("name,op,value", _op_cases(),
+                         ids=[c[0] for c in _op_cases()])
+def test_ops_leave_their_inputs_unchanged(name, op, value, monkeypatch):
+    # no op writes into an array it did not allocate, forward or backward,
+    # which is what lets an op return a view of its input; every public
+    # numcore function snapshots its tensor arguments as it is called
+    seen = []
+
+    def snapshotting(fn):
+        def call(*args, **kwargs):
+            for arg in args:
+                for tensor in arg if isinstance(arg, list) else [arg]:
+                    if isinstance(tensor, nc.Tensor):
+                        seen.append((tensor, tensor.data.tobytes()))
+            return fn(*args, **kwargs)
+        return call
+
+    for attr, fn in list(vars(nc).items()):
+        if inspect.isfunction(fn) and not attr.startswith("_") and fn.__module__ == nc.__name__:
+            monkeypatch.setattr(nc, attr, snapshotting(fn))
+    x = nc.Tensor(value.copy(), requires_grad=True)
+    with nc.tape() as t:
+        t.backward(nc.mean(op(x), None))
+    assert x.grad is not None and any(tensor is x for tensor, _ in seen)
+    for tensor, before in seen:
+        assert tensor.data.tobytes() == before, f"{name}: an input of shape {tensor.shape} changed"
+
+
+def test_slices_are_views_and_a_gather_copies_once():
+    x = nc.Tensor(_rand((4096, 64), 66))
+    for axis in (0, 1):
+        assert np.shares_memory(nc.slice_(x, 1, 3, axis).data, x.data)
+    idx = np.arange(4096)[::-1].copy()
+    tracemalloc.start()
+    try:
+        out = nc.gather_rows(x, idx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out.data, x.data[::-1])
+    assert out.data.nbytes <= peak < 1.5 * out.data.nbytes
 
 
 def test_bad_axis_is_refused_before_any_work(monkeypatch):
@@ -243,7 +287,7 @@ def test_neighborhood_rows_matches_loop_gather(frames, height, width, channels, 
     want, want_grad = _neighborhood_oracle(grid, offset, g)
     x = nc.Tensor(grid.reshape(-1, channels), requires_grad=True)
     with nc.tape() as t:
-        cols = nc.neighborhood_rows(x, frames, height, width, offset)
+        cols = nc.neighborhood_rows(x, frames, height, width, offset, range(frames))
         t.backward(nc.sum_(nc.mul(cols, nc.Tensor(g)), None))
     assert np.array_equal(cols.data, want)
     assert np.allclose(x.grad, want_grad, rtol=0.0, atol=1e-12)
@@ -259,7 +303,7 @@ def test_recorded_neighborhood_rows_keeps_only_its_output_alive():
     with nc.tape():
         tracemalloc.start()
         try:
-            cols = nc.neighborhood_rows(x, frames, height, width, 1)
+            cols = nc.neighborhood_rows(x, frames, height, width, 1, range(frames))
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -268,10 +312,10 @@ def test_recorded_neighborhood_rows_keeps_only_its_output_alive():
 
 def test_neighborhood_rows_rejects_bad_grid_or_offset():
     x = nc.Tensor(np.zeros((2 * 4 * 6, 3)))
-    assert nc.neighborhood_rows(x, 2, 4, 6, 1).shape == (2 * 2 * 3, 81)
+    assert nc.neighborhood_rows(x, 2, 4, 6, 1, range(2)).shape == (2 * 2 * 3, 81)
     for frames, height, width, offset in ((2, 4, 5, 0), (3, 4, 6, 0), (2, 4, 6, 2), (2, 4, 6, -1)):
         with pytest.raises(ShapeError):
-            nc.neighborhood_rows(x, frames, height, width, offset)
+            nc.neighborhood_rows(x, frames, height, width, offset, range(frames))
 
 
 def test_grad_check_detects_scale_error():

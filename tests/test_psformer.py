@@ -131,6 +131,23 @@ def test_routing_extremes():
     assert not np.allclose(closed.feature.data, opened.feature.data)
 
 
+def test_each_opened_grid_is_gathered_once(monkeypatch):
+    # with every frame open, a layer gathers each opened frame's grid once
+    # and takes both the whole-grid and the cell means from that one copy
+    cfg = _toy_config()
+    params = init_psformer_params(cfg, seed=5)
+    gop, sel = _toy_inputs()
+    sizes = []
+    gather = nc.gather_rows
+    monkeypatch.setattr(nc, "gather_rows",
+                        lambda x, idx: sizes.append(np.size(idx)) or gather(x, idx))
+    res = psformer_forward(gop, sel, params, cfg, threshold=-1.0)
+    assert res.open_rate == 1.0
+    grids = (gop.frames - 1) * cfg.patch_count
+    assert sizes.count(grids) == cfg.layers
+    assert 2 * grids not in sizes
+
+
 def test_feature_single_frame_equals_token_mean():
     spec = SynthSpec(identity_count=2, clips_per_identity=1, height=64,
                      width=64, frames=1, background="textured",

@@ -382,7 +382,7 @@ def test_init_motion_channels_cancel_on_static_content():
     clip = RawClip(pixels=np.stack([frame] * 3))
     params = init_selector_params(seed=5)
     x = Tensor(clip.pixels.reshape(-1, 3) / 255.0 - 0.5)
-    cols = nc.neighborhood_rows(x, 3, 32, 48, 0)
+    cols = nc.neighborhood_rows(x, 3, 32, 48, 0, range(3))
     out = nc.matmul(cols, params["sel.conv0.w"])
     perframe = out.data.reshape(3, -1, CNN_CHANNELS[1])
     assert np.abs(perframe[1, :, :8]).max() < 1e-12
@@ -394,7 +394,7 @@ def test_init_color_channels_cancel_on_gray_content():
     clip = RawClip(pixels=np.repeat(gray, 3, axis=3))
     params = init_selector_params(seed=5)
     x = Tensor(clip.pixels.reshape(-1, 3) / 255.0 - 0.5)
-    cols = nc.neighborhood_rows(x, 2, 32, 48, 0)
+    cols = nc.neighborhood_rows(x, 2, 32, 48, 0, range(2))
     out = nc.matmul(cols, params["sel.conv0.w"])
     assert np.abs(out.data[:, 8:12]).max() < 1e-12
 
