@@ -36,10 +36,8 @@ class ParseError(SparsepatchError):
     included in the message so tooling can point at the corrupt region.
     """
 
-    def __init__(self, message: str, offset: int | None = None):
-        if offset is not None:
-            message = f"{message} (byte offset {offset})"
-        super().__init__(message)
+    def __init__(self, message: str, offset: int):
+        super().__init__(f"{message} (byte offset {offset})")
         self.offset = offset
 
 

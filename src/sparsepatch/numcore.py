@@ -38,9 +38,9 @@ Design notes:
   work, reductions, softmax, normalization and gathers count zero, and
   the analytic cost model relies on that convention. Work outside the
   tape tallies itself where it runs, through ``count_macs`` and
-  ``note_uncounted``. MACs are charged per product row: a stage has one
-  label for all rows, or one label per row, and then each row's MACs
-  go to its own label.
+  ``note_uncounted``. A product charges its MACs to a slice of rows: a
+  stage has one label for all rows, or one label per row, and then each
+  row's MACs go to its own label.
 * Backward state that the forward result does not need (an activation's
   derivative, attention probabilities) is built only while a tape
   records the op. ``matmul``, whose input gradients are products too,
@@ -210,11 +210,12 @@ class MacCounter:
         # None when one label covers every row
         self._stage_stack: list = [(["other"], None)]
 
-    def add(self, per_row: int, rows) -> None:
-        """Charge ``per_row`` MACs for each of a product's ``rows``, an
-        integer array of row indices."""
+    def add(self, per_row: int, rows: slice) -> None:
+        """Charge ``per_row`` MACs for each of a product's ``rows``, a
+        slice with a start and a stop."""
         labels, index = self._stage_stack[-1]
-        counts = [len(rows)] if index is None else np.bincount(index[rows], minlength=len(labels))
+        counts = [rows.stop - rows.start] if index is None else \
+            np.bincount(index[rows], minlength=len(labels))
         for label, count in zip(labels, counts):
             macs = per_row * int(count)
             self.total += macs
@@ -261,9 +262,9 @@ def stage(label):
     return counter.stage(label) if counter is not None else nullcontext()
 
 
-def count_macs(per_row: int, rows) -> None:
-    """Charge ``per_row`` MACs for each of a product's ``rows`` (an
-    integer array of its row indices) to the active counter's current
+def count_macs(per_row: int, rows: slice) -> None:
+    """Charge ``per_row`` MACs for each of a product's ``rows`` (a slice
+    with a start and a stop) to the active counter's current
     stage; does nothing when no counter is active. Called by the code
     that does the work."""
     counter = active_counter()
@@ -294,7 +295,7 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeError(f"matmul mismatch: {a.shape} @ {b.shape}")
     if bias is not None and bias.shape != (1, b.shape[1]):
         raise ShapeError(f"bias {bias.shape} does not fit a product of width {b.shape[1]}")
-    count_macs(a.shape[1] * b.shape[1], np.arange(a.shape[0]))
+    count_macs(a.shape[1] * b.shape[1], slice(0, a.shape[0]))
     out_data = a.data @ b.data
     if bias is not None:
         out_data += bias.data
@@ -360,17 +361,16 @@ def relu(x: Tensor) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact Gaussian-error-linear unit, y = x * Phi(x). Phi is one
-    ``ndtr`` buffer, which becomes the output unless a tape keeps it for
-    the backward."""
+    """Exact Gaussian-error-linear unit, y = x * Phi(x), built in the one
+    ``ndtr`` buffer; the backward computes Phi again."""
     _require_2d(x)
-    cdf = ndtr(x.data)
+    out = ndtr(x.data)
+    out *= x.data
 
     def backward(g):
         pdf = np.exp(-0.5 * x.data * x.data) / math.sqrt(2.0 * math.pi)
-        return (g * (cdf + x.data * pdf),)
+        return (g * (ndtr(x.data) + x.data * pdf),)
 
-    out = x.data * cdf if _taping((x,)) else np.multiply(cdf, x.data, out=cdf)
     return _record(out, (x,), backward)
 
 
@@ -461,14 +461,16 @@ def multihead_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
                         segments) -> Tensor:
     """Softmax attention computed separately per segment, all heads at once.
 
-    ``segments`` lists ``(rows, keys)`` pairs of integer row indices:
-    query rows of ``q``, and the rows of ``k`` and ``v`` those queries
-    attend to. A query row belongs to at most one segment (rows in none
-    come out zero); the keys of one segment are distinct, while segments
-    may share keys. The columns of ``q`` and ``k`` split into ``heads``
-    slices of width dk, those of ``v`` into slices of width dv; scores
-    are scaled by 1/sqrt(dk). A segment of m queries and r keys counts
-    heads * m * r * (dk + dv) MACs, the two products of every head.
+    ``segments`` lists ``(rows, keys)`` pairs: ``rows`` is a slice of
+    query rows of ``q``, and ``keys`` a slice or an integer index array
+    of the rows of ``k`` and ``v`` those queries attend to, so a run of
+    rows is read as a view. A query row belongs to at most one segment
+    (rows in none come out zero); the keys of one segment are distinct,
+    while segments may share keys. The columns of ``q`` and ``k`` split
+    into ``heads`` slices of width dk, those of ``v`` into slices of
+    width dv; scores are scaled by 1/sqrt(dk). A segment of m queries
+    and r keys counts heads * m * r * (dk + dv) MACs, the two products
+    of every head.
     """
     _require_2d(q, k, v)
     if q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]:

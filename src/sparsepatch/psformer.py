@@ -184,7 +184,8 @@ def msa_block(main: Tensor, aux: Tensor, params: ParamSet, layer: int,
     segments = []
     m0, a0 = 0, main.shape[0]
     for m, a in zip(sizes, aux_sizes):
-        segments.append((np.arange(m0, m0 + m), np.r_[m0:m0 + m, a0:a0 + a]))
+        rows = slice(m0, m0 + m)
+        segments.append((rows, np.r_[rows, a0:a0 + a] if a else rows))
         m0, a0 = m0 + m, a0 + a
     # every product inside takes main rows, then (key/value) aux rows;
     # each intermediate is dropped once read, so outside a tape only the
@@ -419,7 +420,7 @@ def _refine_unselected(x_i: Tensor, motion: np.ndarray, residual: Tensor,
     del hidden
     k, v = kv
     return nc.multihead_attention(q, k, v, 1,
-                                  [(np.arange(q.shape[0]), np.arange(k.shape[0]))])
+                                  [(slice(0, q.shape[0]), slice(0, k.shape[0]))])
 
 
 def dense_forward(gop: GopClip, params: ParamSet,

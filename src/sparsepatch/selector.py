@@ -321,7 +321,7 @@ def select_patches(gop: GopClip, params: ParamSet, mode: str = "infer",
 
         keep = np.flatnonzero(gate.gate.data)
         pool = np.concatenate([pool, recon[keep]])
-        selected.append(keep.astype(np.int64))
+        selected.append(keep)
         gates.append(gate.gate)
         saliencies.append(sal)
 

@@ -38,7 +38,7 @@ def affinity(f) -> np.ndarray:
     (n, d) features cost n * n * d MACs on the active counter.
     """
     arr = _as_features(f)
-    count_macs(arr.shape[0] * arr.shape[1], np.arange(arr.shape[0]))
+    count_macs(arr.shape[0] * arr.shape[1], slice(0, arr.shape[0]))
     a = arr @ arr.T
     a = 0.5 * (a + a.T)  # exact symmetry despite float summation order
     np.maximum(a, 0.0, out=a)

@@ -244,12 +244,12 @@ def extract_feature(gop: GopClip, params: ParamSet, model: PsformerConfig,
                     mode: str, threshold: float) -> np.ndarray:
     """Clip feature by the dense (stage 1) or sparse (stage 2) path."""
     if mode == "dense":
-        return dense_forward(gop, params, model).feature.data.copy()
+        return dense_forward(gop, params, model).feature.data
     if mode != "sparse":
         raise ValidationError(f"unknown feature mode {mode!r}")
     sel = select_patches(gop, params, mode="infer")
     res = psformer_forward(gop, sel, params, model, threshold=threshold)
-    return res.feature.data.copy()
+    return res.feature.data
 
 
 def rank1(features: np.ndarray, labels) -> float:

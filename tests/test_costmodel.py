@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sparsepatch import numcore as nc
+from sparsepatch.cli import main
 from sparsepatch.costmodel import (
     Geometry,
     STAGES,
@@ -162,14 +163,14 @@ def test_counted_matches_exact_cost(threshold):
     for empty_frame in (None, 2):
         counter, geom, kept, opens = _toy_run(threshold, empty_frame)
         report = runtime_counter_report(counter, geom, kept, opens)
-        assert report.counted_gmacs == pytest.approx(report.analytic_gmacs,
-                                                     rel=1e-12)
+        assert counter.total / 1e9 == pytest.approx(report.analytic_gmacs,
+                                                    rel=1e-12)
         for stage in STAGES:
             got = counter.by_stage.get(stage, 0) / 1e9
             assert got == pytest.approx(report.breakdown[stage],
                                         rel=1e-12), stage
-        assert report.uncounted.get("sad_compares", 0) > 0
-        assert report.uncounted.get("eig_decompositions", 0) == geom.frames - 1
+        assert counter.uncounted.get("sad_compares", 0) > 0
+        assert counter.uncounted.get("eig_decompositions", 0) == geom.frames - 1
 
 
 def test_counted_matches_exact_cost_mixed_routing():
@@ -192,8 +193,8 @@ def test_counted_matches_exact_cost_mixed_routing():
     assert 0 < len(opens) < len(res.routing)
     geom = Geometry(height=64, width=64, frames=4, dim=64, layers=3, heads=4)
     report = runtime_counter_report(counter, geom, sel.kept_counts, opens)
-    assert report.counted_gmacs == pytest.approx(report.analytic_gmacs,
-                                                 rel=1e-12)
+    assert counter.total / 1e9 == pytest.approx(report.analytic_gmacs,
+                                                rel=1e-12)
 
 
 def test_runtime_report_requires_counts():
@@ -215,10 +216,19 @@ def test_msa_macs_zero_rows_is_free():
     assert msa_macs(0, 9, 64) == 0.0
 
 
-def test_report_json_fields():
-    rep = estimate_ours(VIT_B, 0.2, 0.1, include_selection=True)
-    data = json.loads(json.dumps(rep.to_json_dict()))
-    assert set(data) == {"analytic_gmacs", "counted_gmacs", "breakdown",
-                         "inputs", "uncounted"}
-    assert data["inputs"]["geometry"]["dim"] == 768
+def test_report_json_fields(capsys):
+    # a report holds the priced cost only; --target adds the bisection
+    assert main(["macs", "--kept-fraction", "0.2", "--open-rate", "0.1",
+                 "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert set(data) == {"analytic_gmacs", "breakdown", "inputs"}
+    assert data["inputs"]["geometry"] == dataclasses.asdict(VIT_B) == {
+        "height": 128, "width": 256, "frames": 8, "dim": 768, "layers": 12,
+        "heads": 12}
     assert data["inputs"]["kept_fraction"] == 0.2
+    rep = estimate_ours(VIT_B, 0.2, 0.1, include_selection=True)
+    assert data["analytic_gmacs"] == rep.analytic_gmacs
+    assert data["breakdown"] == rep.breakdown
+    assert main(["macs", "--target", "20", "--json"]) == 0
+    assert set(json.loads(capsys.readouterr().out)) == {
+        "analytic_gmacs", "breakdown", "inputs", "bisect"}

@@ -30,7 +30,7 @@ BENCHMARK = sorted((REPO / "perfbench").glob("*.py"))
 
 # parameters with a default value across the package's functions,
 # methods, nested functions and lambdas
-DEFAULTED_PARAMETERS = 13
+DEFAULTED_PARAMETERS = 12
 
 # public definitions kept without a caller in package or benchmark code
 UNREFERENCED_OK = {

@@ -111,10 +111,11 @@ def _op_cases():
     beta = nc.Tensor(_rand((1, 3), 9))
     ln_x = nc.Tensor(_rand((4, 3), 61))
     ln_weight = nc.Tensor(_rand((4, 3), 62))
-    # two segments of unequal length, each attending to its own rows plus
-    # aux key/value rows 5 and 6-7; two heads, dk = 2, dv = 3
-    segments = [(np.array([0, 1]), np.array([0, 1, 5])),
-                (np.array([2, 3, 4]), np.array([2, 3, 4, 6, 7]))]
+    # two segments of unequal length: one attends to its own rows as a
+    # slice, the other to its own rows plus aux key/value rows 5-7 by
+    # index; two heads, dk = 2, dv = 3
+    segments = [(slice(0, 2), slice(0, 2)),
+                (slice(2, 5), np.array([2, 3, 4, 5, 6, 7]))]
     q = nc.Tensor(_rand((5, 4), 44))
     k = nc.Tensor(_rand((8, 4), 45))
     v = nc.Tensor(_rand((8, 6), 46))
@@ -398,8 +399,8 @@ def test_row_labelled_stage_charges_each_row_to_its_label():
     b = nc.Tensor(np.ones((3, 5)))
     q, k, v = nc.Tensor(np.ones((4, 4))), nc.Tensor(np.ones((5, 4))), nc.Tensor(np.ones((5, 6)))
     # two heads, dk = 2, dv = 3: a query row costs 2 * keys * 5 MACs
-    segments = [(np.array([0, 1]), np.array([0, 1, 4])),
-                (np.array([2, 3]), np.array([1, 2, 3, 4]))]
+    segments = [(slice(0, 2), np.array([0, 1, 4])),
+                (slice(2, 4), slice(1, 5))]
     plain, rowwise = nc.MacCounter(), nc.MacCounter()
     for counter, label in ((plain, "all"), (rowwise, ["x", "x", "y", "x"])):
         with nc.mac_counting(counter), counter.stage(label):

@@ -148,6 +148,33 @@ def test_each_opened_grid_is_gathered_once(monkeypatch):
     assert 2 * grids not in sizes
 
 
+@pytest.mark.parametrize("threshold", [3.0, -1.0])
+def test_attention_segments_read_rows_by_slice(threshold, monkeypatch):
+    # every block segment's query rows are one run, and so are the keys of
+    # the first frame, which has no aux rows; the warp refinement (one
+    # head) takes all of its queries and keys as one segment of slices
+    cfg = _toy_config()
+    params = init_psformer_params(cfg, seed=5)
+    gop, sel = _toy_inputs()
+    calls = []
+    attention = nc.multihead_attention
+    monkeypatch.setattr(nc, "multihead_attention",
+                        lambda q, k, v, heads, segments: calls.append(
+                            (heads, segments)) or attention(q, k, v, heads, segments))
+    psformer_forward(gop, sel, params, cfg, threshold=threshold)
+    blocks = [segments for heads, segments in calls if heads == cfg.heads]
+    refinements = [segments for heads, segments in calls if heads == 1]
+    assert len(blocks) == cfg.layers and refinements
+    n = cfg.patch_count
+    for segments in blocks:
+        assert len(segments) == gop.frames
+        assert all(isinstance(rows, slice) for rows, _ in segments)
+        assert segments[0] == (slice(0, n), slice(0, n))
+    for segments in refinements:
+        assert len(segments) == 1
+        assert all(isinstance(part, slice) for part in segments[0])
+
+
 def test_feature_single_frame_equals_token_mean():
     spec = SynthSpec(identity_count=2, clips_per_identity=1, height=64,
                      width=64, frames=1, background="textured",
