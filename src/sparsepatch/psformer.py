@@ -209,14 +209,30 @@ def msa_block(main: Tensor, aux: Tensor, params: ParamSet, layer: int,
     return nc.add(main, ffn)
 
 
-def _embed_frames(gop: GopClip, params: ParamSet, rows: list[np.ndarray]) -> Tensor:
+def _embed_frames(gop: GopClip, params: ParamSet, grid_index: np.ndarray) -> Tensor:
     """Linear embedding plus positional and frame terms of the patches
-    ``rows[t]`` of each frame t, stacked in frame order."""
-    patches = np.concatenate([gop.frame_patches(t)[r] for t, r in enumerate(rows)])
+    ``grid_index`` (``t * n + p`` for patch p of frame t), in frame order."""
+    frame, pos = np.divmod(grid_index, gop.i_frame.count)
+    patches = np.concatenate([gop.frame_patches(t)[pos[frame == t]] for t in range(gop.frames)])
     tok = _linear(Tensor(patches.astype(np.float64) / 255.0 - 0.5), params, "embed")
-    tok = nc.add(tok, nc.gather_rows(params["pos"], np.concatenate(rows)))
-    frame = np.repeat(np.arange(len(rows)), [r.size for r in rows])
+    tok = nc.add(tok, nc.gather_rows(params["pos"], pos))
     return nc.add(tok, nc.gather_rows(params["frame"], frame))
+
+
+def _stack_plan(selected: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row layout of the sparse token stack: every patch of the first frame,
+    then each P-frame's kept patches ``selected[t - 1]`` in ascending order.
+
+    Returns ``grid_index``, ``t * n + p`` for each row holding patch p of
+    frame t, in stack order; ``skip``, the (P-frames, n) mask of skipped
+    patches; and ``at``, per P-frame and grid position, the row holding it
+    when kept, its rank among the frame's skipped patches otherwise.
+    """
+    grid_index = np.concatenate([np.arange(n), *(t * n + s for t, s in enumerate(selected, 1))])
+    x_row = np.full((1 + len(selected), n), -1)
+    x_row.flat[grid_index] = np.arange(grid_index.size)
+    skip = x_row[1:] < 0
+    return grid_index, skip, np.where(skip, np.cumsum(skip, 1) - 1, x_row[1:])
 
 
 def _pool_cells(gh: int, gw: int) -> list[np.ndarray]:
@@ -227,6 +243,15 @@ def _pool_cells(gh: int, gw: int) -> list[np.ndarray]:
     return [index[row_edges[r]:row_edges[r + 1],
                   col_edges[c]:col_edges[c + 1]].reshape(-1)
             for r in range(_LOCAL_ROWS) for c in range(_LOCAL_COLS)]
+
+
+def _check_clip(gop: GopClip, config: PsformerConfig) -> None:
+    """Refuse, before any compute, a clip of a grid or length the config cannot serve."""
+    if (gop.i_frame.grid_h, gop.i_frame.grid_w) != (config.grid_h, config.grid_w):
+        raise ValidationError(f"clip grid {gop.i_frame.grid_h}x{gop.i_frame.grid_w} != "
+                              f"config grid {config.grid_h}x{config.grid_w}")
+    if gop.frames > config.max_frames:
+        raise ValidationError(f"clip has {gop.frames} frames, config allows {config.max_frames}")
 
 
 @dataclass
@@ -261,66 +286,45 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
     zero token rows: it skips the attention block, and its context
     starts from the first frame's.
 
-    The token stack is one embedding call: every patch of the first
-    frame, then each P-frame's kept patches in ascending order, each row
-    scaled by its straight-through gate (1 on the first frame). The
-    skipped patches are one (P-frames x patches) mask; their motion
-    sources and residuals are read once, frame-major, and a layer warps
-    the rows of the frames it opens. Every layer runs its frames as one
-    stacked pass: one attention block takes every frame's tokens, and
-    routing, warp, refinement and pooling the rows of all P-frames, while
-    attention and pooling stay per frame.
+    The token stack is one embedding call over the rows ``_stack_plan``
+    lays out: every patch of the first frame, then each P-frame's kept
+    patches in ascending order, each row scaled by its straight-through
+    gate (1 on the first frame). The skipped patches are one (P-frames x
+    patches) mask; their motion sources and residuals are read once,
+    frame-major, and a layer warps the rows of the frames it opens. Every
+    layer runs its frames as one stacked pass: one attention block takes
+    every frame's tokens, and routing, warp, refinement and pooling the
+    rows of all P-frames, while attention and pooling stay per frame.
     """
-    gh, gw = selection.grid_h, selection.grid_w
-    n = gh * gw
-    t_total = gop.frames
-    if (gh, gw) != (config.grid_h, config.grid_w):
-        raise ValidationError(
-            f"selection grid {gh}x{gw} != config grid {config.grid_h}x{config.grid_w}")
-    if gop.i_frame.grid_h != gh or gop.i_frame.grid_w != gw:
-        raise ValidationError("gop and selection grids disagree")
-    if t_total > config.max_frames:
-        raise ValidationError(
-            f"clip has {t_total} frames, config allows {config.max_frames}")
-    if selection.frames != t_total:
-        raise ValidationError("selection and gop frame counts disagree")
-
-    # x stacks the patches rows[t] of each frame t; `full` lists the
-    # P-frames with rows
-    p_count = t_total - 1
-    rows = [np.arange(n), *selection.selected]
-    sizes = np.array([r.size for r in rows[1:]], dtype=np.intp)
-    full = np.flatnonzero(sizes)
+    _check_clip(gop, config)
+    sel = (selection.grid_h, selection.grid_w, selection.frames)
+    if sel != (config.grid_h, config.grid_w, gop.frames):
+        raise ValidationError(f"selection of grid {sel[0]}x{sel[1]} and {sel[2]} frames "
+                              f"does not match the clip")
+    n, t_total, p_count = config.patch_count, gop.frames, gop.frames - 1
+    grid_index, skip, at = _stack_plan(selection.selected, n)
+    sizes = n - skip.sum(1)  # kept rows per P-frame
     with nc.stage("embedding"):
-        x = _embed_frames(gop, params, rows)
+        x = _embed_frames(gop, params, grid_index)
     # row t * n + p of the gates is patch p of frame t; the straight-through
     # path into the selector gives first-frame rows 1
-    grid_index = np.concatenate([t * n + r for t, r in enumerate(rows)])
     gates = nc.concat([Tensor(np.ones((n, 1))), *selection.gates], 0)
     x = nc.mul(x, nc.gather_rows(gates, grid_index))
     x_i = nc.slice_(x, 0, n, 0)
-    # x_row[t, p]: the row of x holding patch p of frame t, -1 if skipped
-    x_row = np.full((t_total, n), -1)
-    x_row.flat[grid_index] = np.arange(x.shape[0])
-    skip = x_row[1:] < 0
     # warp inputs of the skipped patches, frame-major with ascending
     # patches: motion sources, and coded residuals (scaled by 1/255 where
     # read)
     motion = gop.motion[skip]
     residual = gop.residual[skip]
-    # per P-frame and grid position: the row of x holding it when kept,
-    # its rank among the frame's skipped patches otherwise
-    at = np.where(skip, np.cumsum(skip, 1) - 1, x_row[1:])
-    cells = _pool_cells(gh, gw)
+    cells = _pool_cells(config.grid_h, config.grid_w)
     cell_sizes = [cell.size for cell in cells]
     cell_order = np.concatenate(cells)
     first = np.zeros(p_count, dtype=np.intp)  # every P-frame reads row 0
 
     # the context each P-frame carries: the mean of its kept tokens, or
     # the first frame's (row 0 of the frame means) when it has none
-    slot = np.zeros(p_count, dtype=np.intp)
-    slot[full] = 1 + np.arange(full.size)
-    cp_prev = nc.gather_rows(nc.segment_mean(x, [n, *sizes[full]]), slot)
+    cp_prev = nc.gather_rows(nc.segment_mean(x, [n, *sizes[sizes > 0]]),
+                             np.where(sizes > 0, np.cumsum(sizes > 0), 0))
 
     routing: list[RoutingEntry] = []
     context_pairs = []
@@ -377,7 +381,7 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
             sources = nc.concat(parts, 0)
             attends = (np.arange(OPEN_AUX) < aux_count[:, None]) & (sizes > 0)[:, None]
             aux = nc.gather_rows(sources, aux_rows[attends])
-            frames += [(sizes[f], aux_count[f], "p_frame_msa") for f in full]
+            frames += [(sizes[f], aux_count[f], "p_frame_msa") for f in np.flatnonzero(sizes)]
             cp_prev = nc.gather_rows(sources, aux_rows[:, 0])
         x = msa_block(x, aux, params, layer, config, frames)
         x_i = nc.slice_(x, 0, n, 0)
@@ -432,16 +436,10 @@ def dense_forward(gop: GopClip, params: ParamSet,
     so the context operators see realistic inputs from the start. Each
     layer runs all frames as one stacked block.
     """
-    gh, gw = config.grid_h, config.grid_w
-    n = gh * gw
-    t_total = gop.frames
-    if gop.i_frame.grid_h != gh or gop.i_frame.grid_w != gw:
-        raise ValidationError("gop grid does not match config grid")
-    if t_total > config.max_frames:
-        raise ValidationError(
-            f"clip has {t_total} frames, config allows {config.max_frames}")
+    _check_clip(gop, config)
+    n, t_total = config.patch_count, gop.frames
     with nc.stage("embedding"):
-        x = _embed_frames(gop, params, [np.arange(n)] * t_total)
+        x = _embed_frames(gop, params, np.arange(n * t_total))
     frames = [(n, 1, "i_frame_msa")] + [(n, 1, "p_frame_msa")] * (t_total - 1)
     context_pairs = []
     for layer in range(config.layers):

@@ -134,7 +134,7 @@ def test_bisection_clamps_and_validates():
         bisect_kept_fraction(VIT_B, 23.5, 0.0, (0.9, 0.1), True)
 
 
-def _toy_run(threshold, empty_frame=None):
+def _toy_run(threshold, keep=None):
     spec = SynthSpec(identity_count=2, clips_per_identity=1, height=64,
                      width=64, frames=4, background="textured",
                      motion_amplitude=2.0, seed=0)
@@ -146,11 +146,11 @@ def _toy_run(threshold, empty_frame=None):
     with nc.mac_counting(counter):
         gop = encode_gop(clip)
         sel = select_patches(gop, params, mode="infer", seed=0)
-        if empty_frame is not None:
-            assert sel.kept_counts[empty_frame - 1] > 0
-            sel = dataclasses.replace(sel, selected=[
-                s[:0] if t == empty_frame else s
-                for t, s in enumerate(sel.selected, start=1)])
+        if keep is not None:
+            # P-frame t keeps keep(t, s) in place of its selection s
+            kept = [keep(t, s) for t, s in enumerate(sel.selected, start=1)]
+            assert [s.size for s in kept] != sel.kept_counts
+            sel = dataclasses.replace(sel, selected=kept)
         res = psformer_forward(gop, sel, params, cfg, threshold=threshold)
     geom = Geometry(height=64, width=64, frames=4, dim=64, layers=3, heads=4)
     opens = [(r.layer, r.frame) for r in res.routing if r.open_path]
@@ -159,9 +159,12 @@ def _toy_run(threshold, empty_frame=None):
 
 @pytest.mark.parametrize("threshold", [3.0, -1.0])
 def test_counted_matches_exact_cost(threshold):
-    # frame 2 emptied: a P-frame with no kept patch prices zero rows
-    for empty_frame in (None, 2):
-        counter, geom, kept, opens = _toy_run(threshold, empty_frame)
+    # frame 2 emptied: a P-frame with no kept patch prices zero rows; every
+    # patch kept: no frame, open or not, warps a row, nor does the final
+    # reinstatement
+    for keep in (None, lambda t, s: s[:0] if t == 2 else s,
+                 lambda t, s: np.arange(16)):
+        counter, geom, kept, opens = _toy_run(threshold, keep)
         report = runtime_counter_report(counter, geom, kept, opens)
         assert counter.total / 1e9 == pytest.approx(report.analytic_gmacs,
                                                     rel=1e-12)

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sparsepatch import numcore as nc
 from sparsepatch import psformer
@@ -26,9 +28,9 @@ def _toy_config(**kw):
     return PsformerConfig(**base)
 
 
-def _toy_inputs(frames=4, seed=0, threshold=None):
+def _toy_inputs(frames=4, seed=0, width=64):
     spec = SynthSpec(identity_count=4, clips_per_identity=1, height=64,
-                     width=64, frames=frames, background="textured",
+                     width=width, frames=frames, background="textured",
                      motion_amplitude=2.0, seed=seed)
     clip = synth_clip(spec, identity=1, clip_seed=seed)
     gop = encode_gop(clip)
@@ -118,6 +120,53 @@ def test_config_validation():
         psformer_forward(gop, sel, params, cfg, threshold=3.0)
 
 
+@pytest.mark.parametrize("forward, fault", [
+    ("sparse", "grid"), ("dense", "grid"), ("sparse", "length"), ("dense", "length"),
+    ("sparse", "selection grid"), ("sparse", "selection frames")])
+def test_forwards_refuse_a_clip_before_any_compute(forward, fault):
+    # both forwards share one door check of the clip against the config;
+    # the sparse one also checks that the selection is of the clip
+    cfg = _toy_config(**{"grid": {"grid_w": 8}, "length": {"max_frames": 3}}.get(fault, {}))
+    gop, sel = _toy_inputs(frames=4)
+    if fault.startswith("selection"):
+        _, sel = _toy_inputs(frames=3) if fault == "selection frames" else _toy_inputs(width=128)
+    params = init_psformer_params(cfg, seed=0)
+    counter = nc.MacCounter()
+    with nc.mac_counting(counter), pytest.raises(ValidationError):
+        if forward == "dense":
+            dense_forward(gop, params, cfg)
+        else:
+            psformer_forward(gop, sel, params, cfg, threshold=0.5)
+    assert counter.total == 0
+
+
+@st.composite
+def _kept_subsets(draw):
+    n = draw(st.integers(1, 12))
+    masks = draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n), max_size=4))
+    return n, [np.flatnonzero(m) for m in masks]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_kept_subsets())
+@example(case=(8, []))  # a one-frame clip
+@example(case=(8, [np.arange(8)] * 3))  # every patch kept
+@example(case=(8, [np.arange(0)] * 3))  # no patch kept
+@example(case=(8, [np.arange(8), np.arange(0), np.array([1, 6])]))
+def test_stack_plan_lays_out_the_sparse_stack(case):
+    n, selected = case
+    grid_index, skip, at = psformer._stack_plan(selected, n)
+    assert np.all(np.diff(grid_index) > 0)
+    assert np.array_equal(grid_index[:n], np.arange(n))
+    assert grid_index.size == n + sum(s.size for s in selected)
+    assert skip.shape == at.shape == (len(selected), n)
+    for f, kept in enumerate(selected):
+        assert np.array_equal(np.flatnonzero(~skip[f]), kept)
+        # a kept patch's entry is its own row; a skipped one's its rank
+        assert np.array_equal(grid_index[at[f, kept]], (f + 1) * n + kept)
+        assert np.array_equal(at[f, skip[f]], np.arange(n - kept.size))
+
+
 def test_routing_extremes():
     cfg = _toy_config()
     gop, sel = _toy_inputs()
@@ -188,7 +237,7 @@ def test_feature_single_frame_equals_token_mean():
     assert res.routing == []
     # independent recomputation: embed, run layers, mean
     from sparsepatch.psformer import _embed_frames
-    x = _embed_frames(gop, params, [np.arange(16)])
+    x = _embed_frames(gop, params, np.arange(16))
     for l in range(cfg.layers):
         x = msa_block(x, Tensor(np.zeros((0, cfg.dim))), params, l, cfg,
                       [(16, 0, "i_frame_msa")])
