@@ -444,8 +444,8 @@ def _gradcheck_psformer(seed: int) -> list[tuple[str, float]]:
     selection = select_patches(gop, params, mode="infer", seed=0)
     probe = Tensor(nc.rng_stream(seed, "probe").standard_normal((model.dim, 1)))
     names = ["embed.w", "pos", "layer0.attn.kv.w", "layer0.attn.out.w",
-             "layer0.ffn.l1.w", "warp.pw.l1.w", "warp.ev.l1.w",
-             "warp.gw.l2.w", "warp.k.w", "warp.v.w"]
+             "layer0.ffn.l1.w", "warp.pw.l1.w", "warp.pw.l3.w", "warp.q.w",
+             "warp.ev.l1.w", "warp.gw.l2.w", "warp.k.w", "warp.v.w"]
     rows = []
     for label, threshold in (("closed", 3.0), ("open", -1.0)):
         def build_loss():

@@ -98,15 +98,18 @@ def msa_macs(m: float, aux: float, d: int) -> float:
 
 
 def _warp_row_macs(geom: Geometry) -> float:
-    """Per-patch cost of the coarse warp MLP plus one-head refinement."""
+    """Per-row cost of a refinement: ``warp.pw.l2``, the query map composed
+    of ``warp.pw.l3`` and ``warp.q``, and one-head attention over the
+    first-frame grid (a row gathers its ``warp.pw.l1`` product)."""
     d, h, dk, n = geom.dim, warp_hidden(geom.dim), geom.head_dim, geom.patch_count
-    return (d + PATCH_DIM) * h + h * h + h * d + d * dk + n * dk + n * d
+    return h * h + h * dk + n * dk + n * d
 
 
-def _kv_macs(geom: Geometry) -> float:
-    """Key/value projections over the full first-frame token grid."""
+def _warp_call_macs(geom: Geometry) -> float:
+    """Per-call cost of a refinement over the first-frame grid: the token
+    half of ``warp.pw.l1`` and the key/value projections."""
     n, d, dk = geom.patch_count, geom.dim, geom.head_dim
-    return n * d * dk + n * d * d
+    return n * d * warp_hidden(d) + n * d * dk + n * d * d
 
 
 def _context_mlp_macs(geom: Geometry) -> float:
@@ -137,19 +140,26 @@ def _pipeline_macs(geom: Geometry, kept: list[float],
     layer: 0 or 1 for a concrete run, the open rate for an estimate.
     Embedding, I-frame MSA, the global-warp and routing context MLPs, the
     post-stack reinstatement of every skipped patch and the selection
-    network do not depend on routing. A layer's warp key/value
-    projections are built once if any of its frames opens, so they are
-    charged 1 - prod(1 - w).
+    network do not depend on routing. A layer runs one refinement call,
+    of no rows if need be, when any of its frames opens, so it is charged
+    1 - prod(1 - w) calls; the reinstatement runs one only when some
+    patch was skipped.
     """
     n, d, l, t = geom.patch_count, geom.dim, geom.layers, geom.frames
-    w_row = _warp_row_macs(geom)
+    h, dk = warp_hidden(d), geom.head_dim
+    w_row, w_call = _warp_row_macs(geom), _warp_call_macs(geom)
+    skipped = sum(n - k for k in kept)
     breakdown = {k: 0.0 for k in STAGES}
     breakdown["embedding"] = n * PATCH_DIM * d + sum(kept) * PATCH_DIM * d
     breakdown["i_frame_msa"] = l * msa_macs(n, 0, d)
     breakdown["global_warp"] = l * (t - 1) * _context_mlp_macs(geom)
     breakdown["routing"] = l * (t - 1) * _context_mlp_macs(geom)
     if t > 1:
-        breakdown["patchwise_warp"] = _kv_macs(geom) + sum(n - k for k in kept) * w_row
+        # once per clip: the residual half of warp.pw.l1 over every skipped
+        # patch, and the composed query map's weight and bias
+        breakdown["patchwise_warp"] = skipped * PATCH_DIM * h + (h + 1) * d * dk
+    if skipped > 0:
+        breakdown["patchwise_warp"] += w_call + skipped * w_row
     if include_selection:
         breakdown["selection_cnn"], breakdown["selector_mlp"] = _selection_macs(geom)
     for weights in open_weights:
@@ -159,7 +169,7 @@ def _pipeline_macs(geom: Geometry, kept: list[float],
                 + w * msa_macs(k, OPEN_AUX, d)
             breakdown["patchwise_warp"] += w * (n - k) * w_row
             all_closed *= 1 - w
-        breakdown["patchwise_warp"] += (1 - all_closed) * _kv_macs(geom)
+        breakdown["patchwise_warp"] += (1 - all_closed) * w_call
     return breakdown
 
 
@@ -194,10 +204,11 @@ def estimate_ours(geom: Geometry, kept_fraction: float, gate_open_rate: float,
     """Selective pipeline cost at a uniform kept fraction and open rate.
 
     ``kept_fraction`` applies to every P-frame and ``gate_open_rate`` to
-    every (layer, frame). Key/value projections for the warp refinement
-    are charged once per layer that opens at least one frame, so at rate
-    g the expected number of charged layers is L * (1 - (1-g)^(T-1)),
-    plus one unconditional build for the post-stack reinstatement pass.
+    every (layer, frame). A warp refinement's products over the
+    first-frame grid are charged once per layer that opens at least one
+    frame, so at rate g the expected number of charged layers is
+    L * (1 - (1-g)^(T-1)), plus one for the post-stack reinstatement when
+    the kept fraction is below 1.
     """
     for name, rate in (("kept_fraction", kept_fraction),
                        ("gate_open_rate", gate_open_rate)):
@@ -259,8 +270,10 @@ def bisect_kept_fraction(geom: Geometry, target_gmacs: float,
                          include_selection: bool) -> tuple[float, CostReport]:
     """Uniform kept_fraction whose estimate is closest to the target.
 
-    The estimate is strictly increasing in the fraction, so bisection
-    converges; targets outside the reachable range clamp to a bound.
+    The estimate is strictly increasing in the fraction below 1, so
+    bisection converges; targets outside the reachable range clamp to a
+    bound. At a fraction of exactly 1 nothing is reinstated, so the
+    estimate there drops by one refinement call's products.
     """
     lo, hi = bounds
     if not 0.0 <= lo < hi <= 1.0:

@@ -290,8 +290,9 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
     lays out: every patch of the first frame, then each P-frame's kept
     patches in ascending order, each row scaled by its straight-through
     gate (1 on the first frame). The skipped patches are one (P-frames x
-    patches) mask; their motion sources and residuals are read once,
-    frame-major, and a layer warps the rows of the frames it opens. Every
+    patches) mask; their motion sources are read, and their residuals
+    projected by the warp, once, frame-major, and a layer warps the rows
+    of the frames it opens. Every
     layer runs its frames as one stacked pass: one attention block takes
     every frame's tokens, and routing, warp, refinement and pooling the
     rows of all P-frames, while attention and pooling stay per frame.
@@ -312,10 +313,12 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
     x = nc.mul(x, nc.gather_rows(gates, grid_index))
     x_i = nc.slice_(x, 0, n, 0)
     # warp inputs of the skipped patches, frame-major with ascending
-    # patches: motion sources, and coded residuals (scaled by 1/255 where
-    # read)
+    # patches: motion sources, and the residual half of warp.pw.l1 over
+    # them (``_warp_maps``, with the other operands every refinement shares)
     motion = gop.motion[skip]
-    residual = gop.residual[skip]
+    if p_count:
+        with nc.stage("patchwise_warp"):
+            residual_half, maps = _warp_maps(gop.residual[skip], params, config.dim)
     cells = _pool_cells(config.grid_h, config.grid_w)
     cell_sizes = [cell.size for cell in cells]
     cell_order = np.concatenate(cells)
@@ -359,11 +362,14 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
             aux_rows = np.repeat(np.arange(p_count)[:, None], OPEN_AUX, 1)
             aux_count = np.where(is_open, OPEN_AUX, CLOSED_AUX)
             if opened.size:
-                warp = np.repeat(is_open, n - sizes)
+                # an opened frame that keeps every patch adds no rows; the
+                # refinement runs even with none, so in training the warp
+                # parameters still get (zero) gradients, which Adam's weight
+                # decay steps
+                warp = np.flatnonzero(np.repeat(is_open, n - sizes))
                 with nc.stage("patchwise_warp"):
                     p_tilde = _refine_unselected(
-                        x_i, motion[warp], Tensor(residual[warp] / 255.0), params,
-                        _warp_kv(x_i, params))
+                        x_i, motion[warp], nc.gather_rows(residual_half, warp), params, maps)
                 # an opened frame's warped rows follow x and those of the
                 # frames opened before it; each frame's grid is gathered
                 # once, in cell order, for the whole-grid and cell means
@@ -386,43 +392,56 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
         x = msa_block(x, aux, params, layer, config, frames)
         x_i = nc.slice_(x, 0, n, 0)
 
-    # reinstate every skipped patch once from the final first-frame tokens
+    # reinstate every skipped patch once from the final first-frame tokens;
+    # with every patch kept there is nothing to reinstate, and no product
+    # of the refinement is built (none would reach the feature or a loss)
     total = nc.sum_(x_i, 0)
     if p_count:
         total = nc.add(total, nc.sum_(nc.slice_(x, n, x.shape[0], 0), 0))
-        with nc.stage("patchwise_warp"):
-            kv = _warp_kv(x_i, params)
-            # with every patch kept, a zero-row refinement would still
-            # hand the warp parameters zero gradients
-            if motion.size:
-                p_tilde = _refine_unselected(x_i, motion, Tensor(residual / 255.0), params, kv)
-                total = nc.add(total, nc.sum_(p_tilde, 0))
+        if motion.size:
+            with nc.stage("patchwise_warp"):
+                p_tilde = _refine_unselected(x_i, motion, residual_half, params, maps)
+            total = nc.add(total, nc.sum_(p_tilde, 0))
     feature = nc.scale(total, 1.0 / (n * t_total))
     return PsformerResult(feature=feature, context_pairs=context_pairs,
                           routing=routing)
 
 
-def _warp_kv(x_i: Tensor, params: ParamSet) -> tuple[Tensor, Tensor]:
-    """Key/value projections of the first-frame tokens for the refinement."""
-    return _linear(x_i, params, "warp.k"), _linear(x_i, params, "warp.v")
+def _warp_maps(residual: np.ndarray, params: ParamSet,
+               dim: int) -> tuple[Tensor, tuple[Tensor, Tensor, Tensor]]:
+    """The operands every refinement of a clip shares, formed once.
+
+    ``warp.pw.l1`` reads ``[motion-source token | residual / 255]``, so its
+    weight splits at row ``dim``. Returns the residual half of its product
+    over every skipped patch's ``residual``, and the maps: the token half
+    of its weight, and ``warp.pw.l3`` (which feeds only ``warp.q``)
+    composed with ``warp.q`` as one weight and bias.
+    """
+    w1 = params["warp.pw.l1.w"]
+    half = nc.matmul(Tensor(residual / 255.0), nc.slice_(w1, dim, w1.shape[0], 0))
+    w3, wq = params["warp.pw.l3.w"], params["warp.q.w"]
+    return half, (nc.slice_(w1, 0, dim, 0), nc.matmul(w3, wq),
+                  nc.matmul(params["warp.pw.l3.b"], wq, params["warp.q.b"]))
 
 
-def _refine_unselected(x_i: Tensor, motion: np.ndarray, residual: Tensor,
-                       params: ParamSet, kv: tuple[Tensor, Tensor]) -> Tensor:
+def _refine_unselected(x_i: Tensor, motion: np.ndarray, residual_half: Tensor,
+                       params: ParamSet, maps: tuple[Tensor, Tensor, Tensor]) -> Tensor:
     """Warp skipped patches from their motion sources, refine by attention.
 
     The rows may stack the skipped patches of several frames. The coarse
-    estimate feeds on the motion-source token and the coded residual; the
-    refinement is one-head attention of every row against the current
-    first-frame tokens with their key/value projections ``kv``.
+    estimate feeds on the motion-source token and the coded residual, whose
+    half of the first warp layer's product ``residual_half`` holds
+    (``_warp_maps``, which also gives ``maps``); the token half is formed
+    over the first-frame grid and gathered by ``motion``. The refinement is one-head attention
+    of every row against the current first-frame tokens.
     """
-    inp = nc.concat([nc.gather_rows(x_i, motion), residual], 1)
-    hidden = nc.relu(_linear(inp, params, "warp.pw.l1"))
-    del inp
+    w1_tokens, wq, bq = maps
+    hidden = nc.gather_rows(nc.matmul(x_i, w1_tokens, params["warp.pw.l1.b"]), motion)
+    hidden = nc.relu(nc.add(hidden, residual_half))
     hidden = nc.relu(_linear(hidden, params, "warp.pw.l2"))
-    q = _linear(_linear(hidden, params, "warp.pw.l3"), params, "warp.q")
+    q = nc.matmul(hidden, wq, bq)
     del hidden
-    k, v = kv
+    k, v = _linear(x_i, params, "warp.k"), _linear(x_i, params, "warp.v")
     return nc.multihead_attention(q, k, v, 1,
                                   [(slice(0, q.shape[0]), slice(0, k.shape[0]))])
 

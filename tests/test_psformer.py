@@ -249,8 +249,18 @@ def _expected_msa_macs(m, a, d):
     return m * 12 * d * d + a * 2 * d * d + 2 * m * (m + a) * d
 
 
-def _expected_warp_per_patch(d, h, dk, n):
-    return (d + 768) * h + h * h + h * d + d * dk + n * dk + n * d
+def _expected_warp_macs(d, h, dk, n, skipped, calls, rows):
+    """The patchwise warp's MACs, by hand. Once per clip: the residual half
+    of warp.pw.l1 over every skipped patch (768 -> h), and warp.pw.l3
+    composed with warp.q (an h x d by d x dk product, and d x dk for the
+    composed bias). Per refinement call, over the n first-frame tokens: the
+    token half of warp.pw.l1 (d -> h), keys (d -> dk) and values (d -> d).
+    Per refined row: warp.pw.l2 (h -> h), the composed query (h -> dk), and
+    one-head attention over n keys (n * dk scores, n * d value sums)."""
+    clip = skipped * 768 * h + h * d * dk + d * dk
+    call = n * d * h + n * d * dk + n * d * d
+    row = h * h + h * dk + n * dk + n * d
+    return clip + calls * call + rows * row
 
 
 def test_closed_path_macs_match_analytic():
@@ -271,9 +281,9 @@ def test_closed_path_macs_match_analytic():
     assert counter.by_stage["global_warp"] == cfg.layers * (t - 1) * 6 * d * h
     assert counter.by_stage["routing"] == cfg.layers * (t - 1) * 6 * d * h
     # closed everywhere: only the final reinstatement warp runs
-    kv_cache = n * d * dk + n * d * d
-    assert counter.by_stage["patchwise_warp"] == (
-        kv_cache + sum(u for u in unsel) * _expected_warp_per_patch(d, h, dk, n))
+    assert sum(unsel) > 0
+    assert counter.by_stage["patchwise_warp"] == _expected_warp_macs(
+        d, h, dk, n, sum(unsel), calls=1, rows=sum(unsel))
 
 
 def test_open_path_macs_match_analytic():
@@ -288,10 +298,45 @@ def test_open_path_macs_match_analytic():
     unsel = [n - k for k in kept]
     assert counter.by_stage["p_frame_msa"] == cfg.layers * sum(
         _expected_msa_macs(k, 9, d) for k in kept if k > 0)
-    kv_cache = n * d * dk + n * d * d
-    per_layer_warp = kv_cache + sum(unsel) * _expected_warp_per_patch(d, h, dk, n)
-    final_warp = kv_cache + sum(unsel) * _expected_warp_per_patch(d, h, dk, n)
-    assert counter.by_stage["patchwise_warp"] == cfg.layers * per_layer_warp + final_warp
+    # open everywhere: one refinement per layer, then the final one, each
+    # over every skipped patch
+    assert sum(unsel) > 0
+    assert counter.by_stage["patchwise_warp"] == _expected_warp_macs(
+        d, h, dk, n, sum(unsel), calls=cfg.layers + 1, rows=(cfg.layers + 1) * sum(unsel))
+
+
+@pytest.mark.parametrize("dim, rows", [(32, 9), (96, 23), (32, 0)])
+def test_composed_warp_matches_the_plain_formula(dim, rows):
+    # the warp forms warp.pw.l1 in two halves and composes warp.pw.l3 with
+    # warp.q; a plain-numpy reference runs the uncomposed formula
+    cfg = _toy_config(dim=dim)
+    params = init_psformer_params(cfg, seed=21)
+    rng = np.random.Generator(np.random.PCG64(dim + rows))
+    # biases start at zero; random ones make the composed bias count
+    for name in params.names():
+        if name.startswith("warp.") and name.endswith(".b"):
+            params[name].data = rng.standard_normal(params[name].shape)
+    n = cfg.patch_count
+    x_i = rng.standard_normal((n, dim))
+    motion = rng.integers(0, n, rows)
+    residual = rng.integers(-255, 256, (rows, 768)).astype(np.int16)
+    half, maps = psformer._warp_maps(residual, params, dim)
+    got = psformer._refine_unselected(Tensor(x_i), motion, half, params, maps).data
+
+    p = {k: params[k].data for k in params.names()}
+    relu = lambda a: np.maximum(a, 0.0)
+    hidden = relu(np.hstack([x_i[motion], residual / 255.0]) @ p["warp.pw.l1.w"]
+                  + p["warp.pw.l1.b"])
+    hidden = relu(hidden @ p["warp.pw.l2.w"] + p["warp.pw.l2.b"])
+    q = (hidden @ p["warp.pw.l3.w"] + p["warp.pw.l3.b"]) @ p["warp.q.w"] + p["warp.q.b"]
+    k = x_i @ p["warp.k.w"] + p["warp.k.b"]
+    v = x_i @ p["warp.v.w"] + p["warp.v.b"]
+    scores = q @ k.T / np.sqrt(q.shape[1])
+    weights = np.exp(scores - scores.max(axis=1, keepdims=True))
+    want = weights / weights.sum(axis=1, keepdims=True) @ v
+    assert got.shape == want.shape == (rows, dim)
+    if rows:
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_dense_forward_macs_and_pairs():
@@ -360,11 +405,39 @@ def test_psformer_gradcheck(threshold):
         return nc.sum_(loss, None)
 
     names = ["embed.w", "pos", "frame", "layer0.attn.kv.w", "layer0.ffn.l1.w",
-             "warp.pw.l1.w", "warp.ev.l1.w", "warp.gw.l2.w", "warp.k.w"]
+             "warp.pw.l1.w", "warp.pw.l1.b", "warp.pw.l3.w", "warp.pw.l3.b",
+             "warp.q.w", "warp.q.b", "warp.ev.l1.w", "warp.gw.l2.w", "warp.k.w"]
     errs = nc.grad_check_params(build_loss, params, names, eps=1e-5,
                                 max_coords=4, seed=0)
     for name, err in errs.items():
         assert err < 1e-4, f"{name}: {err}"
+
+    # the first dim rows of warp.pw.l1.w weigh the motion-source token, the
+    # rest the residual; the warp forms the two halves apart, so check the
+    # largest gradient entry of each half and two seeded ones besides
+    w1 = params["warp.pw.l1.w"]
+    # the checks above leave it recording, with what later ones summed
+    w1.grad = None
+    with nc.tape() as t:
+        t.backward(build_loss())
+    analytic, w1.grad = w1.grad, None
+    rng = np.random.Generator(np.random.PCG64(7))
+    for rows in (slice(0, cfg.dim), slice(cfg.dim, w1.shape[0])):
+        half = np.abs(analytic[rows])
+        assert half.max() > 0
+        coords = [np.unravel_index(half.argmax(), half.shape),
+                  *zip(rng.integers(0, half.shape[0], 2), rng.integers(0, half.shape[1], 2))]
+        for r, c in coords:
+            r += rows.start
+            keep = w1.data[r, c]
+            w1.data[r, c] = keep + 1e-5
+            up = build_loss().item()
+            w1.data[r, c] = keep - 1e-5
+            down = build_loss().item()
+            w1.data[r, c] = keep
+            numeric = (up - down) / 2e-5
+            err = abs(analytic[r, c] - numeric) / (abs(numeric) + 1e-8)
+            assert err < 1e-4, f"warp.pw.l1.w[{r}, {c}]: {err}"
 
 
 def test_gate_gradient_reaches_selector():
