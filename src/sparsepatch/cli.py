@@ -371,7 +371,7 @@ def cmd_macs(args) -> int:
         report = estimate_ours(geom, args.kept_fraction, args.open_rate,
                                include_selection=not args.no_selection)
     if args.json:
-        payload = report.to_json_dict()
+        payload = dataclasses.asdict(report)
         if bisect_info is not None:
             payload["bisect"] = bisect_info
         sys.stdout.write(_canonical_json(payload))
@@ -430,8 +430,8 @@ def _gradcheck_selector(seed: int) -> list[tuple[str, float]]:
     names = ["sel.conv0.w", "sel.conv1.w", "sel.conv2.w", "sel.conv3.w",
              "sel.conv3.b", "sel.mlp0.w", "sel.mlp1.w", "sel.mlp2.w",
              "sel.mlp2.b"]
-    errs = nc.grad_check_params(build_loss, params, names, eps=1e-5,
-                                max_coords=8, seed=seed)
+    errs = nc.grad_check(build_loss, params, names, eps=1e-5, max_coords=8,
+                         seed=seed)
     return [(f"selector/{n}", e) for n, e in errs.items()]
 
 
@@ -456,8 +456,8 @@ def _gradcheck_psformer(seed: int) -> list[tuple[str, float]]:
                 loss = nc.add(loss, nc.matmul(nc.mul(cur, prev), probe))
             return nc.sum_(loss, None)
 
-        errs = nc.grad_check_params(build_loss, params, names, eps=1e-5,
-                                    max_coords=5, seed=seed)
+        errs = nc.grad_check(build_loss, params, names, eps=1e-5,
+                             max_coords=5, seed=seed)
         rows.extend((f"psformer[{label}]/{n}", e) for n, e in errs.items())
     return rows
 
@@ -465,16 +465,16 @@ def _gradcheck_psformer(seed: int) -> list[tuple[str, float]]:
 def _gradcheck_losses(seed: int) -> list[tuple[str, float]]:
     rng = nc.rng_stream(seed, "losses")
     rows = []
-    logits = Tensor(rng.standard_normal((6, 5)), requires_grad=True)
+    logits = Tensor(rng.standard_normal((6, 5)))
     labels = rng.integers(0, 5, size=6)
-    rows.append(("losses/cross_entropy",
-                 nc.grad_check(lambda t: cross_entropy(t, labels), logits,
-                               eps=1e-6)))
-    feats = Tensor(rng.standard_normal((6, 8)), requires_grad=True)
-    rows.append(("losses/hard_triplet",
-                 nc.grad_check(lambda t: hard_triplet(t, [0, 0, 1, 1, 2, 2],
-                                                      TrainConfig.triplet_margin),
-                               feats, eps=1e-6)))
+    rows.extend(nc.grad_check(lambda: cross_entropy(logits, labels),
+                              {"losses/cross_entropy": logits},
+                              ["losses/cross_entropy"], eps=1e-6).items())
+    feats = Tensor(rng.standard_normal((6, 8)))
+    rows.extend(nc.grad_check(lambda: hard_triplet(feats, [0, 0, 1, 1, 2, 2],
+                                                   TrainConfig.triplet_margin),
+                              {"losses/hard_triplet": feats},
+                              ["losses/hard_triplet"], eps=1e-6).items())
     model = PsformerConfig(dim=16, layers=1, heads=2, grid_h=2, grid_w=4)
     params = init_psformer_params(model, seed=seed)
     pairs = [(Tensor(rng.standard_normal((1, 16))),
@@ -484,7 +484,7 @@ def _gradcheck_losses(seed: int) -> list[tuple[str, float]]:
         return nc.sum_(error_constraint_loss(pairs, params,
                                              noise_samples=3, seed=seed), None)
 
-    errs = nc.grad_check_params(
+    errs = nc.grad_check(
         build_loss, params,
         ["warp.ev.l1.w", "warp.ev.l2.w", "warp.gw.l1.w", "warp.gw.l2.w"],
         eps=1e-6, max_coords=4, seed=seed)

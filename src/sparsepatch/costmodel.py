@@ -77,13 +77,6 @@ class CostReport:
     breakdown: dict[str, float]
     inputs: dict
 
-    def to_json_dict(self) -> dict:
-        return {
-            "analytic_gmacs": self.analytic_gmacs,
-            "breakdown": dict(self.breakdown),
-            "inputs": self.inputs,
-        }
-
 
 # ---------------------------------------------------------------------------
 # shared cost kernel
@@ -190,7 +183,7 @@ def _report(breakdown_macs: dict[str, float], inputs: dict) -> CostReport:
 def estimate_vit(geom: Geometry) -> CostReport:
     """Plain per-frame transformer over all patches of all frames."""
     n, d, l, t = geom.patch_count, geom.dim, geom.layers, geom.frames
-    per_frame_layers = l * (12 * d * d * n + 2 * n * n * d)
+    per_frame_layers = l * msa_macs(n, 0, d)
     breakdown = {k: 0.0 for k in STAGES}
     breakdown["embedding"] = t * n * PATCH_DIM * d
     breakdown["i_frame_msa"] = per_frame_layers

@@ -3,9 +3,10 @@
 Design notes:
 
 * Every tape value is a 2-D array. Vectors are (1, d) rows, scalars are
-  (1, 1). Ops raise ShapeError on anything else, which keeps gradient
-  bookkeeping trivial (no implicit rank games beyond row/column broadcast
-  in ``add``/``mul``).
+  (1, 1). The ``Tensor`` constructor raises ShapeError on anything else,
+  and every op builds a 2-D output, so ops check only that their shapes
+  fit. This keeps gradient bookkeeping trivial (no implicit rank games
+  beyond row/column broadcast in ``add``/``mul``).
 * The recording ops, each with its own backward: ``matmul`` (with an
   optional bias row, a linear layer) and ``multihead_attention``; the
   elementwise ``add``, ``sub``, ``mul``, ``relu``, ``gelu``, ``exp_``,
@@ -45,6 +46,9 @@ Design notes:
   derivative, attention probabilities) is built only while a tape
   records the op. ``matmul``, whose input gradients are products too,
   forms one only for an operand that records a gradient.
+* ``grad_check`` compares central differences with the gradients of one
+  taped pass, in which only the checked tensors record; it leaves every
+  tensor it was given with the ``requires_grad`` and ``grad`` it had.
 """
 
 from __future__ import annotations
@@ -167,12 +171,6 @@ def _record(out_data: np.ndarray, parents: tuple, backward) -> Tensor:
     return out
 
 
-def _require_2d(*tensors: Tensor) -> None:
-    for t in tensors:
-        if t.data.ndim != 2:
-            raise ShapeError(f"expected 2-D tensor, got shape {t.data.shape}")
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     if grad.shape == shape:
         return grad
@@ -290,7 +288,6 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     The bias is added in place into the fresh product, and backward forms
     an operand's gradient only when that operand records one."""
     parents = (a, b) if bias is None else (a, b, bias)
-    _require_2d(*parents)
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul mismatch: {a.shape} @ {b.shape}")
     if bias is not None and bias.shape != (1, b.shape[1]):
@@ -309,7 +306,6 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
 
 
 def transpose(x: Tensor) -> Tensor:
-    _require_2d(x)
 
     def backward(g):
         return (g.T,)
@@ -318,7 +314,6 @@ def transpose(x: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _require_2d(a, b)
     if not _broadcast_ok(a.shape, b.shape):
         raise ShapeError(f"add broadcast mismatch: {a.shape} vs {b.shape}")
 
@@ -329,7 +324,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _require_2d(a, b)
     if not _broadcast_ok(a.shape, b.shape):
         raise ShapeError(f"sub broadcast mismatch: {a.shape} vs {b.shape}")
 
@@ -340,7 +334,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _require_2d(a, b)
     if not _broadcast_ok(a.shape, b.shape):
         raise ShapeError(f"mul broadcast mismatch: {a.shape} vs {b.shape}")
 
@@ -351,7 +344,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    _require_2d(x)
     mask = x.data > 0.0
 
     def backward(g):
@@ -363,7 +355,6 @@ def relu(x: Tensor) -> Tensor:
 def gelu(x: Tensor) -> Tensor:
     """Exact Gaussian-error-linear unit, y = x * Phi(x), built in the one
     ``ndtr`` buffer; the backward computes Phi again."""
-    _require_2d(x)
     out = ndtr(x.data)
     out *= x.data
 
@@ -375,7 +366,6 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def exp_(x: Tensor) -> Tensor:
-    _require_2d(x)
     y = np.exp(x.data)
 
     def backward(g):
@@ -385,7 +375,6 @@ def exp_(x: Tensor) -> Tensor:
 
 
 def log_(x: Tensor) -> Tensor:
-    _require_2d(x)
     with np.errstate(divide="ignore", invalid="ignore"):
         y = np.log(x.data)
 
@@ -396,7 +385,6 @@ def log_(x: Tensor) -> Tensor:
 
 
 def sqrt_(x: Tensor) -> Tensor:
-    _require_2d(x)
     with np.errstate(invalid="ignore"):
         y = np.sqrt(x.data)
 
@@ -407,7 +395,6 @@ def sqrt_(x: Tensor) -> Tensor:
 
 
 def reciprocal(x: Tensor) -> Tensor:
-    _require_2d(x)
     y = 1.0 / x.data
 
     def backward(g):
@@ -424,7 +411,6 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     (x - mean) / sqrt(var + eps) * gamma + beta, with var the row mean of
     squared deviations. The variance is finite-checked as well as the
     output, since an overflowed one would normalize its row to zero."""
-    _require_2d(x, gamma, beta)
     d = x.shape[1]
     if gamma.shape != (1, d) or beta.shape != (1, d):
         raise ShapeError(f"layer_norm of width {d} got gamma {gamma.shape}, beta {beta.shape}")
@@ -472,7 +458,6 @@ def multihead_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     and r keys counts heads * m * r * (dk + dv) MACs, the two products
     of every head.
     """
-    _require_2d(q, k, v)
     if q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]:
         raise ShapeError(f"attention mismatch: q {q.shape}, k {k.shape}, v {v.shape}")
     if heads < 1 or q.shape[1] % heads or v.shape[1] % heads:
@@ -523,7 +508,6 @@ def _require_axis(axis, allowed: tuple) -> None:
 def sum_(x: Tensor, axis) -> Tensor:
     """Sum down the columns (``axis=0``, giving (1, n)), along the rows
     (``axis=1``, giving (m, 1)) or over everything (``axis=None``)."""
-    _require_2d(x)
     _require_axis(axis, (0, 1, None))
 
     def backward(g):
@@ -544,7 +528,6 @@ def segment_mean(x: Tensor, sizes) -> Tensor:
     ``sizes`` gives the run lengths in order; each is at least 1 and
     together they cover every row of ``x``.
     """
-    _require_2d(x)
     sizes = np.asarray(sizes, dtype=np.intp).ravel()
     if not sizes.size or sizes.min() < 1 or sizes.sum() != x.shape[0]:
         raise ShapeError(f"segment sizes {sizes.tolist()} do not split {x.shape[0]} rows")
@@ -570,7 +553,6 @@ def concat(parts: list[Tensor], axis) -> Tensor:
     _require_axis(axis, (0, 1))
     if not parts:
         raise ShapeError("concat needs at least one tensor")
-    _require_2d(*parts)
     across = {p.shape[1 - axis] for p in parts}
     if len(across) != 1:
         raise ShapeError(f"concat along axis {axis} mismatch: {sorted(across)}")
@@ -585,7 +567,6 @@ def concat(parts: list[Tensor], axis) -> Tensor:
 
 def slice_(x: Tensor, start: int, stop: int, axis) -> Tensor:
     """Rows (``axis=0``) or columns (``axis=1``) ``start:stop`` of ``x``."""
-    _require_2d(x)
     _require_axis(axis, (0, 1))
     if not (0 <= start <= stop <= x.shape[axis]):
         raise ShapeError(f"slice [{start}:{stop}] along axis {axis} out of range for {x.shape}")
@@ -601,7 +582,6 @@ def slice_(x: Tensor, start: int, stop: int, axis) -> Tensor:
 
 def gather_rows(x: Tensor, idx) -> Tensor:
     """Select rows by integer index; backward scatter-adds (repeats allowed)."""
-    _require_2d(x)
     idx = np.asarray(idx, dtype=np.intp).ravel()
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
         raise ShapeError(f"gather_rows index out of range for {x.shape}")
@@ -617,7 +597,6 @@ def gather_rows(x: Tensor, idx) -> Tensor:
 def gather_labels(x: Tensor, labels) -> Tensor:
     """Pick one column per row, returning (m, 1). At ``x.data.argmax(axis=1)``
     this is the row maximum, with the gradient going to the first maximum."""
-    _require_2d(x)
     labels = np.asarray(labels, dtype=np.intp).ravel()
     if labels.shape[0] != x.shape[0]:
         raise ShapeError(f"gather_labels needs {x.shape[0]} labels, got {labels.shape[0]}")
@@ -647,7 +626,6 @@ def neighborhood_rows(x: Tensor, frames: int, height: int, width: int,
     windows reach are padded. Backward adds each tap's gradient back into
     the cells it read.
     """
-    _require_2d(x)
     c = x.shape[1]
     if x.shape[0] != frames * height * width:
         raise ShapeError(f"{x.shape[0]} rows do not fill a {frames}x{height}x{width} grid")
@@ -707,7 +685,6 @@ def soft_gate_value(x: np.ndarray) -> np.ndarray:
 
 
 def hard_gate(x: Tensor) -> Tensor:
-    _require_2d(x)
 
     def backward(g):
         inside = np.abs(x.data) < _GATE_BAND
@@ -857,59 +834,58 @@ class ParamSet:
 # ---------------------------------------------------------------------------
 
 
-def grad_check(f, x: Tensor, eps: float = 1e-5,
-               max_coords: int | None = None, seed: int = 0) -> float:
-    """Max relative error between taped and central-difference gradients.
+def grad_check(loss, tensors, names: list[str], eps: float = 1e-5,
+               max_coords: int | None = None, seed: int = 0) -> dict[str, float]:
+    """Max relative error between taped and central-difference gradients,
+    per named tensor.
 
-    ``f`` maps the tensor to a (1, 1) loss and must be deterministic. By
-    default every coordinate of ``x`` is probed; pass ``max_coords`` to
-    probe a seeded subsample instead and bound the cost on large tensors.
+    ``loss`` takes no argument, returns a (1, 1) tensor, must be
+    deterministic and reads the tensors of ``tensors`` (a ParamSet or a
+    name -> Tensor dict) in place, so perturbing one is reflected. One
+    taped pass gives every analytic gradient: only the named tensors
+    record during it, and afterwards every tensor of ``tensors`` gets its
+    own ``requires_grad`` and ``grad`` back, also when ``loss`` raises.
+    By default every coordinate of a named tensor is probed; pass
+    ``max_coords`` to probe a seeded subsample instead and bound the cost
+    on large tensors.
     """
-    x.requires_grad = True
-    x.grad = None
-    with tape() as t:
-        y = f(x)
-        if y.data.size != 1:
-            raise ShapeError(f"grad_check function must return a scalar, got {y.shape}")
-        t.backward(y)
-    analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
-    x.grad = None
+    checked = {name: tensors[name] for name in names}
+    found = [(t, t.requires_grad, t.grad) for _, t in tensors.items()]
+    try:
+        for t, _, _ in found:
+            t.requires_grad = False
+        for t in checked.values():
+            t.requires_grad, t.grad = True, None
+        with tape() as tp:
+            tp.backward(loss())
+        analytic = {name: np.zeros_like(t.data) if t.grad is None else t.grad
+                    for name, t in checked.items()}
+    finally:
+        for t, requires_grad, grad in found:
+            t.requires_grad, t.grad = requires_grad, grad
 
-    size = x.data.size
-    if max_coords is not None and size > max_coords:
-        coords = rng_stream(seed, "gradcheck").choice(size, size=max_coords,
-                                                      replace=False)
-    else:
-        coords = range(size)
-    flat = x.data.reshape(-1)
-    aflat = analytic.reshape(-1)
-    worst = 0.0
-    for c in coords:
-        c = int(c)
-        keep = flat[c]
-        flat[c] = keep + eps
-        up = f(x).item()
-        flat[c] = keep - eps
-        down = f(x).item()
-        flat[c] = keep
-        numeric = (up - down) / (2.0 * eps)
-        err = abs(aflat[c] - numeric) / (abs(numeric) + 1e-8)
-        if err > worst:
-            worst = err
-    return worst
-
-
-def grad_check_params(build_loss, params: ParamSet, names: list[str],
-                      eps: float, max_coords: int, seed: int) -> dict[str, float]:
-    """Run grad_check against each named parameter of a model.
-
-    ``build_loss`` takes no arguments and reruns the forward pass against
-    the live ParamSet, so perturbing a parameter in place is reflected.
-    Returns the worst relative error per parameter name.
-    """
     report: dict[str, float] = {}
-    for name in names:
-        target = params[name]
-        report[name] = grad_check(lambda _t: build_loss(), target, eps=eps,
-                                  max_coords=max_coords, seed=seed)
+    for name, x in checked.items():
+        size = x.data.size
+        if max_coords is not None and size > max_coords:
+            coords = rng_stream(seed, "gradcheck").choice(size, size=max_coords,
+                                                          replace=False)
+        else:
+            coords = range(size)
+        flat = x.data.reshape(-1)
+        aflat = analytic[name].reshape(-1)
+        worst = 0.0
+        for c in coords:
+            c = int(c)
+            keep = flat[c]
+            flat[c] = keep + eps
+            up = loss().item()
+            flat[c] = keep - eps
+            down = loss().item()
+            flat[c] = keep
+            numeric = (up - down) / (2.0 * eps)
+            err = abs(aflat[c] - numeric) / (abs(numeric) + 1e-8)
+            if err > worst:
+                worst = err
+        report[name] = worst
     return report

@@ -703,7 +703,7 @@ def test_gradcheck_selector_uses_the_pool_each_frame_was_served(seed, monkeypatc
                         spy(served, selector.progressive_residual))
     monkeypatch.setattr(cli, "progressive_residual",
                         spy(checked, cli.progressive_residual))
-    monkeypatch.setattr(nc, "grad_check_params", lambda *args, **kwargs: {})
+    monkeypatch.setattr(nc, "grad_check", lambda *args, **kwargs: {})
     cli._gradcheck_selector(seed)
     gop = cli._tiny_gradcheck_setup(seed)
     assert len(served) == gop.frames - 1

@@ -177,8 +177,8 @@ def _op_cases():
 @pytest.mark.parametrize("name,op,value", _op_cases(),
                          ids=[c[0] for c in _op_cases()])
 def test_op_gradients(name, op, value):
-    x = nc.Tensor(value.copy(), requires_grad=True)
-    err = nc.grad_check(lambda t: nc.mean(op(t), None), x)
+    x = nc.Tensor(value.copy())
+    err = nc.grad_check(lambda: nc.mean(op(x), None), {"x": x}, ["x"])["x"]
     assert err < 1e-4, f"{name}: grad error {err:.3e}"
 
 
@@ -322,9 +322,65 @@ def test_neighborhood_rows_rejects_bad_grid_or_offset():
 def test_grad_check_detects_scale_error():
     # a deliberately wrong gradient must be caught, otherwise the checker
     # itself is vacuous
-    x = nc.Tensor(_rand((2, 2), 50), requires_grad=True)
-    err = nc.grad_check(lambda t: nc.mean(nc.mul(t, nc.Tensor(t.data.copy())), None), x)
+    x = nc.Tensor(_rand((2, 2), 50))
+    err = nc.grad_check(lambda: nc.mean(nc.mul(x, nc.Tensor(x.data.copy())), None),
+                        {"x": x}, ["x"])["x"]
     assert err > 0.3
+
+
+def test_grad_check_leaves_every_tensor_as_found(monkeypatch):
+    # one taped pass gives every checked gradient, only the checked tensors
+    # record in it, and every tensor handed in gets its own requires_grad
+    # and grad back, also when the loss raises
+    params = nc.ParamSet()
+    a = params.add("a", _rand((3, 4), 61))
+    b = params.add("b", _rand((4, 2), 62))
+    bias = params.add("bias", _rand((1, 2), 63))
+    held = np.ones((4, 2))
+    b.grad = held
+    x = nc.Tensor(_rand((5, 2), 64), requires_grad=True)
+    frozen = nc.Tensor(_rand((2, 3), 65))
+    weight = nc.Tensor(_rand((3, 2), 66))
+    tensors = {"x": x, "frozen": frozen, "weight": weight}
+
+    passes = []
+    real_backward = nc.Tape.backward
+
+    def spy(tape, loss):
+        real_backward(tape, loss)
+        # what the unchecked matmul operands hold inside the pass
+        passes.append((b.grad, frozen.grad))
+
+    monkeypatch.setattr(nc.Tape, "backward", spy)
+
+    def found(group):
+        return [(t, t.requires_grad, t.grad) for _, t in group.items()]
+
+    def assert_as_found(before):
+        for t, requires_grad, grad in before:
+            assert t.requires_grad == requires_grad
+            assert t.grad is grad
+
+    before = found(params)
+    errs = nc.grad_check(lambda: nc.mean(nc.matmul(nc.matmul(a, b, bias), frozen), None),
+                         params, ["a", "bias"])
+    assert sorted(errs) == ["a", "bias"] and max(errs.values()) < 1e-4
+    assert_as_found(before)
+    assert len(passes) == 1 and passes[0][0] is held
+
+    before = found(tensors)
+    errs = nc.grad_check(lambda: nc.mean(nc.matmul(nc.matmul(x, frozen), weight), None),
+                         tensors, ["x", "weight"])
+    assert sorted(errs) == ["weight", "x"] and max(errs.values()) < 1e-4
+    assert_as_found(before)
+    assert len(passes) == 2 and passes[1][1] is None
+
+    before = found(params)
+    with pytest.raises(ShapeError):
+        nc.grad_check(lambda: nc.sum_(nc.slice_(nc.matmul(a, b, bias), 0, 2, 0), 1),
+                      params, ["a"])
+    assert_as_found(before)
+    assert len(passes) == 2
 
 
 def test_hard_gate_forward_is_strict():

@@ -407,8 +407,8 @@ def test_psformer_gradcheck(threshold):
     names = ["embed.w", "pos", "frame", "layer0.attn.kv.w", "layer0.ffn.l1.w",
              "warp.pw.l1.w", "warp.pw.l1.b", "warp.pw.l3.w", "warp.pw.l3.b",
              "warp.q.w", "warp.q.b", "warp.ev.l1.w", "warp.gw.l2.w", "warp.k.w"]
-    errs = nc.grad_check_params(build_loss, params, names, eps=1e-5,
-                                max_coords=4, seed=0)
+    errs = nc.grad_check(build_loss, params, names, eps=1e-5, max_coords=4,
+                         seed=0)
     for name, err in errs.items():
         assert err < 1e-4, f"{name}: {err}"
 
@@ -416,8 +416,8 @@ def test_psformer_gradcheck(threshold):
     # rest the residual; the warp forms the two halves apart, so check the
     # largest gradient entry of each half and two seeded ones besides
     w1 = params["warp.pw.l1.w"]
-    # the checks above leave it recording, with what later ones summed
-    w1.grad = None
+    # the check above leaves every parameter as it found it
+    assert w1.grad is None
     with nc.tape() as t:
         t.backward(build_loss())
     analytic, w1.grad = w1.grad, None

@@ -89,8 +89,8 @@ def test_cnn_gradients_reach_first_layer():
     clip = _small_clip(t=2, h=16, w=16)
     params = init_selector_params(seed=1)
     err = nc.grad_check(
-        lambda _t: nc.mean(shallow_3dcnn(clip, params)[1], None),
-        params["sel.conv0.w"], max_coords=6, seed=0)
+        lambda: nc.mean(shallow_3dcnn(clip, params)[1], None),
+        params, ["sel.conv0.w"], max_coords=6, seed=0)["sel.conv0.w"]
     assert err < 1e-4
 
 
