@@ -2,10 +2,10 @@
 
 Submodules:
 
-* ``numcore``   - tape autodiff, MAC counting, seeded RNG, eigensolver
+* ``numcore``   - tape autodiff, MAC counting, seeded RNG, gradient check
 * ``videoio``   - raw clip container, synthetic clips
 * ``gopcodec``  - group-of-pictures codec (motion + exact residuals)
-* ``spectral``  - graph-Laplacian patch saliency
+* ``spectral``  - graph-Laplacian patch saliency, zero where a frame has no split
 * ``selector``  - differentiable patch selection
 * ``psformer``  - sparse transformer over selected patches
 * ``training``  - losses, optimizer, two-stage schedule
@@ -16,8 +16,6 @@ Submodules:
 __version__ = "0.1.0"
 
 from .errors import (
-    DegenerateFeatureError,
-    DegenerateGraphError,
     NumericalError,
     ParseError,
     ShapeError,
@@ -27,8 +25,6 @@ from .errors import (
 )
 
 __all__ = [
-    "DegenerateFeatureError",
-    "DegenerateGraphError",
     "NumericalError",
     "ParseError",
     "ShapeError",

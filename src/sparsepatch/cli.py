@@ -94,8 +94,10 @@ def _require_finite(label: str, value: float) -> None:
 
 
 def parse_config_text(text: str) -> dict:
-    """key=value lines with # comments; unknown keys and bad values reject."""
+    """key=value lines with # comments; unknown keys, keys given twice and
+    bad values reject."""
     values = {key: default for key, (_, default) in CONFIG_SCHEMA.items()}
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -106,6 +108,10 @@ def parse_config_text(text: str) -> dict:
         key, val = key.strip(), val.strip()
         if key not in CONFIG_SCHEMA:
             raise UsageError(f"config line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise UsageError(
+                f"config line {lineno}: {key} was already given on line {seen[key]}")
+        seen[key] = lineno
         kind, _ = CONFIG_SCHEMA[key]
         try:
             values[key] = kind(val)

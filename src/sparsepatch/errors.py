@@ -21,14 +21,6 @@ class ValidationError(SparsepatchError):
     """Inputs are structurally valid but violate a documented contract."""
 
 
-class DegenerateGraphError(ValidationError):
-    """Affinity graph has no edges, so the normalized Laplacian is undefined."""
-
-
-class DegenerateFeatureError(ValidationError):
-    """Feature matrix admits no usable non-trivial eigenvector."""
-
-
 class ParseError(SparsepatchError):
     """A serialized file is malformed.
 

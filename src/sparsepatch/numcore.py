@@ -740,43 +740,6 @@ def rng_stream(seed: int, *tags) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# symmetric eigendecomposition
-# ---------------------------------------------------------------------------
-
-
-def sym_eig(s) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix.
-
-    Returns plain numpy arrays; the decomposition is outside the autodiff
-    tape by design. The result is verified by reconstruction before it is
-    returned, so a silently bad factorization cannot leak downstream. Each
-    decomposition run is tallied as ``eig_decompositions`` on the active
-    counter.
-    """
-    arr = s.data if isinstance(s, Tensor) else np.asarray(s, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ShapeError(f"sym_eig needs a square matrix, got {arr.shape}")
-    scale_ = max(1.0, float(np.abs(arr).max()) if arr.size else 0.0)
-    asym = float(np.abs(arr - arr.T).max()) if arr.size else 0.0
-    if asym > 1e-9 * scale_:
-        raise ValidationError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-    if not np.isfinite(arr).all():
-        raise NumericalError("sym_eig input contains non-finite values")
-    sym = 0.5 * (arr + arr.T)
-    try:
-        eigenvalues, eigenvectors = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed to converge: {exc}") from exc
-    note_uncounted("eig_decompositions", 1)
-    norm = float(np.linalg.norm(sym))
-    residual = float(np.linalg.norm(sym @ eigenvectors - eigenvectors * eigenvalues))
-    if residual > 1e-8 * max(norm, 1.0):
-        raise NumericalError(
-            f"eigendecomposition residual {residual:.3e} exceeds tolerance")
-    return eigenvalues, eigenvectors
-
-
-# ---------------------------------------------------------------------------
 # parameters
 # ---------------------------------------------------------------------------
 

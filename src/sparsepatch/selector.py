@@ -3,7 +3,9 @@
 Per P-frame patch, three feature blocks feed a small scoring MLP:
 
 * the codec's motion residual (what the I-frame cannot explain),
-* saliency-scaled semantics from a shallow 3-D CNN (where the mover is),
+* saliency-scaled semantics from a shallow 3-D CNN (where the mover is;
+  ``spectral.prominent_eigvec`` gives the saliency, zero on a frame with
+  no usable split),
 * a progressive residual against a pool of already-kept pixel patches
   (what previous selections cannot explain either).
 
@@ -32,12 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
-from .errors import (
-    DegenerateFeatureError,
-    DegenerateGraphError,
-    ShapeError,
-    ValidationError,
-)
+from .errors import ShapeError, ValidationError
 from .gopcodec import PATCH_DIM, GopClip, decode_gop, sad_nearest
 from .numcore import ParamSet, Tensor
 from .spectral import prominent_eigvec
@@ -282,8 +279,8 @@ def select_patches(gop: GopClip, params: ParamSet, mode: str = "infer",
     is ``shallow_3dcnn``'s per-frame maps of the decoded clip. A clip with
     one frame yields an empty selection. A frame whose semantics give no
     usable saliency split (a static or blank frame, say) gets zero
-    saliency, so its residual terms decide; the active counter tallies
-    each such frame as ``saliency_fallbacks`` under ``uncounted``. In
+    saliency from ``prominent_eigvec``, which tallies it as
+    ``saliency_fallbacks``, so its residual terms decide. In
     ``"train"`` mode each frame's scores are jittered with seeded unit
     Gaussian noise; ``"infer"`` gates them as they are.
     """
@@ -304,11 +301,7 @@ def select_patches(gop: GopClip, params: ParamSet, mode: str = "infer",
         f_map = semantics[t]
         # the saliency graph's Gram product is charged to the CNN's stage
         with nc.stage("selection_cnn"):
-            try:
-                sal = prominent_eigvec(f_map.data)
-            except (DegenerateFeatureError, DegenerateGraphError):
-                sal = np.zeros(n)
-                nc.note_uncounted("saliency_fallbacks", 1)
+            sal = prominent_eigvec(f_map.data)
 
         recon = gop.frame_patches(t)
         prog = progressive_residual(recon, pool)

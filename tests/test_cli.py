@@ -30,27 +30,21 @@ from sparsepatch.psformer import (
 from sparsepatch.selector import init_selector_params, select_patches
 from sparsepatch.videoio import RawClip, SynthSpec, synth_clip, write_rawvid
 
-SMALL_CFG = """
-identities = 2
-clips_per_identity = 2
-height = 32
-width = 64
-frames = 3
-motion_amplitude = 2.0
-dim = 16
-layers = 1
-heads = 2
-"""
+SMALL = {"identities": 2, "clips_per_identity": 2, "height": 32, "width": 64,
+         "frames": 3, "motion_amplitude": 2.0, "dim": 16, "layers": 1, "heads": 2}
+TRAIN = {**SMALL, "clips_per_identity": 3, "stage1_epochs": 1, "stage2_epochs": 1,
+         "batch_identities": 2, "batch_clips": 2, "heldout_clips": 1,
+         "noise_samples": 2}
 
-TRAIN_CFG = SMALL_CFG + """
-clips_per_identity = 3
-stage1_epochs = 1
-stage2_epochs = 1
-batch_identities = 2
-batch_clips = 2
-heldout_clips = 1
-noise_samples = 2
-"""
+
+def config_text(values: dict, **overrides) -> str:
+    """``key = value`` lines naming each key once; ``overrides`` replace
+    entries of ``values``."""
+    return "".join(f"{key} = {value}\n" for key, value in {**values, **overrides}.items())
+
+
+SMALL_CFG = config_text(SMALL)
+TRAIN_CFG = config_text(TRAIN)
 
 MODEL_FLAGS = ["--dim", "16", "--layers", "1", "--heads", "2"]
 
@@ -107,6 +101,16 @@ def test_config_rejects_bad_value_and_missing_equals():
         parse_config_text("frames = abc\n")
     with pytest.raises(UsageError, match="key=value"):
         parse_config_text("just some words\n")
+
+
+def test_config_rejects_a_key_given_twice(tmp_path, capsys):
+    with pytest.raises(UsageError, match="line 3: dim was already given on line 1"):
+        parse_config_text("dim = 16\nframes = 4\ndim = 32\n")
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("seed = 1\n# again\nseed = 1\n")
+    assert run_cli("synth", "--config", str(cfg), "--out", str(tmp_path / "d")) == 2
+    assert "line 3: seed was already given on line 1" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
 def test_config_int_accepted_for_float_key():
@@ -257,7 +261,7 @@ def test_exit_5_on_grid_too_small_for_pooling(tmp_path, capsys):
 
 def test_exit_5_on_train_config_decay_every_zero(tmp_path, capsys):
     cfg = tmp_path / "train.cfg"
-    cfg.write_text(TRAIN_CFG + "decay_every = 0\n")
+    cfg.write_text(config_text(TRAIN, decay_every=0))
     run_dir = tmp_path / "run"
     assert run_cli("train", "--config", str(cfg), "--out", str(run_dir)) == 5
     assert "decay_every must be >= 1" in capsys.readouterr().err
@@ -336,11 +340,11 @@ def test_adversarial_clips_serve_or_are_refused_before_compute(
 def test_exit_2_on_non_finite_config_values(tmp_path, capsys):
     # refused at parse time: synth used to die with an OverflowError
     # traceback (exit 1), train used to train and then exit 4
-    for command, text, key in (("synth", SMALL_CFG, "motion_amplitude"),
-                               ("train", TRAIN_CFG, "learning_rate")):
+    for command, values, key in (("synth", SMALL, "motion_amplitude"),
+                                 ("train", TRAIN, "learning_rate")):
         for value in ("nan", "inf"):
             cfg = tmp_path / "bad.cfg"
-            cfg.write_text(text + f"{key} = {value}\n")
+            cfg.write_text(config_text(values, **{key: value}))
             out = tmp_path / "out"
             flag = "--spec" if command == "synth" else "--config"
             assert run_cli(command, flag, str(cfg), "--out", str(out)) == 2
@@ -419,7 +423,7 @@ def test_exit_5_on_checkpoint_that_does_not_fit_the_model(pipeline, command,
         out = tmp_path / "out"
         if command == "sweep-s":
             # sweep-s reads the model from its config
-            text = SMALL_CFG + f"layers = {flags[1]}\nheads = {flags[3]}\n"
+            text = config_text(SMALL, layers=flags[1], heads=flags[3])
             (tmp_path / "model.cfg").write_text(text)
             argv = ["sweep-s", "--config", str(tmp_path / "model.cfg")]
         else:
@@ -463,7 +467,7 @@ def test_exit_5_on_checkpoint_for_another_patch_grid(pipeline, command,
     # on the 2x4 clip, and one for a 2x4 grid on a 2x8 clip, are refused
     tmp_path, cfg, _, gop = pipeline
     wide_cfg = tmp_path / "wide.cfg"
-    wide_cfg.write_text(SMALL_CFG + "width = 128\n")
+    wide_cfg.write_text(config_text(SMALL, width=128))
     spec = SynthSpec(identity_count=2, clips_per_identity=1, height=32,
                      width=128, frames=3, background="textured",
                      motion_amplitude=2.0, seed=3)
@@ -520,15 +524,15 @@ def test_exit_2_on_sweep_with_too_many_thresholds(tmp_path, monkeypatch, capsys)
 
 
 @pytest.mark.parametrize("split, message", [
-    ("clips_per_identity = 1\nheldout_clips = 3\n",
+    ({"clips_per_identity": 1, "heldout_clips": 3},
      "heldout_clips 3 exceeds clips_per_identity 1"),
-    ("identities = 1\nheldout_clips = 1\n", "sweep needs at least two held-out clips"),
+    ({"identities": 1, "heldout_clips": 1}, "sweep needs at least two held-out clips"),
 ], ids=["more_than_each_identity_has", "fewer_than_two_in_all"])
 def test_exit_5_on_sweep_with_a_bad_heldout_split(tmp_path, split, message,
                                                   monkeypatch, capsys):
     # refused before a clip is rendered or the parameters are loaded
     cfg = tmp_path / "split.cfg"
-    cfg.write_text(SMALL_CFG + split)
+    cfg.write_text(config_text(SMALL, **split))
     calls = []
     monkeypatch.setattr(cli, "synth_clip", lambda *a, **kw: calls.append("synth"))
     monkeypatch.setattr(cli, "_load_or_init_params", lambda *a: calls.append("params"))

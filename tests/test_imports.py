@@ -16,6 +16,10 @@ only writes it, and tests do not count.
 The package's defaulted parameters are counted too, and the count is
 pinned: a change that adds or removes a default updates
 ``DEFAULTED_PARAMETERS``, so every new option shows up in review.
+
+Every kind of work the package tallies under ``uncounted`` (a string
+literal passed first to a ``note_uncounted`` call) is named in backticks
+in README.md, so a report's keys are all documented.
 """
 
 import ast
@@ -27,6 +31,7 @@ REPO = Path(__file__).resolve().parents[1]
 PACKAGE = REPO / "src" / "sparsepatch"
 MODULES = sorted(PACKAGE.glob("*.py"))
 BENCHMARK = sorted((REPO / "perfbench").glob("*.py"))
+README = REPO / "README.md"
 
 # parameters with a default value across the package's functions,
 # methods, nested functions and lambdas
@@ -140,6 +145,16 @@ def defaulted_parameters(source: str) -> list[str]:
     return found
 
 
+def uncounted_kinds(source: str) -> set[str]:
+    """String literals passed as the first argument of a call to a
+    function or method named ``note_uncounted``."""
+    return {node.args[0].value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "note_uncounted"
+            and node.args and isinstance(node.args[0], ast.Constant)
+            and isinstance(node.args[0].value, str)}
+
+
 def test_checker_flags_unused_and_accepts_used_names():
     source = ("from __future__ import annotations\n"
               "import os, sys\n"
@@ -207,6 +222,15 @@ def test_checker_counts_defaulted_parameters():
         "p(a)", "p(b)"]
 
 
+def test_checker_finds_uncounted_kinds():
+    source = ("note_uncounted('a', 1)\n"
+              "nc.note_uncounted('b', n * 2)\n"
+              "counter.note_uncounted(kind, 3)\n"
+              "count_macs('c', 1)\n"
+              "def note_uncounted(kind, amount):\n    pass\n")
+    assert uncounted_kinds(source) == {"a", "b"}
+
+
 def test_package_has_modules():
     assert {"cli.py", "psformer.py", "costmodel.py"} <= {p.name for p in MODULES}
 
@@ -240,3 +264,10 @@ def test_defaulted_parameter_count_is_pinned():
     found = [f"{path.stem}.{entry}" for path in MODULES
              for entry in defaulted_parameters(path.read_text())]
     assert len(found) == DEFAULTED_PARAMETERS, found
+
+
+def test_every_uncounted_kind_is_documented():
+    kinds = set().union(*(uncounted_kinds(path.read_text()) for path in MODULES))
+    assert "saliency_fallbacks" in kinds
+    readme = README.read_text()
+    assert sorted(kind for kind in kinds if f"`{kind}`" not in readme) == []

@@ -468,46 +468,6 @@ def test_row_labelled_stage_charges_each_row_to_its_label():
     assert rowwise.total == plain.total == 200
 
 
-def test_sym_eig_known_matrix():
-    w, v = nc.sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert np.allclose(w, [1.0, 3.0], atol=1e-12)
-    m = np.array([[2.0, 1.0], [1.0, 2.0]])
-    assert np.allclose(m @ v, v * w, atol=1e-12)
-    assert np.allclose(v.T @ v, np.eye(2), atol=1e-12)
-
-
-def test_sym_eig_rejects_bad_input():
-    with pytest.raises(ShapeError):
-        nc.sym_eig(np.zeros((2, 3)))
-    with pytest.raises(ValidationError):
-        nc.sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(NumericalError):
-        nc.sym_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-
-def test_sym_eig_tallies_each_decomposition_it_runs():
-    counter = nc.MacCounter()
-    with nc.mac_counting(counter):
-        nc.sym_eig(np.eye(2))
-        with pytest.raises(ValidationError):
-            nc.sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        nc.sym_eig(np.eye(3))
-    nc.sym_eig(np.eye(2))  # outside the context: not tallied
-    assert counter.uncounted == {"eig_decompositions": 2}
-    assert counter.total == 0
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(2, 16), st.integers(0, 2**31 - 1))
-def test_sym_eig_reconstructs(n, seed):
-    rng = np.random.Generator(np.random.PCG64(seed))
-    a = rng.standard_normal((n, n))
-    s = a + a.T
-    w, v = nc.sym_eig(s)
-    assert np.all(np.diff(w) >= -1e-12)
-    assert np.allclose(v @ np.diag(w) @ v.T, s, atol=1e-8 * max(1.0, np.abs(s).max()))
-
-
 def test_rng_stream_tags_are_independent():
     a = nc.rng_stream(9, "alpha").standard_normal(4)
     b = nc.rng_stream(9, "alpha").standard_normal(4)
