@@ -41,7 +41,6 @@ from .gopcodec import decode_gop, encode_gop, read_gop, write_gop
 from .numcore import ParamSet, Tensor
 from .psformer import (
     PsformerConfig,
-    dense_forward,
     init_psformer_params,
     psformer_forward,
     psformer_param_table,
@@ -58,6 +57,7 @@ from .training import (
     TrainConfig,
     cross_entropy,
     error_constraint_loss,
+    extract_feature,
     hard_triplet,
     log_to_csv,
     rank1,
@@ -288,14 +288,7 @@ def cmd_forward(args) -> int:
     gop, model, seed, params = _load_gop_model(args)
     counter = nc.MacCounter()
     with nc.mac_counting(counter):
-        if args.dense:
-            res = dense_forward(gop, params, model)
-            kept = [model.patch_count] * (gop.frames - 1)
-        else:
-            selection = select_patches(gop, params, mode="infer", seed=seed)
-            res = psformer_forward(gop, selection, params, model,
-                                   threshold=args.threshold)
-            kept = selection.kept_counts
+        res, kept = extract_feature(gop, params, model, args.threshold, args.dense)
     payload = {
         "feature": [float(v) for v in res.feature.data[0]],
         "dense": bool(args.dense),
@@ -428,8 +421,7 @@ def _gradcheck_selector(seed: int) -> list[tuple[str, float]]:
         for t in range(1, gop.frames):
             feats = gate_features(gop.residual[t - 1], sem[t],
                                   reference.saliency[t - 1], progressive[t - 1])
-            score = score_gate(feats, params).score
-            part = nc.sum_(score, None)
+            part = nc.sum_(score_gate(feats, params), None)
             total = part if total is None else nc.add(total, part)
         return total
 

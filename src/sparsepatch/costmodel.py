@@ -111,8 +111,11 @@ def _context_mlp_macs(geom: Geometry) -> float:
 
 
 def _selection_macs(geom: Geometry) -> tuple[float, float]:
-    """(selection_cnn, selector_mlp) MACs for one clip."""
+    """(selection_cnn, selector_mlp) MACs for one clip; a one-frame clip
+    selects nothing and runs no CNN."""
     t, n = geom.frames, geom.patch_count
+    if t < 2:
+        return 0.0, 0.0
     cnn = 0.0
     hw = geom.height * geom.width
     for i in range(len(CNN_CHANNELS) - 1):

@@ -265,7 +265,7 @@ class RoutingEntry:
 @dataclass
 class PsformerResult:
     feature: Tensor
-    context_pairs: list  # per layer: (first-frame mean in, previous mean)
+    context_pairs: list  # per layer: (first-frame mean in, previous mean); sparse only
     routing: list[RoutingEntry] = field(default_factory=list)
 
     @property
@@ -453,19 +453,15 @@ def dense_forward(gop: GopClip, params: ParamSet,
     Used for the first training stage; each frame attends over its own
     full token set plus one aux token holding the frame's current mean,
     so the context operators see realistic inputs from the start. Each
-    layer runs all frames as one stacked block.
+    layer runs all frames as one stacked block. It returns no context
+    pairs: the error-constraint loss reads them from sparse passes only.
     """
     _check_clip(gop, config)
     n, t_total = config.patch_count, gop.frames
     with nc.stage("embedding"):
         x = _embed_frames(gop, params, np.arange(n * t_total))
     frames = [(n, 1, "i_frame_msa")] + [(n, 1, "p_frame_msa")] * (t_total - 1)
-    context_pairs = []
     for layer in range(config.layers):
-        # every frame's aux token is its mean; the first frame's is its
-        # context, and at layer 0 also the previous one
-        means = nc.segment_mean(x, [n] * t_total)
-        ci_cur = nc.slice_(means, 0, 1, 0)
-        context_pairs.append((ci_cur, context_pairs[-1][0] if layer else ci_cur))
-        x = msa_block(x, means, params, layer, config, frames)
-    return PsformerResult(feature=nc.mean(x, 0), context_pairs=context_pairs)
+        # every frame's aux token is its mean
+        x = msa_block(x, nc.segment_mean(x, [n] * t_total), params, layer, config, frames)
+    return PsformerResult(feature=nc.mean(x, 0), context_pairs=[])

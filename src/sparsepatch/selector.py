@@ -9,11 +9,13 @@ Per P-frame patch, three feature blocks feed a small scoring MLP:
 * a progressive residual against a pool of already-kept pixel patches
   (what previous selections cannot explain either).
 
-Scores pass one zero-threshold gate, ``numcore.hard_gate``: a strict
-sign test whose 0/1 decision backpropagates through a saturating-sigmoid
-surrogate. During training the score is first jittered with unit
-Gaussian noise; at inference it is gated as is. Selected patches join
-the pool so later frames can skip content that was already kept.
+``select_patches`` owns the keep decision. ``score_gate`` gives each
+patch its MLP score; in training ``select_patches`` jitters it with
+seeded unit Gaussian noise, at inference it takes it as is, and either
+way ``numcore.hard_gate`` keeps the patch when the result is positive:
+a strict sign test whose 0/1 decision backpropagates through a
+saturating-sigmoid surrogate. Selected patches join the pool so later
+frames can skip content that was already kept.
 
 The pool is one int16 array: the I-frame's patches, then each P-frame's
 kept patches in ascending patch index, frame by frame. That row order is
@@ -190,31 +192,13 @@ def progressive_residual(patches: np.ndarray, pool: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GateDecision:
-    """Gate outputs for one P-frame: raw scores and decisions."""
-
-    score: Tensor          # (N, 1) raw MLP output
-    gate: Tensor           # (N, 1) 0/1 keep decisions carrying straight-through grads
-
-
-def score_gate(features: Tensor, params: ParamSet,
-               noise: np.ndarray | None = None) -> GateDecision:
-    """Score each row with the gate MLP and keep it when the score, plus
-    ``noise`` in training, is positive."""
+def score_gate(features: Tensor, params: ParamSet) -> Tensor:
+    """The gate MLP's (N, 1) score for each row of ``features``."""
     if features.shape[1] != FEATURE_DIM:
         raise ShapeError(f"gate features must be (N, {FEATURE_DIM}), got {features.shape}")
-    h = features
-    h = nc.relu(nc.matmul(h, params["sel.mlp0.w"], params["sel.mlp0.b"]))
+    h = nc.relu(nc.matmul(features, params["sel.mlp0.w"], params["sel.mlp0.b"]))
     h = nc.relu(nc.matmul(h, params["sel.mlp1.w"], params["sel.mlp1.b"]))
-    score = nc.matmul(h, params["sel.mlp2.w"], params["sel.mlp2.b"])
-
-    shifted = score
-    if noise is not None:
-        if noise.shape != score.shape:
-            raise ValidationError(f"gate noise must be {score.shape}, got {noise.shape}")
-        shifted = nc.add(score, Tensor(noise))
-    return GateDecision(score=score, gate=nc.hard_gate(shifted))
+    return nc.matmul(h, params["sel.mlp2.w"], params["sel.mlp2.b"])
 
 
 # ---------------------------------------------------------------------------
@@ -277,19 +261,22 @@ def select_patches(gop: GopClip, params: ParamSet, mode: str = "infer",
     residuals are measured against the pool as it stood *before* that
     frame, then its kept patches are appended. ``semantics``, when given,
     is ``shallow_3dcnn``'s per-frame maps of the decoded clip. A clip with
-    one frame yields an empty selection. A frame whose semantics give no
-    usable saliency split (a static or blank frame, say) gets zero
-    saliency from ``prominent_eigvec``, which tallies it as
-    ``saliency_fallbacks``, so its residual terms decide. In
-    ``"train"`` mode each frame's scores are jittered with seeded unit
-    Gaussian noise; ``"infer"`` gates them as they are.
+    one frame yields an empty selection and runs no CNN. A frame whose
+    semantics give no usable saliency split (a static or blank frame, say)
+    gets zero saliency from ``prominent_eigvec``, which tallies it as
+    ``saliency_fallbacks``, so its residual terms decide.
+
+    A patch is kept when its ``score_gate`` score is positive after
+    ``"train"`` mode adds seeded unit Gaussian noise (``"infer"`` adds
+    none). ``numcore.hard_gate`` makes that 0/1 decision and carries its
+    straight-through gradient.
     """
     if mode not in ("train", "infer"):
         raise ValidationError(f"mode must be 'train' or 'infer', got {mode!r}")
-    if semantics is None:
-        semantics = shallow_3dcnn(decode_gop(gop), params)
     n = gop.i_frame.count
-    if len(semantics) != gop.frames or any(f.shape[0] != n for f in semantics):
+    if semantics is None:
+        semantics = shallow_3dcnn(decode_gop(gop), params) if gop.frames > 1 else []
+    elif len(semantics) != gop.frames or any(f.shape[0] != n for f in semantics):
         raise ValidationError("semantics do not match the encoded clip")
 
     pool = gop.i_frame.patches.copy()
@@ -306,16 +293,17 @@ def select_patches(gop: GopClip, params: ParamSet, mode: str = "infer",
         recon = gop.frame_patches(t)
         prog = progressive_residual(recon, pool)
         feats = gate_features(gop.residual[t - 1], f_map, sal, prog)
-        noise = None
-        if mode == "train":
-            noise = nc.rng_stream(seed, "gate-noise", t).standard_normal((n, 1))
         with nc.stage("selector_mlp"):
-            gate = score_gate(feats, params, noise)
+            score = score_gate(feats, params)
+            if mode == "train":
+                noise = nc.rng_stream(seed, "gate-noise", t).standard_normal(score.shape)
+                score = nc.add(score, Tensor(noise))
+            gate = nc.hard_gate(score)
 
-        keep = np.flatnonzero(gate.gate.data)
+        keep = np.flatnonzero(gate.data)
         pool = np.concatenate([pool, recon[keep]])
         selected.append(keep)
-        gates.append(gate.gate)
+        gates.append(gate)
         saliencies.append(sal)
 
     return SelectionResult(

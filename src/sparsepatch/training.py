@@ -28,6 +28,7 @@ from .gopcodec import GopClip, encode_gop
 from .numcore import ParamSet, Tensor
 from .psformer import (
     PsformerConfig,
+    PsformerResult,
     dense_forward,
     init_psformer_params,
     predict_context,
@@ -241,15 +242,14 @@ def make_dataset(spec: SynthSpec) -> list[ClipRecord]:
 
 
 def extract_feature(gop: GopClip, params: ParamSet, model: PsformerConfig,
-                    mode: str, threshold: float) -> np.ndarray:
-    """Clip feature by the dense (stage 1) or sparse (stage 2) path."""
-    if mode == "dense":
-        return dense_forward(gop, params, model).feature.data
-    if mode != "sparse":
-        raise ValidationError(f"unknown feature mode {mode!r}")
+                    threshold: float, dense: bool) -> tuple[PsformerResult, list[int]]:
+    """One clip's inference pass by the dense (stage 1) or sparse
+    (stage 2) path: the forward's result and each P-frame's kept patch
+    count, every patch when dense."""
+    if dense:
+        return dense_forward(gop, params, model), [model.patch_count] * (gop.frames - 1)
     sel = select_patches(gop, params, mode="infer")
-    res = psformer_forward(gop, sel, params, model, threshold=threshold)
-    return res.feature.data
+    return psformer_forward(gop, sel, params, model, threshold=threshold), sel.kept_counts
 
 
 def rank1(features: np.ndarray, labels) -> float:
@@ -303,10 +303,9 @@ def _pk_batches(records: list[ClipRecord], config: TrainConfig,
 
 
 def _eval_rank1(records: list[ClipRecord], params: ParamSet,
-                model: PsformerConfig, mode: str, threshold: float) -> float:
-    feats = np.vstack([
-        extract_feature(r.gop, params, model, mode=mode, threshold=threshold)
-        for r in records])
+                model: PsformerConfig, threshold: float, dense: bool) -> float:
+    feats = np.vstack([extract_feature(r.gop, params, model, threshold, dense)[0].feature.data
+                       for r in records])
     return rank1(feats, [r.identity for r in records])
 
 
@@ -399,12 +398,11 @@ def two_stage_train(spec: SynthSpec, config: TrainConfig,
         }
         last = epoch == config.total_epochs - 1
         if last or (config.eval_every > 0 and epoch % config.eval_every == 0):
-            mode = "dense" if stage == 1 else "sparse"
             row["train_rank1"] = _eval_rank1(train_probe, params, model,
-                                             mode, config.threshold)
+                                             config.threshold, stage == 1)
             if heldout:
                 row["heldout_rank1"] = _eval_rank1(heldout, params, model,
-                                                   mode, config.threshold)
+                                                   config.threshold, stage == 1)
         log.append(row)
 
     return TrainResult(params=params, log=log)

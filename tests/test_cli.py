@@ -28,6 +28,7 @@ from sparsepatch.psformer import (
     psformer_forward,
 )
 from sparsepatch.selector import init_selector_params, select_patches
+from sparsepatch.training import extract_feature
 from sparsepatch.videoio import RawClip, SynthSpec, synth_clip, write_rawvid
 
 SMALL = {"identities": 2, "clips_per_identity": 2, "height": 32, "width": 64,
@@ -636,6 +637,25 @@ def test_forward_dense_keeps_everything(pipeline, capsys):
     assert payload["dense"] is True
     assert payload["kept_per_frame"] == [8, 8]
     assert payload["routing"] == []
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_forward_serves_the_clip_pass_of_extract_feature(pipeline, dense, capsys):
+    # forward and the trainer's evaluation run one clip pass
+    tmp_path, _, _, gop = pipeline
+    out = tmp_path / "fwd.json"
+    assert run_cli("forward", "--gop", str(gop), *MODEL_FLAGS, "--threshold", "0.5",
+                   *(["--dense"] if dense else []), "--out", str(out)) == 0
+    capsys.readouterr()
+    payload = json.loads(out.read_text())
+    served = read_gop(gop)
+    model = PsformerConfig(dim=16, layers=1, heads=2, grid_h=served.i_frame.grid_h,
+                           grid_w=served.i_frame.grid_w, max_frames=served.frames)
+    params = init_psformer_params(model, seed=0)
+    init_selector_params(seed=1, params=params)
+    res, kept = extract_feature(served, params, model, 0.5, dense)
+    assert payload["feature"] == [float(v) for v in res.feature.data[0]]
+    assert payload["kept_per_frame"] == kept
 
 
 def test_env_seed_overrides_flag(pipeline, monkeypatch, capsys):

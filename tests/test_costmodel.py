@@ -200,6 +200,30 @@ def test_counted_matches_exact_cost_mixed_routing():
                                                 rel=1e-12)
 
 
+def test_one_frame_clip_counts_no_selection():
+    # a one-frame clip selects nothing: it runs no selection CNN, and the
+    # cost model prices none
+    spec = SynthSpec(identity_count=2, clips_per_identity=1, height=32,
+                     width=64, frames=1, background="textured",
+                     motion_amplitude=2.0, seed=0)
+    cfg = PsformerConfig(dim=16, layers=1, heads=2, grid_h=2, grid_w=4)
+    params = init_psformer_params(cfg, seed=0)
+    init_selector_params(seed=1, params=params)
+    gop = encode_gop(synth_clip(spec, identity=0, clip_seed=0))
+    counter = nc.MacCounter()
+    with nc.mac_counting(counter):
+        sel = select_patches(gop, params, mode="infer", seed=0)
+        psformer_forward(gop, sel, params, cfg, threshold=0.5)
+    geom = Geometry(height=32, width=64, frames=1, dim=16, layers=1, heads=2)
+    report = runtime_counter_report(counter, geom, [], [])
+    assert "selection_cnn" not in counter.by_stage
+    assert report.breakdown["selection_cnn"] == report.breakdown["selector_mlp"] == 0.0
+    assert counter.total / 1e9 == pytest.approx(report.analytic_gmacs, rel=1e-12)
+    for stage in STAGES:
+        got = counter.by_stage.get(stage, 0) / 1e9
+        assert got == pytest.approx(report.breakdown[stage], rel=1e-12), stage
+
+
 def test_runtime_report_requires_counts():
     with pytest.raises(ValidationError):
         runtime_counter_report(nc.MacCounter(), VIT_B, [0] * 7, [])

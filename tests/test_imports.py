@@ -20,9 +20,14 @@ pinned: a change that adds or removes a default updates
 Every kind of work the package tallies under ``uncounted`` (a string
 literal passed first to a ``note_uncounted`` call) is named in backticks
 in README.md, so a report's keys are all documented.
+
+Every function the traced benchmark run wraps (a target that
+``perfbench/layers.py``'s ``targets()`` returns) exists in the package,
+so a refactor that moves one fails here and not in a ``--trace 1`` run.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -35,7 +40,7 @@ README = REPO / "README.md"
 
 # parameters with a default value across the package's functions,
 # methods, nested functions and lambdas
-DEFAULTED_PARAMETERS = 12
+DEFAULTED_PARAMETERS = 11
 
 # public definitions kept without a caller in package or benchmark code
 UNREFERENCED_OK = {
@@ -155,6 +160,17 @@ def uncounted_kinds(source: str) -> set[str]:
             and isinstance(node.args[0].value, str)}
 
 
+def trace_targets(source: str) -> list[tuple[str, str]]:
+    """``(owner, attribute)`` for each tuple in the list that a top-level
+    ``targets()`` function returns: the owner spelled as in the source (a
+    module of the package, or a class in one), the attribute a string."""
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.FunctionDef) and top.name == "targets":
+            returned = next(n for n in ast.walk(top) if isinstance(n, ast.Return)).value
+            return [(ast.unparse(t.elts[0]), t.elts[1].value) for t in returned.elts]
+    return []
+
+
 def test_checker_flags_unused_and_accepts_used_names():
     source = ("from __future__ import annotations\n"
               "import os, sys\n"
@@ -231,6 +247,14 @@ def test_checker_finds_uncounted_kinds():
     assert uncounted_kinds(source) == {"a", "b"}
 
 
+def test_checker_reads_trace_targets():
+    source = ("def other():\n    return [(a, 'x', 'a.x')]\n"
+              "def targets():\n"
+              "    return [(numcore, 'matmul', 'numcore.matmul'),\n"
+              "            (numcore.Tape, 'backward', 'numcore.backward', ('n', f))]\n")
+    assert trace_targets(source) == [("numcore", "matmul"), ("numcore.Tape", "backward")]
+
+
 def test_package_has_modules():
     assert {"cli.py", "psformer.py", "costmodel.py"} <= {p.name for p in MODULES}
 
@@ -264,6 +288,20 @@ def test_defaulted_parameter_count_is_pinned():
     found = [f"{path.stem}.{entry}" for path in MODULES
              for entry in defaulted_parameters(path.read_text())]
     assert len(found) == DEFAULTED_PARAMETERS, found
+
+
+def test_every_trace_target_exists_in_the_package():
+    found = trace_targets((REPO / "perfbench" / "layers.py").read_text())
+    assert found
+    missing = []
+    for owner, attribute in found:
+        module, *classes = owner.split(".")
+        obj = importlib.import_module(f"sparsepatch.{module}")
+        for name in classes:
+            obj = getattr(obj, name)
+        if not hasattr(obj, attribute):
+            missing.append(f"{owner}.{attribute}")
+    assert missing == []
 
 
 def test_every_uncounted_kind_is_documented():

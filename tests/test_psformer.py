@@ -350,19 +350,21 @@ def test_dense_forward_macs_and_pairs():
     assert counter.by_stage["embedding"] == n * t * 768 * d
     assert counter.by_stage["i_frame_msa"] == cfg.layers * _expected_msa_macs(n, 1, d)
     assert counter.by_stage["p_frame_msa"] == cfg.layers * (t - 1) * _expected_msa_macs(n, 1, d)
-    assert len(res.context_pairs) == cfg.layers
-    c0_cur, c0_prev = res.context_pairs[0]
-    assert np.array_equal(c0_cur.data, c0_prev.data)
+    # only the sparse pass's pairs feed the error-constraint loss
+    assert res.context_pairs == []
 
 
-def test_sparse_and_dense_share_layer0_context():
+def test_sparse_layer0_context_is_the_iframe_token_mean():
     cfg = _toy_config()
     gop, sel = _toy_inputs(frames=3)
     params = init_psformer_params(cfg, seed=8)
     sparse = psformer_forward(gop, sel, params, cfg, threshold=3.0)
-    dense = dense_forward(gop, params, cfg)
-    assert np.allclose(sparse.context_pairs[0][0].data,
-                       dense.context_pairs[0][0].data, atol=1e-12)
+    p = {name: params[name].data for name in params.names()}
+    tokens = ((gop.i_frame.patches / 255.0 - 0.5) @ p["embed.w"] + p["embed.b"]
+              + p["pos"] + p["frame"][0])
+    c0_cur, c0_prev = sparse.context_pairs[0]
+    assert np.allclose(c0_cur.data, tokens.mean(axis=0, keepdims=True), rtol=0, atol=1e-12)
+    assert np.array_equal(c0_cur.data, c0_prev.data)
 
 
 def test_forward_deterministic():

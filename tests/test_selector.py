@@ -11,7 +11,6 @@ from sparsepatch.numcore import Tensor
 from sparsepatch.selector import (
     CNN_CHANNELS,
     FEATURE_DIM,
-    GateDecision,
     init_selector_params,
     patch_semantics,
     progressive_residual,
@@ -174,39 +173,62 @@ def _gate_params(seed=0):
     return params
 
 
-def test_score_gate_train_vs_infer():
+def _spy_scores(monkeypatch) -> list:
+    """The scores ``select_patches`` gets from ``score_gate``, in call order."""
+    scores = []
+    real = selector.score_gate
+    monkeypatch.setattr(selector, "score_gate",
+                        lambda f, p: scores.append(real(f, p)) or scores[-1])
+    return scores
+
+
+def test_score_gate_train_vs_infer(monkeypatch):
+    # score_gate is the MLP alone; select_patches keeps a patch when its
+    # score plus the frame's seeded noise is positive in training, and
+    # when its score is positive at inference
     params = _gate_params()
     rng = np.random.Generator(np.random.PCG64(9))
-    feats = Tensor(rng.standard_normal((5, FEATURE_DIM)) * 0.2)
-    noise = rng.standard_normal((5, 1))
-
-    trained = score_gate(feats, params, noise)
-    assert isinstance(trained, GateDecision)
-    assert np.array_equal(trained.gate.data, (trained.score.data + noise > 0).astype(np.float64))
-    assert not np.array_equal(trained.gate.data, (trained.score.data > 0).astype(np.float64))
-
-    inferred = score_gate(feats, params)
-    assert np.array_equal(inferred.gate.data, (inferred.score.data > 0).astype(np.float64))
-    assert not inferred.gate.requires_grad  # no tape, nothing recorded
-
-    with pytest.raises(ValidationError):
-        score_gate(feats, params, noise[:3])
+    feats = rng.standard_normal((5, FEATURE_DIM)) * 0.2
+    score = score_gate(Tensor(feats), params)
+    p = {name: params[name].data for name in params.names()}
+    h = np.maximum(feats @ p["sel.mlp0.w"] + p["sel.mlp0.b"], 0.0)
+    h = np.maximum(h @ p["sel.mlp1.w"] + p["sel.mlp1.b"], 0.0)
+    assert isinstance(score, Tensor) and score.shape == (5, 1)
+    assert not score.requires_grad  # no tape, nothing recorded
+    assert np.allclose(score.data, h @ p["sel.mlp2.w"] + p["sel.mlp2.b"], rtol=0, atol=1e-12)
     with pytest.raises(ShapeError):
         score_gate(Tensor(np.zeros((2, 7))), params)
 
+    _, gop = _synth_gop(seed=8)
+    sel_params = init_selector_params(seed=2)
+    scores = _spy_scores(monkeypatch)
+    kept = {}
+    for mode in ("train", "infer"):
+        scores.clear()
+        result = select_patches(gop, sel_params, mode=mode, seed=3)
+        assert len(scores) == gop.frames - 1
+        for t, (keep, gate, s) in enumerate(zip(result.selected, result.gates, scores), 1):
+            shifted = s.data
+            if mode == "train":
+                shifted = shifted + nc.rng_stream(3, "gate-noise", t).standard_normal(s.shape)
+            assert np.array_equal(keep, np.flatnonzero(shifted[:, 0] > 0))
+            assert np.array_equal(gate.data, (shifted > 0).astype(np.float64))
+        kept[mode] = result.selected
+    assert not all(np.array_equal(a, b) for a, b in zip(kept["train"], kept["infer"]))
+
 
 def test_score_gate_gradient_flows_through_hard_gate():
-    params = _gate_params(seed=5)
-    rng = np.random.Generator(np.random.PCG64(1))
-    feats = Tensor(rng.standard_normal((6, FEATURE_DIM)) * 0.1)
-    noise = rng.standard_normal((6, 1)) * 0.2
-    for gate_noise in (noise, None):
+    # select_patches' 0/1 decisions carry a straight-through gradient back
+    # through score_gate to the MLP, with and without the training noise
+    _, gop = _synth_gop(seed=8)
+    params = init_selector_params(seed=2)
+    for mode in ("train", "infer"):
         params.zero_grad()
         with nc.tape() as t:
-            gate = score_gate(feats, params, gate_noise)
-            t.backward(nc.sum_(gate.gate, None))
+            result = select_patches(gop, params, mode=mode, seed=3)
+            t.backward(nc.sum_(nc.concat(result.gates, 0), None))
         assert params["sel.mlp0.w"].grad is not None
-        assert np.abs(params["sel.mlp0.w"].grad).max() > 0
+        assert np.abs(params["sel.mlp0.w"].grad).max() > 0, mode
 
 
 def test_select_patches_rejects_unknown_mode_before_compute():
@@ -228,22 +250,15 @@ def _synth_gop(t=4, hw=64, seed=6, background="textured"):
 def test_select_patches_end_to_end(monkeypatch):
     clip, gop = _synth_gop()
     params = init_selector_params(seed=11)
-    calls = []
-    real_gate = selector.score_gate
-
-    def spy(features, params, noise):
-        calls.append((noise, real_gate(features, params, noise)))
-        return calls[-1][1]
-
-    monkeypatch.setattr(selector, "score_gate", spy)
+    scores = _spy_scores(monkeypatch)
     result = select_patches(gop, params, mode="infer", seed=0)
     n = result.patch_count
     assert result.frames == 4
     assert len(result.selected) == 3
-    # infer mode gates the raw scores: no noise, keep exactly score > 0
-    assert len(calls) == 3 and all(noise is None for noise, _ in calls)
-    for keep, gate, (_, decision) in zip(result.selected, result.gates, calls):
-        assert np.array_equal(keep, np.nonzero(decision.score.data[:, 0] > 0)[0])
+    # infer mode gates the raw scores: keep exactly score > 0
+    assert len(scores) == 3
+    for keep, gate, score in zip(result.selected, result.gates, scores):
+        assert np.array_equal(keep, np.nonzero(score.data[:, 0] > 0)[0])
         assert np.array_equal(keep, np.nonzero(gate.data[:, 0])[0])
         assert np.all(np.diff(keep) > 0)
     assert result.pool.shape[0] == n + sum(result.kept_counts)
@@ -280,21 +295,14 @@ def test_select_patches_rejects_mismatched_semantics():
         select_patches(gop, params, semantics=[nc.slice_(f, 0, 3, 0) for f in sem])
 
 
-def test_select_patches_train_mode_jitters_and_backprops(monkeypatch):
+def test_select_patches_train_mode_jitters_and_backprops():
     clip, gop = _synth_gop(seed=8)
     params = init_selector_params(seed=2)
-    noises = []
-    gate = selector.score_gate
-    monkeypatch.setattr(selector, "score_gate",
-                        lambda f, p, noise: noises.append(noise) or gate(f, p, noise))
     params.zero_grad()
     with nc.tape() as t:
         result = select_patches(gop, params, mode="train", seed=3)
         total = nc.sum_(nc.concat(result.gates, 0), None)
         t.backward(total)
-    assert len(noises) == gop.frames - 1
-    for tix, noise in enumerate(noises):
-        assert noise is not None and noise.any(), f"frame {tix+1} got no noise"
     assert params["sel.conv0.w"].grad is not None
     assert params["sel.mlp2.w"].grad is not None
 
@@ -310,7 +318,11 @@ def test_select_patches_train_mode_jitters_and_backprops(monkeypatch):
 def test_select_patches_single_frame_clip():
     clip = _small_clip(t=1, h=32, w=32)
     gop = encode_gop(clip)
-    result = select_patches(gop, init_selector_params(seed=0))
+    counter = nc.MacCounter()
+    with nc.mac_counting(counter):
+        result = select_patches(gop, init_selector_params(seed=0))
+    # nothing to select, so no CNN runs and nothing is counted
+    assert counter.total == 0 and not counter.by_stage
     assert result.selected == []
     assert result.kept_fraction == 0.0
     assert result.pool.shape[0] == 4
