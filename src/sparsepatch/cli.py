@@ -418,10 +418,9 @@ def _gradcheck_selector(seed: int) -> list[tuple[str, float]]:
     def build_loss():
         sem = shallow_3dcnn(decode_gop(gop), params)
         total = None
-        for t in range(1, gop.frames):
-            feats = gate_features(gop.residual[t - 1], sem[t],
-                                  reference.saliency[t - 1], progressive[t - 1])
-            part = nc.sum_(score_gate(feats, params), None)
+        # P-frame t's residual, map, saliency and progressive residual, all at t-1
+        for frame in zip(gop.residual, sem, reference.saliency, progressive):
+            part = nc.sum_(score_gate(gate_features(*frame), params), None)
             total = part if total is None else nc.add(total, part)
         return total
 

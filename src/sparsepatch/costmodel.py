@@ -111,15 +111,15 @@ def _context_mlp_macs(geom: Geometry) -> float:
 
 
 def _selection_macs(geom: Geometry) -> tuple[float, float]:
-    """(selection_cnn, selector_mlp) MACs for one clip; a one-frame clip
-    selects nothing and runs no CNN."""
+    """(selection_cnn, selector_mlp) MACs for one clip; the CNN's last layer
+    runs the T-1 P-frames only, and a one-frame clip runs no CNN."""
     t, n = geom.frames, geom.patch_count
     if t < 2:
         return 0.0, 0.0
     cnn = 0.0
     hw = geom.height * geom.width
-    for i in range(len(CNN_CHANNELS) - 1):
-        positions = t * hw // (4 ** (i + 1))
+    for i, frames in enumerate([t] * (len(CNN_CHANNELS) - 2) + [t - 1]):
+        positions = frames * hw // (4 ** (i + 1))
         cnn += positions * 27 * CNN_CHANNELS[i] * CNN_CHANNELS[i + 1]
     cnn += (t - 1) * n * n * SEMANTIC_DIM  # saliency-graph Gram product
     mlp = (t - 1) * n * sum(a * b for a, b in zip(MLP_WIDTHS, MLP_WIDTHS[1:]))

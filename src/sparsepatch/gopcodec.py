@@ -83,9 +83,10 @@ _SAD_BLOCK_BYTES = 1 << 19
 def sad_nearest(queries: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """L1 nearest key per query row; first minimum wins ties.
 
-    Rows hold pixels in [0, 255] as uint8 or int16; other dtypes are
-    refused before any work. The search is exact and pruned by successive
-    elimination, |sum(q) - sum(k)| <= SAD(q, k). Each query's candidate is
+    Rows hold int16 pixels in [0, 255], as ``patchify``'s patches do;
+    other dtypes are refused before any work. The search is exact and
+    pruned by successive elimination, |sum(q) - sum(k)| <= SAD(q, k). Each
+    query's candidate is
     the key with the smallest such bound (the first on ties), and its SAD
     is the bar. Another key is compared only if its bound is below the
     bar, or equals it at a lower index than the candidate's: a later key
@@ -99,9 +100,8 @@ def sad_nearest(queries: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.n
     """
     q = np.asarray(queries)
     k = np.asarray(keys)
-    if q.dtype not in (np.uint8, np.int16) or k.dtype not in (np.uint8, np.int16):
-        raise ValidationError(
-            f"SAD search takes uint8 or int16 pixels, got {q.dtype} and {k.dtype}")
+    if q.dtype != np.int16 or k.dtype != np.int16:
+        raise ValidationError(f"SAD search takes int16 pixels, got {q.dtype} and {k.dtype}")
     if q.ndim != 2 or k.ndim != 2 or q.shape[1] != k.shape[1]:
         raise ValidationError(f"incompatible SAD shapes {q.shape} vs {k.shape}")
     if k.shape[0] == 0:
@@ -111,9 +111,9 @@ def sad_nearest(queries: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.n
     k_sums = k.sum(axis=1, dtype=np.int32)
     half = _SAD_BLOCK_BYTES // 2
     # a query row takes at most 32 table bytes a key, plus its candidate's
-    # gathered row and difference; a pair, both gathered rows and theirs
-    rows = max(1, half // (32 * nk + (k.itemsize + 2) * dim))
-    pairs = max(1, half // ((q.itemsize + k.itemsize + 2) * dim))
+    # gathered int16 row and difference; a pair, both gathered rows and theirs
+    rows = max(1, half // (32 * nk + 4 * dim))
+    pairs = max(1, half // (6 * dim))
     idx = np.empty(nq, dtype=np.int32)
     best = np.empty(nq, dtype=np.int32)
     evaluated = 0

@@ -209,19 +209,18 @@ def msa_block(main: Tensor, aux: Tensor, params: ParamSet, layer: int,
     return nc.add(main, ffn)
 
 
-def _embed_frames(gop: GopClip, params: ParamSet, grid_index: np.ndarray) -> Tensor:
-    """Linear embedding plus positional and frame terms of the patches
-    ``grid_index`` (``t * n + p`` for patch p of frame t), in frame order."""
-    frame, pos = np.divmod(grid_index, gop.i_frame.count)
-    patches = np.concatenate([gop.frame_patches(t)[pos[frame == t]] for t in range(gop.frames)])
+def _embed_frames(patches: np.ndarray, grid_index: np.ndarray, params: ParamSet) -> Tensor:
+    """Linear embedding plus positional and frame terms of pixel rows
+    ``patches``; ``grid_index`` is ``t * n + p`` for a row of patch p of frame t."""
+    frame, pos = np.divmod(grid_index, params["pos"].shape[0])
     tok = _linear(Tensor(patches.astype(np.float64) / 255.0 - 0.5), params, "embed")
     tok = nc.add(tok, nc.gather_rows(params["pos"], pos))
     return nc.add(tok, nc.gather_rows(params["frame"], frame))
 
 
 def _stack_plan(selected: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row layout of the sparse token stack: every patch of the first frame,
-    then each P-frame's kept patches ``selected[t - 1]`` in ascending order.
+    """Indices of the sparse token stack of a selection that keeps
+    ``selected``, in the row order ``SelectionResult`` states.
 
     Returns ``grid_index``, ``t * n + p`` for each row holding patch p of
     frame t, in stack order; ``skip``, the (P-frames, n) mask of skipped
@@ -286,16 +285,15 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
     zero token rows: it skips the attention block, and its context
     starts from the first frame's.
 
-    The token stack is one embedding call over the rows ``_stack_plan``
-    lays out: every patch of the first frame, then each P-frame's kept
-    patches in ascending order, each row scaled by its straight-through
-    gate (1 on the first frame). The skipped patches are one (P-frames x
-    patches) mask; their motion sources are read, and their residuals
-    projected by the warp, once, frame-major, and a layer warps the rows
-    of the frames it opens. Every
-    layer runs its frames as one stacked pass: one attention block takes
-    every frame's tokens, and routing, warp, refinement and pooling the
-    rows of all P-frames, while attention and pooling stay per frame.
+    The token stack embeds ``selection.pool`` as it is (``SelectionResult``
+    states its row order), each row scaled by its straight-through gate (1
+    on the first frame). The skipped patches are one (P-frames x patches)
+    mask; their motion sources are read, and their residuals projected by
+    the warp, once, frame-major, and a layer warps the rows of the frames
+    it opens. Every layer runs its frames as one stacked pass: one
+    attention block takes every frame's tokens, and routing, warp,
+    refinement and pooling the rows of all P-frames, while attention and
+    pooling stay per frame.
     """
     _check_clip(gop, config)
     sel = (selection.grid_h, selection.grid_w, selection.frames)
@@ -304,9 +302,11 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
                               f"does not match the clip")
     n, t_total, p_count = config.patch_count, gop.frames, gop.frames - 1
     grid_index, skip, at = _stack_plan(selection.selected, n)
+    if selection.pool.shape != (grid_index.size, PATCH_DIM):
+        raise ValidationError("selection pool does not hold its stack rows")
     sizes = n - skip.sum(1)  # kept rows per P-frame
     with nc.stage("embedding"):
-        x = _embed_frames(gop, params, grid_index)
+        x = _embed_frames(selection.pool, grid_index, params)
     # row t * n + p of the gates is patch p of frame t; the straight-through
     # path into the selector gives first-frame rows 1
     gates = nc.concat([Tensor(np.ones((n, 1))), *selection.gates], 0)
@@ -392,16 +392,13 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
         x = msa_block(x, aux, params, layer, config, frames)
         x_i = nc.slice_(x, 0, n, 0)
 
-    # reinstate every skipped patch once from the final first-frame tokens;
-    # with every patch kept there is nothing to reinstate, and no product
-    # of the refinement is built (none would reach the feature or a loss)
-    total = nc.sum_(x_i, 0)
-    if p_count:
-        total = nc.add(total, nc.sum_(nc.slice_(x, n, x.shape[0], 0), 0))
-        if motion.size:
-            with nc.stage("patchwise_warp"):
-                p_tilde = _refine_unselected(x_i, motion, residual_half, params, maps)
-            total = nc.add(total, nc.sum_(p_tilde, 0))
+    # sum every token, then reinstate each skipped patch once from the final
+    # first-frame tokens; with none skipped no refinement is built (nothing reads it)
+    total = nc.sum_(x, 0)
+    if motion.size:
+        with nc.stage("patchwise_warp"):
+            p_tilde = _refine_unselected(x_i, motion, residual_half, params, maps)
+        total = nc.add(total, nc.sum_(p_tilde, 0))
     feature = nc.scale(total, 1.0 / (n * t_total))
     return PsformerResult(feature=feature, context_pairs=context_pairs,
                           routing=routing)
@@ -459,7 +456,8 @@ def dense_forward(gop: GopClip, params: ParamSet,
     _check_clip(gop, config)
     n, t_total = config.patch_count, gop.frames
     with nc.stage("embedding"):
-        x = _embed_frames(gop, params, np.arange(n * t_total))
+        x = _embed_frames(np.concatenate([gop.frame_patches(t) for t in range(t_total)]),
+                          np.arange(n * t_total), params)
     frames = [(n, 1, "i_frame_msa")] + [(n, 1, "p_frame_msa")] * (t_total - 1)
     for layer in range(config.layers):
         # every frame's aux token is its mean

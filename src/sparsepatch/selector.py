@@ -17,9 +17,8 @@ a strict sign test whose 0/1 decision backpropagates through a
 saturating-sigmoid surrogate. Selected patches join the pool so later
 frames can skip content that was already kept.
 
-The pool is one int16 array: the I-frame's patches, then each P-frame's
-kept patches in ascending patch index, frame by frame. That row order is
-the tie-break order of the nearest-patch search.
+The pool is one int16 array in the row order ``SelectionResult``
+states: it is also the sparse token stack's pixel rows.
 
 The CNN's memory is bounded by a byte budget, ``_CNN_BLOCK_BYTES``: each
 layer forms its im2col for as many centre frames at a time as fit it,
@@ -52,9 +51,10 @@ MLP_WIDTHS = (FEATURE_DIM, 256, 64, 1)
 # shallow 3-D CNN
 # ---------------------------------------------------------------------------
 
-# the last layer samples at odd positions so the stacked receptive fields
-# center on 16x16 patch centers (16*v + 8) instead of patch corners
-_LAYER_OFFSETS = (0, 0, 0, 1)
+# per layer (spatial offset, first centre frame): the last layer samples at
+# odd positions so the stacked receptive fields center on 16x16 patch
+# centers (16*v + 8) instead of patch corners, and runs the P-frames only
+_LAYERS = ((0, 0), (0, 0), (0, 0), (1, 1))
 # im2col bytes a conv layer may hold at once; see shallow_3dcnn
 _CNN_BLOCK_BYTES = 1 << 23
 
@@ -130,7 +130,8 @@ def shallow_3dcnn(clip: RawClip, params: ParamSet) -> list[Tensor]:
     """Four 3x3x3 conv+ReLU layers, spatial stride 2 each, temporal stride 1.
 
     Spatial extent shrinks 16x, so the output grid matches the patch grid:
-    one (N, 64) map per frame, whose row v describes patch v exactly.
+    one (N, 64) map per P-frame, map t-1 for frame t, whose row v describes
+    patch v exactly. A clip with no P-frame builds none.
 
     Each layer runs over blocks of as many centre frames as fit
     ``_CNN_BLOCK_BYTES`` of im2col (at least one), stacked in frame
@@ -140,20 +141,22 @@ def shallow_3dcnn(clip: RawClip, params: ParamSet) -> list[Tensor]:
     t, h, w = clip.frames, clip.height, clip.width
     if h % PATCH or w % PATCH:
         raise ValidationError("clip dimensions must be multiples of 16")
+    if t < 2:
+        return []
     x = Tensor(clip.pixels.reshape(t * h * w, 3) / 255.0 - 0.5)
     n = (h // PATCH) * (w // PATCH)
     with nc.stage("selection_cnn"):
-        for i, offset in enumerate(_LAYER_OFFSETS):
+        for i, (offset, first) in enumerate(_LAYERS):
             weight, bias = params[f"sel.conv{i}.w"], params[f"sel.conv{i}.b"]
             step = max(1, _CNN_BLOCK_BYTES // ((h // 2) * (w // 2) * weight.shape[0] * 8))
             # each im2col is only an argument, so it goes once its product is formed
             blocks = [nc.relu(nc.matmul(
                 nc.neighborhood_rows(x, t, h, w, offset, range(t0, min(t0 + step, t))),
-                weight, bias)) for t0 in range(0, t, step)]
+                weight, bias)) for t0 in range(first, t, step)]
             x = blocks[0] if len(blocks) == 1 else nc.concat(blocks, 0)
             del blocks
             h, w = h // 2, w // 2
-    return [nc.slice_(x, ti * n, (ti + 1) * n, 0) for ti in range(t)]
+    return [nc.slice_(x, f * n, (f + 1) * n, 0) for f in range(t - 1)]
 
 
 def patch_semantics(f_map: Tensor, saliency: np.ndarray) -> Tensor:
@@ -213,8 +216,9 @@ class SelectionResult:
     ``selected[t-1]`` holds ascending kept patch indices for P-frame t;
     ``gates[t-1]`` is the (N, 1) multiplier tensor whose straight-through
     gradients reach the CNN and scoring MLP when the selection runs under
-    a tape, in either mode. ``pool`` is the final progressive pool: the
-    I-frame patches, then every kept patch.
+    a tape, in either mode. ``pool`` holds the token stack's pixel rows in
+    stack order, also the nearest-patch search's tie-break order: the
+    I-frame's patches by index, then each P-frame's kept ``selected[t-1]``.
     """
 
     frames: int
@@ -236,9 +240,7 @@ class SelectionResult:
 
     @property
     def kept_fraction(self) -> float:
-        if self.frames < 2:
-            return 0.0
-        return sum(self.kept_counts) / (self.patch_count * (self.frames - 1))
+        return sum(self.kept_counts) / (self.patch_count * max(self.frames - 1, 1))
 
     def summary(self) -> dict:
         return {
@@ -259,12 +261,12 @@ def select_patches(gop: GopClip, params: ParamSet, mode: str = "infer",
 
     Frames are processed in time order; each P-frame's progressive
     residuals are measured against the pool as it stood *before* that
-    frame, then its kept patches are appended. ``semantics``, when given,
-    is ``shallow_3dcnn``'s per-frame maps of the decoded clip. A clip with
-    one frame yields an empty selection and runs no CNN. A frame whose
-    semantics give no usable saliency split (a static or blank frame, say)
-    gets zero saliency from ``prominent_eigvec``, which tallies it as
-    ``saliency_fallbacks``, so its residual terms decide.
+    frame, then its kept patches are appended. ``semantics`` (built here if
+    not given) is ``shallow_3dcnn``'s maps; like every per-P-frame input and
+    output it is indexed t-1 for P-frame t. A one-frame clip selects nothing.
+    A frame whose semantics give no usable saliency split (a static or blank
+    frame, say) gets zero saliency from ``prominent_eigvec``, which tallies
+    it as ``saliency_fallbacks``, so its residual terms decide.
 
     A patch is kept when its ``score_gate`` score is positive after
     ``"train"`` mode adds seeded unit Gaussian noise (``"infer"`` adds
@@ -275,8 +277,8 @@ def select_patches(gop: GopClip, params: ParamSet, mode: str = "infer",
         raise ValidationError(f"mode must be 'train' or 'infer', got {mode!r}")
     n = gop.i_frame.count
     if semantics is None:
-        semantics = shallow_3dcnn(decode_gop(gop), params) if gop.frames > 1 else []
-    elif len(semantics) != gop.frames or any(f.shape[0] != n for f in semantics):
+        semantics = shallow_3dcnn(decode_gop(gop), params)
+    elif len(semantics) != gop.frames - 1 or any(f.shape[0] != n for f in semantics):
         raise ValidationError("semantics do not match the encoded clip")
 
     pool = gop.i_frame.patches.copy()
@@ -285,7 +287,7 @@ def select_patches(gop: GopClip, params: ParamSet, mode: str = "infer",
     saliencies: list[np.ndarray] = []
 
     for t in range(1, gop.frames):
-        f_map = semantics[t]
+        f_map = semantics[t - 1]
         # the saliency graph's Gram product is charged to the CNN's stage
         with nc.stage("selection_cnn"):
             sal = prominent_eigvec(f_map.data)

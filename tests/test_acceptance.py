@@ -142,7 +142,7 @@ def test_c05_saliency_finds_movers_on_distractor_backgrounds():
         for t in range(1, clip.frames):
             truth = clip.masks[t].reshape(-1).astype(bool)
             try:
-                sal = prominent_eigvec(sem[t].data)
+                sal = prominent_eigvec(sem[t - 1].data)
             except SparsepatchError:
                 ious.append(0.0)
                 continue

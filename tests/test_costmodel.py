@@ -150,7 +150,10 @@ def _toy_run(threshold, keep=None):
             # P-frame t keeps keep(t, s) in place of its selection s
             kept = [keep(t, s) for t, s in enumerate(sel.selected, start=1)]
             assert [s.size for s in kept] != sel.kept_counts
-            sel = dataclasses.replace(sel, selected=kept)
+            # the pool holds the stack's pixel rows, so it follows the edit
+            pool = np.concatenate([gop.i_frame.patches,
+                                   *(gop.frame_patches(t)[s] for t, s in enumerate(kept, 1))])
+            sel = dataclasses.replace(sel, selected=kept, pool=pool)
         res = psformer_forward(gop, sel, params, cfg, threshold=threshold)
     geom = Geometry(height=64, width=64, frames=4, dim=64, layers=3, heads=4)
     opens = [(r.layer, r.frame) for r in res.routing if r.open_path]
@@ -222,6 +225,39 @@ def test_one_frame_clip_counts_no_selection():
     for stage in STAGES:
         got = counter.by_stage.get(stage, 0) / 1e9
         assert got == pytest.approx(report.breakdown[stage], rel=1e-12), stage
+
+
+@pytest.mark.parametrize("frames", [1, 2, 3, 8])
+def test_counted_selection_matches_exact_cost(frames):
+    # the CNN's last layer runs the P-frames only, and a one-frame clip
+    # runs none of it; the counter and the cost model agree at every length
+    spec = SynthSpec(identity_count=2, clips_per_identity=1, height=32,
+                     width=64, frames=frames, background="distractor",
+                     motion_amplitude=2.0, seed=1)
+    gop = encode_gop(synth_clip(spec, identity=1, clip_seed=0))
+    counter = nc.MacCounter()
+    with nc.mac_counting(counter):
+        sel = select_patches(gop, init_selector_params(seed=2), mode="infer", seed=0)
+    geom = Geometry(height=32, width=64, frames=frames, dim=16, layers=1, heads=2)
+    report = exact_cost(geom, sel.kept_counts, [])
+    for stage in ("selection_cnn", "selector_mlp"):
+        assert counter.by_stage.get(stage, 0) == round(report.breakdown[stage] * 1e9), stage
+
+
+def test_selection_cnn_prices_the_p_frame_maps_by_hand():
+    # 128x256x8, derived here and not through costmodel: layer i runs
+    # 3x3x3 windows of c_i channels into c_(i+1) at (128 / 2^(i+1)) x
+    # (256 / 2^(i+1)) positions per frame; the first three layers run all
+    # 8 frames and the last the 7 P-frames, each of whose 8 x 16 = 128-row
+    # maps feeds a 128 x 128 x 64 saliency Gram product
+    layer0 = 8 * 64 * 128 * 27 * 3 * 16
+    layer1 = 8 * 32 * 64 * 27 * 16 * 32
+    layer2 = 8 * 16 * 32 * 27 * 32 * 64
+    layer3_frame = 8 * 16 * 27 * 64 * 64
+    gram = 7 * 128 * 128 * 64
+    priced = exact_cost(VIT_B, [64] * 7, []).breakdown["selection_cnn"] * 1e9
+    assert layer3_frame == 14_155_776  # frame 0's unread map
+    assert round(priced) == layer0 + layer1 + layer2 + 7 * layer3_frame + gram
 
 
 def test_runtime_report_requires_counts():

@@ -24,10 +24,17 @@ in README.md, so a report's keys are all documented.
 Every function the traced benchmark run wraps (a target that
 ``perfbench/layers.py``'s ``targets()`` returns) exists in the package,
 so a refactor that moves one fails here and not in a ``--trace 1`` run.
+
+Every call the benchmark makes into the package binds to the callee's
+``inspect.signature``: its positional count and its literal keywords.
+A call that expands ``*`` or ``**`` is bound partially, since the
+expansion may supply the rest. So a refactor that drops or renames a
+parameter the benchmark passes fails here and not in a benchmark run.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -171,6 +178,67 @@ def trace_targets(source: str) -> list[tuple[str, str]]:
     return []
 
 
+def _package_aliases(tree) -> dict[str, str]:
+    """Local name -> dotted package path, for every import of the package
+    anywhere in ``tree``."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "sparsepatch":
+                    local = alias.asname or alias.name.split(".")[0]
+                    aliases[local] = alias.name if alias.asname else local
+        elif isinstance(node, ast.ImportFrom) and not node.level \
+                and (node.module or "").split(".")[0] == "sparsepatch":
+            for alias in node.names:
+                aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return aliases
+
+
+def _resolve(dotted: str):
+    """The object a dotted package path names, importing modules on the way."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], 2):
+        obj = getattr(obj, part, None) or importlib.import_module(".".join(parts[:i]))
+    return obj
+
+
+def unbound_package_calls(source: str) -> list[str]:
+    """``line N: name(...): reason`` for each call in ``source`` into the
+    package whose positional count and literal keywords do not bind to the
+    callee's signature, or whose callee does not exist."""
+    tree = ast.parse(source)
+    aliases = _package_aliases(tree)
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        chain, root = [], node.func
+        while isinstance(root, ast.Attribute):
+            chain.insert(0, root.attr)
+            root = root.value
+        if not isinstance(root, ast.Name) or root.id not in aliases:
+            continue
+        dotted = ".".join([aliases[root.id], *chain])
+        try:
+            signature = inspect.signature(_resolve(dotted))
+        except ImportError:
+            found.append(f"line {node.lineno}: {dotted}: no such name")
+            continue
+        except (TypeError, ValueError):
+            continue  # not a callable with a signature, a module say
+        positional = [a for a in node.args if not isinstance(a, ast.Starred)]
+        literal = {k.arg: None for k in node.keywords if k.arg is not None}
+        expands = len(positional) < len(node.args) or len(literal) < len(node.keywords)
+        try:
+            (signature.bind_partial if expands else signature.bind)(
+                *[None] * len(positional), **literal)
+        except TypeError as err:
+            found.append(f"line {node.lineno}: {dotted}: {err}")
+    return found
+
+
 def test_checker_flags_unused_and_accepts_used_names():
     source = ("from __future__ import annotations\n"
               "import os, sys\n"
@@ -253,6 +321,33 @@ def test_checker_reads_trace_targets():
               "    return [(numcore, 'matmul', 'numcore.matmul'),\n"
               "            (numcore.Tape, 'backward', 'numcore.backward', ('n', f))]\n")
     assert trace_targets(source) == [("numcore", "matmul"), ("numcore.Tape", "backward")]
+
+
+def test_checker_binds_package_calls_to_their_signatures():
+    source = ("from sparsepatch import selector, numcore as nc\n"
+              "from sparsepatch.costmodel import Geometry\n"
+              "import sparsepatch.gopcodec as gc\n"
+              "def serve(gop, params, sem, extra):\n"
+              "    selector.select_patches(gop, params, mode='infer', seed=0, semantics=sem)\n"
+              "    selector.select_patches(gop, params, threshold=0.5)\n"
+              "    selector.select_patches(gop)\n"
+              "    selector.select_patches(gop, **extra)\n"
+              "    selector.select_patches(gop, params, bogus=1, **extra)\n"
+              "    Geometry(height=64, depth=3)\n"
+              "    gc.read_gop(*extra)\n"
+              "    gc.no_such_function(1)\n"
+              "    nc.MacCounter().total\n"
+              "    other.select_patches(bogus=1)\n")
+    found = unbound_package_calls(source)
+    assert [entry.split(":")[0] for entry in found] == [
+        "line 6", "line 7", "line 9", "line 10", "line 12"]
+    assert "threshold" in found[0] and "params" in found[1] and "bogus" in found[2]
+    assert "depth" in found[3] and found[4].endswith("no such name")
+
+
+@pytest.mark.parametrize("path", BENCHMARK, ids=lambda p: p.name)
+def test_benchmark_calls_bind_to_package_signatures(path):
+    assert unbound_package_calls(path.read_text()) == []
 
 
 def test_package_has_modules():

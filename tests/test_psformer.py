@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sparsepatch import numcore as nc
 from sparsepatch import psformer
 from sparsepatch.errors import ValidationError
-from sparsepatch.gopcodec import encode_gop
+from sparsepatch.gopcodec import GopClip, encode_gop
 from sparsepatch.numcore import ParamSet, Tensor
 from sparsepatch.psformer import (
     PsformerConfig,
@@ -36,6 +36,14 @@ def _toy_inputs(frames=4, seed=0, width=64):
     gop = encode_gop(clip)
     sel = select_patches(gop, init_selector_params(seed=3), mode="infer", seed=0)
     return gop, sel
+
+
+def _keeping(gop, sel, selected):
+    """``sel`` with P-frame t keeping ``selected[t - 1]``, and the pool
+    rows that selection lays out."""
+    pool = np.concatenate([gop.i_frame.patches,
+                           *(gop.frame_patches(t)[s] for t, s in enumerate(selected, 1))])
+    return replace(sel, selected=selected, pool=pool)
 
 
 def _np_layer_norm(x, g, b, eps=1e-6):
@@ -237,7 +245,7 @@ def test_feature_single_frame_equals_token_mean():
     assert res.routing == []
     # independent recomputation: embed, run layers, mean
     from sparsepatch.psformer import _embed_frames
-    x = _embed_frames(gop, params, np.arange(16))
+    x = _embed_frames(gop.i_frame.patches, np.arange(16), params)
     for l in range(cfg.layers):
         x = msa_block(x, Tensor(np.zeros((0, cfg.dim))), params, l, cfg,
                       [(16, 0, "i_frame_msa")])
@@ -499,6 +507,35 @@ def test_msa_block_normalizes_main_and_aux_rows_as_one_stack(monkeypatch):
     assert shapes == [(8, cfg.dim), (5, cfg.dim)]
 
 
+def test_sparse_forward_embeds_the_selection_pool(monkeypatch):
+    # the selection's pool holds the stack's pixel rows in stack order, so
+    # the forward embeds it as it is and rebuilds no frame
+    cfg = _toy_config()
+    params = init_psformer_params(cfg, seed=15)
+    gop, sel = _toy_inputs(frames=4)
+    assert sum(sel.kept_counts) > 0
+    rebuilt, embedded = [], []
+    monkeypatch.setattr(GopClip, "frame_patches", lambda self, t: rebuilt.append(t))
+    embed = psformer._embed_frames
+    monkeypatch.setattr(psformer, "_embed_frames",
+                        lambda patches, *a: embedded.append(patches) or embed(patches, *a))
+    psformer_forward(gop, sel, params, cfg, threshold=-1.0)
+    assert rebuilt == []
+    assert len(embedded) == 1
+    assert embedded[0].dtype == sel.pool.dtype and embedded[0].shape == sel.pool.shape
+    assert embedded[0].tobytes() == sel.pool.tobytes()
+
+
+def test_sparse_forward_refuses_a_pool_that_does_not_hold_the_stack():
+    cfg = _toy_config()
+    params = init_psformer_params(cfg, seed=15)
+    gop, sel = _toy_inputs(frames=4)
+    counter = nc.MacCounter()
+    with nc.mac_counting(counter), pytest.raises(ValidationError, match="stack rows"):
+        psformer_forward(gop, replace(sel, pool=sel.pool[:-1]), params, cfg, threshold=0.5)
+    assert counter.total == 0
+
+
 def test_one_embedding_product_per_clip(monkeypatch):
     # the first frame and the kept P-frame patches are embedded together
     cfg = _toy_config()
@@ -525,8 +562,7 @@ def test_every_layer_runs_one_block(threshold, monkeypatch):
     monkeypatch.setattr(psformer, "msa_block",
                         lambda *a, **kw: calls.append(1) or block(*a, **kw))
     gop, sel = _toy_inputs(frames=4)
-    sel = replace(sel, selected=[sel.selected[0], np.array([], dtype=np.intp),
-                                 *sel.selected[2:]])
+    sel = _keeping(gop, sel, [sel.selected[0], np.array([], dtype=np.intp), *sel.selected[2:]])
     single = _toy_inputs(frames=1)
     for gop, sel in ((gop, sel), single):
         calls.clear()

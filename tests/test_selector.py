@@ -66,8 +66,10 @@ def test_cnn_matches_loop_oracle():
         x = _conv3d_oracle(x, params[f"sel.conv{i}.w"].data,
                            params[f"sel.conv{i}.b"].data, offset=offset)
     assert x.shape == (2, 1, 2, CNN_CHANNELS[-1])
-    for t in range(clip.frames):
-        got = sem[t].data
+    # one map per P-frame: frame 0's last layer is never built
+    assert len(sem) == clip.frames - 1
+    for t in range(1, clip.frames):
+        got = sem[t - 1].data
         want = x[t].reshape(-1, CNN_CHANNELS[-1])
         assert np.allclose(got, want, atol=1e-10), f"frame {t} mismatch"
 
@@ -75,15 +77,16 @@ def test_cnn_matches_loop_oracle():
 def test_cnn_output_geometry():
     clip = _small_clip(t=3, h=32, w=64)
     sem = shallow_3dcnn(clip, init_selector_params(seed=0))
-    assert len(sem) == 3
+    assert len(sem) == 2
     assert all(f.shape == (2 * 4, 64) for f in sem)
+    assert shallow_3dcnn(_small_clip(t=1, h=32, w=64), init_selector_params(seed=0)) == []
 
 
 def test_cnn_gradients_reach_first_layer():
     clip = _small_clip(t=2, h=16, w=16)
     params = init_selector_params(seed=1)
     err = nc.grad_check(
-        lambda: nc.mean(shallow_3dcnn(clip, params)[1], None),
+        lambda: nc.mean(shallow_3dcnn(clip, params)[0], None),
         params, ["sel.conv0.w"], max_coords=6, seed=0)["sel.conv0.w"]
     assert err < 1e-4
 
@@ -104,7 +107,7 @@ def test_blocked_cnn_matches_one_block(monkeypatch):
     # frame; maps and parameter gradients are those of the one-block run
     clip = _small_clip(t=3, h=32, w=48)
     params = init_selector_params(seed=4)
-    weights = np.random.Generator(np.random.PCG64(5)).standard_normal((3 * 2 * 3, 64))
+    weights = np.random.Generator(np.random.PCG64(5)).standard_normal((2 * 2 * 3, 64))
     whole, whole_grads = _cnn_loss_and_grads(clip, params, weights)
     monkeypatch.setattr(selector, "_CNN_BLOCK_BYTES", 1)
     ranges = []
@@ -112,7 +115,8 @@ def test_blocked_cnn_matches_one_block(monkeypatch):
     monkeypatch.setattr(nc, "neighborhood_rows",
                         lambda *a: ranges.append(a[-1]) or rows(*a))
     blocked, blocked_grads = _cnn_loss_and_grads(clip, params, weights)
-    assert ranges == [range(t, t + 1) for t in range(3)] * 4
+    # the last layer runs the P-frames only
+    assert ranges == [range(t, t + 1) for t in range(3)] * 3 + [range(1, 2), range(2, 3)]
     for got, want in zip(blocked, whole):
         assert np.abs(got - want).max() <= 1e-12
     for name, want in whole_grads.items():
@@ -289,8 +293,10 @@ def test_select_patches_rejects_mismatched_semantics():
     clip, gop = _synth_gop(t=3, hw=32)
     params = init_selector_params(seed=1)
     sem = shallow_3dcnn(clip, params)
-    with pytest.raises(ValidationError, match="semantics do not match"):
-        select_patches(gop, params, semantics=sem[:2])
+    # one map per P-frame: one short, or one per frame, does not match
+    for wrong in (sem[:1], [sem[0], *sem]):
+        with pytest.raises(ValidationError, match="semantics do not match"):
+            select_patches(gop, params, semantics=wrong)
     with pytest.raises(ValidationError, match="semantics do not match"):
         select_patches(gop, params, semantics=[nc.slice_(f, 0, 3, 0) for f in sem])
 
@@ -321,7 +327,7 @@ def test_select_patches_single_frame_clip():
     counter = nc.MacCounter()
     with nc.mac_counting(counter):
         result = select_patches(gop, init_selector_params(seed=0))
-    # nothing to select, so no CNN runs and nothing is counted
+    # nothing to select, so the CNN builds no map and nothing is counted
     assert counter.total == 0 and not counter.by_stage
     assert result.selected == []
     assert result.kept_fraction == 0.0
@@ -335,7 +341,7 @@ def test_select_patches_degenerate_features_fall_back():
     clip, gop = _synth_gop(t=3, hw=48)
     params = init_selector_params(seed=0)
     params["sel.conv3.w"].data[:] = 0.0
-    assert not prominent_eigvec(shallow_3dcnn(clip, params)[1].data).any()
+    assert not prominent_eigvec(shallow_3dcnn(clip, params)[0].data).any()
     counter = nc.MacCounter()
     with nc.mac_counting(counter):
         result = select_patches(gop, params)
@@ -417,7 +423,7 @@ def test_untrained_saliency_finds_the_walker():
         params = init_selector_params(seed=c + 7)
         sem = shallow_3dcnn(clip, params)
         for t in range(1, clip.frames):
-            sal = prominent_eigvec(sem[t].data)
+            sal = prominent_eigvec(sem[t - 1].data)
             pred = sal > 0.0
             truth = clip.masks[t].reshape(-1).astype(bool)
             union = np.logical_or(pred, truth).sum()
