@@ -275,9 +275,18 @@ def cmd_select(args) -> int:
     counter = nc.MacCounter()
     with nc.mac_counting(counter):
         selection = select_patches(gop, params, mode=args.mode, seed=seed)
-    payload = selection.summary()
-    payload["counted_macs"] = counter.total
-    payload["seed"] = seed
+    kept = selection.kept_counts
+    payload = {
+        "frames": gop.frames,
+        "grid": [gop.i_frame.grid_h, gop.i_frame.grid_w],
+        "mode": args.mode,
+        "kept_per_frame": kept,
+        "kept_fraction": round(sum(kept) / (gop.i_frame.count * max(gop.frames - 1, 1)), 6),
+        "pool_size": selection.pool.shape[0],
+        "selected": [s.tolist() for s in selection.selected],
+        "counted_macs": counter.total,
+        "seed": seed,
+    }
     Path(args.out).write_text(_canonical_json(payload))
     print(f"selection: kept {payload['kept_per_frame']} "
           f"(fraction {payload['kept_fraction']}) -> {args.out}")
@@ -544,7 +553,7 @@ def cmd_sweep_s(args) -> int:
             clips.append((encode_gop(raw), ident))
 
     selections = [
-        (gop, ident, select_patches(gop, params, mode="infer", seed=seed))
+        (gop, ident, select_patches(gop, params, mode="infer"))
         for gop, ident in clips
     ]
 

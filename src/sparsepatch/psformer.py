@@ -287,20 +287,19 @@ def psformer_forward(gop: GopClip, selection: SelectionResult,
 
     The token stack embeds ``selection.pool`` as it is (``SelectionResult``
     states its row order), each row scaled by its straight-through gate (1
-    on the first frame). The skipped patches are one (P-frames x patches)
-    mask; their motion sources are read, and their residuals projected by
-    the warp, once, frame-major, and a layer warps the rows of the frames
-    it opens. Every layer runs its frames as one stacked pass: one
-    attention block takes every frame's tokens, and routing, warp,
-    refinement and pooling the rows of all P-frames, while attention and
-    pooling stay per frame.
+    on the first frame); a P-frame's kept rows are its nonzero gates. The
+    skipped patches are one (P-frames x patches) mask; their motion
+    sources are read, and their residuals projected by the warp, once,
+    frame-major, and a layer warps the rows of the frames it opens. Every
+    layer runs its frames as one stacked pass: one attention block takes
+    every frame's tokens, and routing, warp, refinement and pooling the
+    rows of all P-frames, while attention and pooling stay per frame.
     """
     _check_clip(gop, config)
-    sel = (selection.grid_h, selection.grid_w, selection.frames)
-    if sel != (config.grid_h, config.grid_w, gop.frames):
-        raise ValidationError(f"selection of grid {sel[0]}x{sel[1]} and {sel[2]} frames "
-                              f"does not match the clip")
     n, t_total, p_count = config.patch_count, gop.frames, gop.frames - 1
+    if len(selection.gates) != p_count or any(g.shape != (n, 1) for g in selection.gates):
+        raise ValidationError(f"selection gates do not match the clip: need {p_count} "
+                              f"of shape ({n}, 1)")
     grid_index, skip, at = _stack_plan(selection.selected, n)
     if selection.pool.shape != (grid_index.size, PATCH_DIM):
         raise ValidationError("selection pool does not hold its stack rows")

@@ -211,47 +211,28 @@ def score_gate(features: Tensor, params: ParamSet) -> Tensor:
 
 @dataclass
 class SelectionResult:
-    """Everything downstream consumers need about one clip's selection.
+    """What one clip's selection decided and built.
 
-    ``selected[t-1]`` holds ascending kept patch indices for P-frame t;
-    ``gates[t-1]`` is the (N, 1) multiplier tensor whose straight-through
-    gradients reach the CNN and scoring MLP when the selection runs under
-    a tape, in either mode. ``pool`` holds the token stack's pixel rows in
-    stack order, also the nearest-patch search's tie-break order: the
-    I-frame's patches by index, then each P-frame's kept ``selected[t-1]``.
+    ``gates[t-1]`` is P-frame t's (N, 1) 0/1 multiplier tensor, the one
+    record of its keep decision; its straight-through gradients reach the
+    CNN and scoring MLP when the selection runs under a tape, in either
+    mode. ``selected[t-1]``, P-frame t's ascending kept patch indices, is
+    read off it. ``pool`` holds the token stack's pixel rows in stack
+    order, also the nearest-patch search's tie-break order: the I-frame's
+    patches by index, then each P-frame's kept ``selected[t-1]``.
     """
 
-    frames: int
-    grid_h: int
-    grid_w: int
-    mode: str
-    selected: list[np.ndarray]
     gates: list[Tensor]
     saliency: list[np.ndarray]
     pool: np.ndarray
 
     @property
-    def patch_count(self) -> int:
-        return self.grid_h * self.grid_w
+    def selected(self) -> list[np.ndarray]:
+        return [np.flatnonzero(g.data) for g in self.gates]
 
     @property
     def kept_counts(self) -> list[int]:
         return [int(s.size) for s in self.selected]
-
-    @property
-    def kept_fraction(self) -> float:
-        return sum(self.kept_counts) / (self.patch_count * max(self.frames - 1, 1))
-
-    def summary(self) -> dict:
-        return {
-            "frames": self.frames,
-            "grid": [self.grid_h, self.grid_w],
-            "mode": self.mode,
-            "kept_per_frame": self.kept_counts,
-            "kept_fraction": round(self.kept_fraction, 6),
-            "pool_size": self.pool.shape[0],
-            "selected": [s.tolist() for s in self.selected],
-        }
 
 
 def select_patches(gop: GopClip, params: ParamSet, mode: str = "infer",
@@ -282,7 +263,6 @@ def select_patches(gop: GopClip, params: ParamSet, mode: str = "infer",
         raise ValidationError("semantics do not match the encoded clip")
 
     pool = gop.i_frame.patches.copy()
-    selected: list[np.ndarray] = []
     gates: list[Tensor] = []
     saliencies: list[np.ndarray] = []
 
@@ -302,12 +282,8 @@ def select_patches(gop: GopClip, params: ParamSet, mode: str = "infer",
                 score = nc.add(score, Tensor(noise))
             gate = nc.hard_gate(score)
 
-        keep = np.flatnonzero(gate.data)
-        pool = np.concatenate([pool, recon[keep]])
-        selected.append(keep)
+        pool = np.concatenate([pool, recon[np.flatnonzero(gate.data)]])
         gates.append(gate)
         saliencies.append(sal)
 
-    return SelectionResult(
-        frames=gop.frames, grid_h=gop.i_frame.grid_h, grid_w=gop.i_frame.grid_w,
-        mode=mode, selected=selected, gates=gates, saliency=saliencies, pool=pool)
+    return SelectionResult(gates=gates, saliency=saliencies, pool=pool)

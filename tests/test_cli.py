@@ -29,7 +29,7 @@ from sparsepatch.psformer import (
 )
 from sparsepatch.selector import init_selector_params, select_patches
 from sparsepatch.training import extract_feature
-from sparsepatch.videoio import RawClip, SynthSpec, synth_clip, write_rawvid
+from sparsepatch.videoio import RawClip, SynthSpec, read_rawvid, synth_clip, write_rawvid
 
 SMALL = {"identities": 2, "clips_per_identity": 2, "height": 32, "width": 64,
          "frames": 3, "motion_amplitude": 2.0, "dim": 16, "layers": 1, "heads": 2}
@@ -595,8 +595,20 @@ def test_select_reports_consistent_summary(pipeline, capsys):
     assert summary["mode"] == "infer"
     assert len(summary["selected"]) == 2
     assert [len(s) for s in summary["selected"]] == summary["kept_per_frame"]
+    assert summary["kept_fraction"] == round(sum(summary["kept_per_frame"]) / (8 * 2), 6)
+    assert 0.0 <= summary["kept_fraction"] <= 1.0
     assert summary["pool_size"] == 8 + sum(summary["kept_per_frame"])
     assert summary["counted_macs"] > 0
+
+    # a one-frame clip selects nothing and keeps a zero fraction
+    single = tmp_path / "single.gop1"
+    write_gop(encode_gop(RawClip(pixels=read_rawvid(clip).pixels[:1])), single)
+    assert run_cli("select", "--gop", str(single), *MODEL_FLAGS, "--out", str(out)) == 0
+    capsys.readouterr()
+    summary = json.loads(out.read_text())
+    assert summary["frames"] == 1 and summary["selected"] == [] == summary["kept_per_frame"]
+    assert summary["kept_fraction"] == 0.0
+    assert summary["pool_size"] == 8
 
 
 def test_select_train_mode_differs_by_seed(pipeline, capsys):

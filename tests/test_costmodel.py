@@ -153,7 +153,10 @@ def _toy_run(threshold, keep=None):
             # the pool holds the stack's pixel rows, so it follows the edit
             pool = np.concatenate([gop.i_frame.patches,
                                    *(gop.frame_patches(t)[s] for t, s in enumerate(kept, 1))])
-            sel = dataclasses.replace(sel, selected=kept, pool=pool)
+            # the gates are the keep decision, so the edit sets them as 0/1 columns
+            gates = [nc.Tensor(np.isin(np.arange(16), s).astype(np.float64)[:, None])
+                     for s in kept]
+            sel = dataclasses.replace(sel, gates=gates, pool=pool)
         res = psformer_forward(gop, sel, params, cfg, threshold=threshold)
     geom = Geometry(height=64, width=64, frames=4, dim=64, layers=3, heads=4)
     opens = [(r.layer, r.frame) for r in res.routing if r.open_path]

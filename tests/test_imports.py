@@ -15,7 +15,9 @@ only writes it, and tests do not count.
 
 The package's defaulted parameters are counted too, and the count is
 pinned: a change that adds or removes a default updates
-``DEFAULTED_PARAMETERS``, so every new option shows up in review.
+``DEFAULTED_PARAMETERS``, so every new option shows up in review. The
+package's dataclass fields are pinned the same way, as
+``DATACLASS_FIELDS``.
 
 Every kind of work the package tallies under ``uncounted`` (a string
 literal passed first to a ``note_uncounted`` call) is named in backticks
@@ -48,6 +50,10 @@ README = REPO / "README.md"
 # parameters with a default value across the package's functions,
 # methods, nested functions and lambdas
 DEFAULTED_PARAMETERS = 11
+
+# annotated fields across the package's dataclasses: each is a value a
+# caller can set, so a copied field shows up in review
+DATACLASS_FIELDS = 64
 
 # public definitions kept without a caller in package or benchmark code
 UNREFERENCED_OK = {
@@ -124,21 +130,26 @@ def _is_dataclass(decorator) -> bool:
     return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
 
 
+def dataclass_fields(source: str) -> list[str]:
+    """``Class.field`` for each annotated field of each dataclass."""
+    return [f"{node.name}.{s.target.id}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list))
+            for s in node.body
+            if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+
+
 def unread_fields(package: dict[str, str], others: list[str]) -> list[str]:
     """``module.Class.field`` for each dataclass field of ``package``
     (module name to source) whose name is loaded as an attribute nowhere
     in the package or the ``others`` sources."""
-    fields, read = [], set()
-    for module, source in package.items():
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
-                fields += [(f"{module}.{node.name}.{s.target.id}", s.target.id)
-                           for s in node.body
-                           if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+    fields = [f"{module}.{field}" for module, source in package.items()
+              for field in dataclass_fields(source)]
+    read = set()
     for source in [*package.values(), *others]:
         read |= {node.attr for node in ast.walk(ast.parse(source))
                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    return sorted(field for field, name in fields if name not in read)
+    return sorted(field for field in fields if field.rsplit(".", 1)[1] not in read)
 
 
 def defaulted_parameters(source: str) -> list[str]:
@@ -294,6 +305,17 @@ def test_checker_flags_unread_dataclass_fields():
         "a.P.kwarg_only", "a.P.written", "a.Q.far"]
 
 
+def test_checker_lists_dataclass_fields():
+    source = ("import dataclasses\n"
+              "from dataclasses import dataclass, field\n"
+              "@dataclass\nclass P:\n    a: int\n    b: list = field(default_factory=list)\n"
+              "    c = 3\n"
+              "    @property\n    def d(self) -> int:\n        return self.a\n"
+              "@dataclasses.dataclass(frozen=True)\nclass Q:\n    e: int\n"
+              "class Plain:\n    f: int\n")
+    assert dataclass_fields(source) == ["P.a", "P.b", "Q.e"]
+
+
 def test_checker_counts_defaulted_parameters():
     source = ("def f(a, b=1, *args, c, d=2, **kw):\n"
               "    g = lambda x=0, y=1: x\n"
@@ -383,6 +405,12 @@ def test_defaulted_parameter_count_is_pinned():
     found = [f"{path.stem}.{entry}" for path in MODULES
              for entry in defaulted_parameters(path.read_text())]
     assert len(found) == DEFAULTED_PARAMETERS, found
+
+
+def test_dataclass_field_count_is_pinned():
+    found = [f"{path.stem}.{entry}" for path in MODULES
+             for entry in dataclass_fields(path.read_text())]
+    assert len(found) == DATACLASS_FIELDS, found
 
 
 def test_every_trace_target_exists_in_the_package():

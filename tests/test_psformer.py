@@ -39,11 +39,13 @@ def _toy_inputs(frames=4, seed=0, width=64):
 
 
 def _keeping(gop, sel, selected):
-    """``sel`` with P-frame t keeping ``selected[t - 1]``, and the pool
-    rows that selection lays out."""
+    """``sel`` with P-frame t keeping ``selected[t - 1]``: its 0/1 gates,
+    and the pool rows that selection lays out."""
+    n = gop.i_frame.count
+    gates = [Tensor(np.isin(np.arange(n), s).astype(np.float64)[:, None]) for s in selected]
     pool = np.concatenate([gop.i_frame.patches,
                            *(gop.frame_patches(t)[s] for t, s in enumerate(selected, 1))])
-    return replace(sel, selected=selected, pool=pool)
+    return replace(sel, gates=gates, pool=pool)
 
 
 def _np_layer_norm(x, g, b, eps=1e-6):
@@ -534,6 +536,42 @@ def test_sparse_forward_refuses_a_pool_that_does_not_hold_the_stack():
     with nc.mac_counting(counter), pytest.raises(ValidationError, match="stack rows"):
         psformer_forward(gop, replace(sel, pool=sel.pool[:-1]), params, cfg, threshold=0.5)
     assert counter.total == 0
+
+
+@pytest.mark.parametrize("fault", ["one gate short", "one gate per frame", "another grid"])
+def test_sparse_forward_refuses_gates_that_do_not_match_the_clip(fault):
+    # the gates are the keep decision: one (n, 1) tensor per P-frame
+    cfg = _toy_config()
+    params = init_psformer_params(cfg, seed=15)
+    gop, sel = _toy_inputs(frames=4)
+    gates = {"one gate short": sel.gates[:-1],
+             "one gate per frame": [sel.gates[0], *sel.gates],
+             "another grid": _toy_inputs(frames=4, width=128)[1].gates}[fault]
+    counter = nc.MacCounter()
+    with nc.mac_counting(counter), pytest.raises(ValidationError,
+                                                 match="selection gates do not match"):
+        psformer_forward(gop, replace(sel, gates=gates), params, cfg, threshold=0.5)
+    assert counter.total == 0 and not counter.by_stage
+
+
+def test_sparse_forward_scales_no_kept_row_by_a_zero_gate(monkeypatch):
+    # the stack's kept rows are read off the gates, so a selection edited
+    # through its gates and pool to keep every patch serves every row at 1
+    cfg = _toy_config()
+    params = init_psformer_params(cfg, seed=15)
+    gop, sel = _toy_inputs(frames=4)
+    n = cfg.patch_count
+    assert sum(sel.kept_counts) < 3 * n
+    sel = _keeping(gop, sel, [np.arange(n)] * 3)
+    scales = []
+    mul = nc.mul
+    monkeypatch.setattr(psformer.nc, "mul",
+                        lambda a, b: scales.append((a.shape, b.data)) or mul(a, b))
+    psformer_forward(gop, sel, params, cfg, threshold=0.5)
+    # the one product that scales the whole token stack (4 frames x n rows)
+    gates = [g for shape, g in scales if shape == (4 * n, cfg.dim) and g.shape == (4 * n, 1)]
+    assert len(gates) == 1
+    assert np.all(gates[0] == 1.0)
 
 
 def test_one_embedding_product_per_clip(monkeypatch):
